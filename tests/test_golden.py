@@ -1,0 +1,184 @@
+"""Golden digests: sha256 of the outputs of small but complete runs.
+
+Behavioural tests allow many outputs; these pin the exact bytes, so a
+refactor or speed-up that changes any output fails here.  Configs are
+shrunk (20 RBs, short timelines) to keep the module fast.
+
+After a deliberate output change, print the new table with
+``PYTHONPATH=src python tests/test_golden.py`` and paste it into GOLDEN.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+from sliceloop.agents import HeuristicOracleBackend, Predictor, heuristic_oracle_decide
+from sliceloop.baselines import brute_force_optimal, enumerate_splits
+from sliceloop.cli import main
+from sliceloop.core import RadioConfig, SliceKind, SliceSpec
+from sliceloop.loop import Environment, run_experiment
+from sliceloop.radio import QueueConfig, SimState, StepProfile, UeChannelState, simulate_interval
+
+SINR = 2.0 ** (2_200_000 / 180_000) - 1.0  # 2.2 Mbps per RB
+
+# 20 RBs carry 44 Mbps; the steps overload each slice in turn.
+CONFIG = dict(
+    total_rbs=20,
+    scenario1_cycles=16,
+    scenario1_steps=[[[0, 16.0], [4, 26.0], [10, 16.0], [14, 28.0]],
+                     [[0, 16.0], [6, 20.0], [12, 12.0]]],
+    scenario2_grid=[12.0, 16.0, 20.0, 24.0, 28.0],
+    scenario2_cycles=4,
+)
+
+LATENCY = SliceSpec(0, SliceKind.LATENCY, 10.0, 2.0, 10.0, 0.2)
+THROUGHPUT = SliceSpec(1, SliceKind.THROUGHPUT, 1000.0, 1.0, -30.0, -0.02)
+
+
+def _sha(data) -> str:
+    if isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def _cli_digests(args: list[str]) -> dict[str, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg = tmp / "config.json"
+        cfg.write_text(json.dumps(CONFIG))
+        out = tmp / "out"
+        assert main(args + ["--config", str(cfg), "--out", str(out)]) == 0
+        return {p.name: _sha(p.read_bytes()) for p in sorted(out.iterdir())}
+
+
+def tokens_digests() -> dict[str, str]:
+    return _cli_digests(["tokens"])
+
+
+def scenario2_digests() -> dict[str, str]:
+    return _cli_digests(["scenario2", "--trials", "10"])
+
+
+def oracle_table_digests() -> dict[str, str]:
+    return _cli_digests(["oracle-table", "--rates", "24", "16"])
+
+
+def three_slice_digests() -> dict[str, str]:
+    """Enumeration rows and optimum for 3 slices, fresh and carried state."""
+    radio = RadioConfig(total_rbs=20)
+    queue = QueueConfig()
+    channels = [UeChannelState(k, k, SINR) for k in range(3)]
+    specs = [LATENCY, THROUGHPUT, replace(THROUGHPUT, slice_id=2)]
+    carried = simulate_interval(
+        [30.0, 14.0, 9.0], [6, 8, 6], channels, radio, queue, SimState.fresh(3)
+    ).state
+    out = {}
+    for name, offered, state, floors in (
+        ("fresh", [12.0, 14.0, 9.0], None, None),
+        ("carried_floors", [12.0, 14.0, 9.0], carried, [0.0, 13.0, 0.0]),
+    ):
+        args = (offered, channels, radio, queue, specs, state, floors)
+        out[f"rows_{name}"] = _sha(repr(enumerate_splits(*args)))
+        out[f"optimum_{name}"] = _sha(repr(brute_force_optimal(*args)))
+    return out
+
+
+def oracle_order_digests() -> dict[str, str]:
+    """Oracle decisions with the latency slice listed first and second."""
+    radio = RadioConfig(total_rbs=10)
+    queue = QueueConfig()
+    channels = [UeChannelState(0, 0, SINR), UeChannelState(1, 1, SINR)]
+    out = {}
+    for latency_first in (True, False):
+        if latency_first:
+            specs = [LATENCY, THROUGHPUT]
+        else:
+            specs = [replace(THROUGHPUT, slice_id=0), replace(LATENCY, slice_id=1)]
+        decisions = []
+        for lat_rate in (2.0, 9.0, 14.0, 20.0):
+            for thr_rate in (3.0, 12.0, 18.0):
+                offered = [lat_rate, thr_rate] if latency_first else [thr_rate, lat_rate]
+                predictor = Predictor(offered, channels, radio, queue, specs,
+                                      SimState.fresh(2))
+                for current in ([0.5, 0.5], [0.2, 0.8], [0.9, 0.1]):
+                    payload = {"current_shares": current}
+                    decisions.append(heuristic_oracle_decide(payload, predictor).shares)
+        order = "latency_first" if latency_first else "latency_second"
+        out[f"decisions_{order}"] = _sha(repr(decisions))
+
+        lat_steps = ((0, 8.0), (3, 15.0), (7, 6.0))
+        thr_steps = ((0, 10.0), (5, 16.0))
+        steps = (lat_steps, thr_steps) if latency_first else (thr_steps, lat_steps)
+        env = Environment(radio, queue, specs, channels, StepProfile(steps=steps))
+        log = run_experiment(env, 10, HeuristicOracleBackend(), gate_enabled=False)
+        out[f"loop_{order}"] = _sha(repr(log.timeline_rows()))
+    return out
+
+
+GOLDEN = {
+    "tokens": {
+        "config.json": "20463c0e43cb0379fd694c6d871ee1bffd33819d7f2cd3fbf2f486a08288d278",
+        "fig5_tokens.csv": "fb6497ef05bb669cf4a00761d2b7e5005adc6d4e0dec55e10a4126f49d2e32ce",
+        "summary.json": "ebf895085e76eb1439df1de4c5c16b2805cdffd242bbfebf9f07d5c441afb8d1",
+        "timeline.csv": "53a0456038c93099f39b172cec2d251ac4a87e9bd99b8f8f9998a2fc9a20c863"
+    },
+    "scenario2": {
+        "config.json": "20463c0e43cb0379fd694c6d871ee1bffd33819d7f2cd3fbf2f486a08288d278",
+        "fig3a_latency_cdf.csv": "c62b808c5c16c936da594597880b3276ae022f31101834c185ba9d379bc71af9",
+        "fig3b_drop_cdf.csv": "d510c3b01bb0dac48465e768db590988089dadb743d3ad5b8f87dc08dd5471a2",
+        "fig4a_latency_box.csv": "6188f87de310297795d42d4016151ee48e846dd1528069c60ce611ee2052c5b7",
+        "fig4b_drop_box.csv": "6557ad6286255509140b617b12e457da89096832af7d6c9e5a55801a59214dc5",
+        "summary.json": "77188612262e97b7ac3f0e1fdae5a10d5eafe953f7083cf467179afd6c7d1950"
+    },
+    "oracle_table": {
+        "oracle_table.csv": "4398b3c85a1433532adfe0272df2be5d34c9050e482511978cfb32702e7382ca"
+    },
+    "three_slice": {
+        "rows_fresh": "a674ac6db8b2a1ed2e96f67436a878049e87d1dae056eaa694c3f5dc079e3ee4",
+        "optimum_fresh": "bd5ff4334b87864ca4d776be72dab0123fa27c9083c83d90387bb638c7263795",
+        "rows_carried_floors": "b05f54b7e80f019e70ccbb3b4949fa652cc8fe4c5bbd0d504f65829a44fb7f3c",
+        "optimum_carried_floors": "5115061a17ab4f62adcb0d34f255c0c17ce8b7972aca4bc805935adab0595c92"
+    },
+    "oracle_order": {
+        "decisions_latency_first": "f05d14d6088a80a991927500f07ffed19fb30fab2b18b5738f9aa2ac450fee74",
+        "loop_latency_first": "af184a01ec0b390ab51ba4e8422728786520c166722c4be179e5de5b8d721610",
+        "decisions_latency_second": "be596b298dc1fded0641c67b8a07e2f86d495a7d0b27b851e13fad60f097cc5d",
+        "loop_latency_second": "4f1a800928bfa78256bbf5038e7109e778147de225e579e864dd235f5802c66c"
+    }
+}
+
+
+def test_tokens_run_dir():
+    assert tokens_digests() == GOLDEN["tokens"]
+
+
+def test_scenario2_run_dir():
+    assert scenario2_digests() == GOLDEN["scenario2"]
+
+
+def test_oracle_table_csv():
+    assert oracle_table_digests() == GOLDEN["oracle_table"]
+
+
+def test_three_slice_enumeration_and_optimum():
+    assert three_slice_digests() == GOLDEN["three_slice"]
+
+
+def test_oracle_decisions_in_both_slice_orders():
+    assert oracle_order_digests() == GOLDEN["oracle_order"]
+
+
+if __name__ == "__main__":
+    table = {
+        "tokens": tokens_digests(),
+        "scenario2": scenario2_digests(),
+        "oracle_table": oracle_table_digests(),
+        "three_slice": three_slice_digests(),
+        "oracle_order": oracle_order_digests(),
+    }
+    json.dump(table, sys.stdout, indent=4)
+    print()
