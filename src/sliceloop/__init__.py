@@ -13,7 +13,6 @@ from .core import (
 )
 from .radio import (
     QueueConfig,
-    RandomGridProfile,
     SimState,
     StepProfile,
     UeChannelState,
@@ -21,7 +20,6 @@ from .radio import (
     generate_traffic,
     simulate_interval,
     slice_throughput,
-    user_throughput,
 )
 from .sla import RiskAssessment, assess, compliance_index, risk_factor, violation_level
 from .store import ExperienceRecord, ExperienceStore
@@ -39,7 +37,7 @@ from .agents import (
     parse_allocation_response,
 )
 from .loop import CycleReport, Environment, ExperimentLog, LoopState, run_cycle, run_experiment
-from .baselines import brute_force_optimal, enumerate_splits, fixed_policy
+from .baselines import brute_force_optimal, enumerate_splits
 from .stats import compute_distribution_stats
 from .harness import (
     HarnessConfig,

@@ -9,22 +9,29 @@ Three interchangeable backends sit behind the same ``propose`` call:
 * ``RemoteBackend`` speaks the de-facto chat-completion JSON wire format
   over HTTPS; credentials come from the RELLM_API_KEY environment
   variable and the endpoint/model are configuration.
+
+``Predictor`` is the package's one evaluator of a hypothetical RB split:
+it rolls the carried queue state forward one interval and scores the
+result.  The oracle here and the exhaustive optimizer in ``baselines``
+are its two consumers.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Protocol, Sequence
 
 from .core import (
     SUM_TOLERANCE,
     AllocationRatio,
+    KpmSample,
     RadioConfig,
     SliceKind,
     SliceSpec,
     ratio_to_rb_counts,
+    rb_splits,
 )
 from .radio import QueueConfig, SimState, UeChannelState, simulate_interval
 from .sla import RiskAssessment, assess
@@ -48,11 +55,9 @@ class ParseError(BackendError):
         self.text = text
 
 
-def count_tokens(text: str, mode: str = "approximate") -> int:
+def count_tokens(text: str) -> int:
     """Token estimate for offline backends: one token per four bytes."""
-    if mode == "approximate":
-        return math.ceil(len(text.encode("utf-8")) / 4)
-    raise ValueError(f"unknown token counting mode {mode!r}")
+    return math.ceil(len(text.encode("utf-8")) / 4)
 
 
 def _fmt(x: float) -> str:
@@ -196,11 +201,29 @@ def parse_allocation_response(text: str, slice_count: int) -> AllocationRatio:
     return AllocationRatio(values)
 
 
-class Predictor:
-    """One-interval lookahead on a cloned queue state.
+@dataclass(frozen=True)
+class SplitScore:
+    """Predicted outcome of one interval under a candidate RB split.
 
-    Built fresh by the control loop each cycle, so predictions never
-    mutate the live simulation.
+    ``excess`` sums how far each slice's violation level sits beyond its
+    SLA boundary (positive direction for latency slices, negative for
+    throughput slices).  It is zero whenever every slice complies, and it
+    grades candidates apart when deep violations saturate the sigmoid and
+    flatten sigma.  ``throughput_mbps`` totals the throughput slices.
+    """
+
+    kpm: KpmSample
+    sigma: float
+    excess: float
+    throughput_mbps: float
+
+
+class Predictor:
+    """One-interval lookahead from a carried queue state.
+
+    ``simulate_interval`` never mutates its input state, so every
+    candidate starts from the same state and the live simulation is
+    untouched.
     """
 
     def __init__(
@@ -227,19 +250,12 @@ class Predictor:
             self.channels,
             self.radio_cfg,
             self.queue_cfg,
-            self._state.clone(),
+            self._state,
         )
         return result.kpm
 
-    def score(self, rb_counts: Sequence[int]) -> tuple[float, float, float]:
-        """(predicted sigma, violation excess, throughput-slice throughput).
-
-        The violation excess sums how far each slice's violation level
-        sits beyond its SLA boundary (positive direction for latency
-        slices, negative for throughput slices).  It is zero whenever
-        every slice complies, and it grades candidates apart when deep
-        violations saturate the sigmoid and flatten sigma.
-        """
+    def score(self, rb_counts: Sequence[int]) -> SplitScore:
+        """Predicted KPMs, sigma, violation excess and throughput."""
         kpm = self.predict(rb_counts)
         a = assess([kpm], self.specs, self.radio_cfg.violation_threshold)
         excess = 0.0
@@ -256,7 +272,7 @@ class Predictor:
             for k, spec in enumerate(self.specs)
             if spec.kind is SliceKind.THROUGHPUT
         )
-        return a.sigma, excess, thr
+        return SplitScore(kpm, a.sigma, excess, thr)
 
 
 def heuristic_oracle_decide(
@@ -265,12 +281,13 @@ def heuristic_oracle_decide(
 ) -> AllocationRatio:
     """Grid search over the latency slice's share, scored by predicted sigma.
 
-    Candidates are every integer RB count for the latency slice from 1 to
-    total - 1, plus the current allocation.  Ties on predicted sigma go
-    to the candidate with the smallest violation excess (which grades
-    candidates apart when deep violations saturate the sigmoid), then to
-    the higher predicted throughput for the throughput slices, then to
-    the fewest RBs moved.
+    Candidates are every split with at least one RB per slice, so every
+    latency-slice count from 1 to total - 1 (the current count included).
+    Ties on predicted sigma go to the candidate with the smallest
+    violation excess (which grades candidates apart when deep violations
+    saturate the sigmoid), then to the higher predicted throughput for
+    the throughput slices, then to the fewest RBs moved, then to the
+    fewest RBs on the latency slice.
 
     Scores are rounded before comparison (sigma to 1e-6, excess to 1e-3,
     throughput to 0.1 Mbps) so that packet-quantisation noise in the
@@ -290,20 +307,13 @@ def heuristic_oracle_decide(
     )
     current_lat = current[latency_idx]
 
-    best = None
-    candidates = list(range(1, total))
-    if current_lat not in candidates:
-        candidates.append(current_lat)
-    for i in candidates:
-        counts = [0, 0]
-        counts[latency_idx] = i
-        counts[1 - latency_idx] = total - i
-        sigma, excess, thr = predictor.score(counts)
-        key = (round(sigma, 6), -round(excess, 3), round(thr, 1),
-               -abs(i - current_lat))
-        if best is None or key > best[0]:
-            best = (key, i)
-    chosen = best[1]
+    def key(counts):
+        s = predictor.score(counts)
+        lat = counts[latency_idx]
+        return (round(s.sigma, 6), -round(s.excess, 3), round(s.throughput_mbps, 1),
+                -abs(lat - current_lat), -lat)
+
+    chosen = max(rb_splits(total, 2), key=key)[latency_idx]
     shares = [0.0, 0.0]
     shares[latency_idx] = chosen / total
     shares[1 - latency_idx] = 1.0 - chosen / total
@@ -361,7 +371,10 @@ class ScriptedBackend:
         entry = self._decisions[self._cursor]
         self._cursor += 1
         slice_count = len(prompt.structured_payload["current_shares"])
-        allocation = AllocationRatio(entry["shares"])
+        try:
+            allocation = AllocationRatio(entry["shares"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"invalid scripted shares ({exc})", str(entry)) from exc
         if len(allocation) != slice_count:
             raise ParseError("scripted shares have the wrong length", str(entry))
         return DecisionOutcome(
@@ -421,9 +434,14 @@ class RemoteBackend:
             raise BackendError(str(exc)) from exc
         if resp.status_code != 200:
             raise BackendError(f"endpoint returned {resp.status_code}: {resp.text}")
-        data = resp.json()
-        content = data["choices"][0]["message"]["content"]
-        usage = data.get("usage", {})
+        try:
+            data = resp.json()
+            content = data["choices"][0]["message"]["content"]
+        except (ValueError, LookupError, TypeError) as exc:
+            raise BackendError(f"malformed response body: {exc!r}") from exc
+        if not isinstance(content, str):
+            raise ParseError("response content is not text", repr(content))
+        usage = data.get("usage") or {}
         return content, usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)
 
     def propose(

@@ -1,40 +1,26 @@
-"""Fixed-share policies and an exhaustive small-instance optimizer.
+"""Exhaustive small-instance optimizer that bounds the adaptive loop.
 
 The optimizer enumerates every integer RB split (each slice at least one
-RB), predicts one interval per split on a cloned queue state, and picks
-the split maximizing the throughput slices' total predicted throughput
-subject to the latency bounds (and throughput floors when declared).
-If nothing is feasible it falls back to the split with the best
-predicted compliance index.  Exponential in the slice count, so capped
-at three slices; at desk scale exactness is the point.
+RB) and scores each with ``agents.Predictor``, the same one-interval
+evaluator the oracle uses.  It picks the split maximizing the throughput
+slices' total predicted throughput subject to the latency bounds (and
+throughput floors when declared).  If nothing is feasible it falls back
+to the split with the best predicted compliance index.  Exponential in
+the slice count, so capped at three slices; at desk scale exactness is
+the point.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .core import AllocationRatio, RadioConfig, SliceKind, SliceSpec
-from .radio import QueueConfig, SimState, UeChannelState, simulate_interval
-from .sla import assess
+from .agents import Predictor
+from .core import AllocationRatio, RadioConfig, SliceKind, SliceSpec, rb_splits
+from .radio import QueueConfig, SimState, UeChannelState
 
 
 class UnsupportedScaleError(ValueError):
     """Exhaustive enumeration is only offered for two or three slices."""
-
-
-@dataclass(frozen=True)
-class FixedPolicy:
-    """A policy that returns the same shares every cycle."""
-
-    shares: AllocationRatio
-
-    def allocation_at(self, cycle: int) -> AllocationRatio:
-        return self.shares
-
-
-def fixed_policy(shares: Sequence[float]) -> FixedPolicy:
-    return FixedPolicy(AllocationRatio(shares))
 
 
 @dataclass(frozen=True)
@@ -57,17 +43,6 @@ class EnumerationRow:
     feasible: bool
 
 
-def _splits(total: int, parts: int):
-    """All integer compositions of ``total`` into ``parts`` parts >= 1."""
-    if parts == 2:
-        for i in range(1, total):
-            yield (i, total - i)
-        return
-    for i in range(1, total - parts + 2):
-        for rest in _splits(total - i, parts - 1):
-            yield (i,) + rest
-
-
 def enumerate_splits(
     offered_mbps: Sequence[float],
     channels: Sequence[UeChannelState],
@@ -85,18 +60,12 @@ def enumerate_splits(
         state = SimState.fresh(n)
     if throughput_floors is None:
         throughput_floors = [0.0] * n
+    predictor = Predictor(offered_mbps, channels, radio_cfg, queue_cfg, specs, state)
 
     rows = []
-    for counts in _splits(radio_cfg.total_rbs, n):
-        kpm = simulate_interval(
-            offered_mbps, counts, channels, radio_cfg, queue_cfg, state.clone()
-        ).kpm
-        a = assess([kpm], specs, radio_cfg.violation_threshold)
-        objective = sum(
-            kpm.slices[k].mean_throughput_mbps
-            for k, spec in enumerate(specs)
-            if spec.kind is SliceKind.THROUGHPUT
-        )
+    for counts in rb_splits(radio_cfg.total_rbs, n):
+        score = predictor.score(counts)
+        kpm = score.kpm
         feasible = True
         for k, spec in enumerate(specs):
             if spec.kind is SliceKind.LATENCY:
@@ -111,8 +80,8 @@ def enumerate_splits(
                 latencies_ms=tuple(s.mean_latency_ms for s in kpm.slices),
                 throughputs_mbps=tuple(s.mean_throughput_mbps for s in kpm.slices),
                 drop_ratios=tuple(s.drop_ratio for s in kpm.slices),
-                sigma=a.sigma,
-                objective=objective,
+                sigma=score.sigma,
+                objective=score.throughput_mbps,
                 feasible=feasible,
             )
         )

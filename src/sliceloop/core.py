@@ -172,3 +172,16 @@ def ratio_to_rb_counts(ratio: AllocationRatio, total_rbs: int) -> list[int]:
         counts[needy] += 1
         counts[donor] -= 1
     return counts
+
+
+def rb_splits(total_rbs: int, parts: int):
+    """Every split of ``total_rbs`` into ``parts`` integer counts >= 1.
+
+    Yields tuples in lexicographic order, so slice 0's count ascends.
+    """
+    if parts == 1:
+        yield (total_rbs,)
+        return
+    for i in range(1, total_rbs - parts + 2):
+        for rest in rb_splits(total_rbs - i, parts - 1):
+            yield (i,) + rest

@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .core import AllocationRatio, RadioConfig, SliceKind, SliceSpec
 from .agents import HeuristicOracleBackend, RemoteBackend, ScriptedBackend
-from .baselines import fixed_policy
 from .loop import Environment, ExperimentLog, run_experiment
-from .radio import QueueConfig, RandomGridProfile, StepProfile, UeChannelState
+from .radio import QueueConfig, StepProfile, UeChannelState
 from .stats import compute_distribution_stats, write_csv
 
 # Uniform SINR giving each RB exactly 2.2 Mbps at 180 kHz, so the default
@@ -248,7 +247,7 @@ def run_scenario2(
                 initial = AllocationRatio(config.initial_shares)
             else:
                 backend = None
-                initial = fixed_policy(FIXED_BASELINES[name]).shares
+                initial = AllocationRatio(FIXED_BASELINES[name])
             log = run_experiment(
                 env, config.scenario2_cycles, backend, initial_allocation=initial
             )

@@ -11,23 +11,21 @@ masked by a fallback policy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 from .core import AllocationRatio, KpmSample, RadioConfig, SliceSpec, ratio_to_rb_counts
 from .agents import (
     Backend,
     BackendError,
     DecisionOutcome,
-    MetaPrompt,
     Predictor,
     build_meta_prompt,
 )
 from .radio import (
-    IntervalResult,
     QueueConfig,
     SimState,
-    TrafficProfile,
+    StepProfile,
     UeChannelState,
     generate_traffic,
     simulate_interval,
@@ -42,7 +40,6 @@ class LoopState:
     interval_index: int
     prompt_tokens: int
     completion_tokens: int
-    last_assessment: Optional[RiskAssessment]
     sim_state: SimState
     cooldown_remaining: int = 0
 
@@ -78,7 +75,7 @@ class Environment:
     queue_cfg: QueueConfig
     specs: list[SliceSpec]
     channels: list[UeChannelState]
-    profile: TrafficProfile
+    profile: StepProfile
     retrieve_k: int = 3
 
     def cooldown_cycles(self) -> int:
@@ -177,7 +174,6 @@ def run_cycle(
         interval_index=idx + 1,
         prompt_tokens=state.prompt_tokens + p_delta,
         completion_tokens=state.completion_tokens + c_delta,
-        last_assessment=assessment,
         sim_state=result.state,
         cooldown_remaining=new_cooldown,
     )
@@ -256,7 +252,6 @@ def run_experiment(
         interval_index=0,
         prompt_tokens=0,
         completion_tokens=0,
-        last_assessment=None,
         sim_state=SimState.fresh(n_slices),
     )
     cycles = []

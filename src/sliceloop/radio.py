@@ -1,9 +1,8 @@
 """Discrete-time air-interface simulation.
 
 Capacity model: each user's channel capacity is the Shannon sum over its
-assigned RBs, ``B * sum_j log2(1 + SINR_j)``; user throughput over an
-interval is capacity times the interval duration, and slice throughput is
-the sum over the slice's users.
+assigned RBs, ``B * sum_j log2(1 + SINR_j)``, and a slice's service rate
+is the sum over the slice's users.
 
 Queue model: one FIFO per slice, packetised arrivals (fixed packet size),
 finite buffer, tick-driven service at the slice's aggregate capacity.
@@ -15,8 +14,8 @@ granularity, so an unloaded slice reports one tick of transmission delay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -81,42 +80,16 @@ class StepProfile:
                 raise ValueError("rates must be nonnegative")
 
 
-@dataclass(frozen=True)
-class RandomGridProfile:
-    """Seeded per-interval uniform draw from a fixed rate grid, per slice."""
-
-    values_mbps: Tuple[float, ...]
-    seed: int
-    n_slices: int = 2
-
-    def __post_init__(self) -> None:
-        if not self.values_mbps:
-            raise ValueError("values_mbps must be nonempty")
-        if any(v < 0 for v in self.values_mbps):
-            raise ValueError("rates must be nonnegative")
-
-
-TrafficProfile = Union[StepProfile, RandomGridProfile]
-
-
-def generate_traffic(profile: TrafficProfile, interval_index: int) -> list[float]:
-    """Offered rate per slice (Mbps) at the given interval.
-
-    Deterministic given the profile: step profiles look up the active
-    step, grid profiles hash (seed, interval) into a fresh generator.
-    """
-    if isinstance(profile, StepProfile):
-        rates = []
-        for slice_steps in profile.steps:
-            rate = slice_steps[0][1]
-            for start, r in slice_steps:
-                if interval_index >= start:
-                    rate = r
-            rates.append(rate)
-        return rates
-    rng = np.random.default_rng([profile.seed, interval_index])
-    idx = rng.integers(0, len(profile.values_mbps), size=profile.n_slices)
-    return [profile.values_mbps[i] for i in idx]
+def generate_traffic(profile: StepProfile, interval_index: int) -> list[float]:
+    """Offered rate per slice (Mbps) at the given interval: the active step."""
+    rates = []
+    for slice_steps in profile.steps:
+        rate = slice_steps[0][1]
+        for start, r in slice_steps:
+            if interval_index >= start:
+                rate = r
+        rates.append(rate)
+    return rates
 
 
 def channel_capacity(ue: UeChannelState, assigned_rbs: int, rb_bandwidth_hz: float) -> float:
@@ -132,13 +105,6 @@ def channel_capacity(ue: UeChannelState, assigned_rbs: int, rb_bandwidth_hz: flo
     else:
         total = assigned_rbs * math.log2(1.0 + ue.sinr)
     return rb_bandwidth_hz * total
-
-
-def user_throughput(capacity_bps: float, interval_duration_s: float) -> float:
-    """Bits deliverable by one user within the interval."""
-    if capacity_bps < 0 or interval_duration_s < 0:
-        raise ValueError("arguments must be nonnegative")
-    return interval_duration_s * capacity_bps
 
 
 def slice_throughput(user_throughputs: Sequence[float]) -> float:
@@ -176,13 +142,6 @@ class SliceQueueState:
     arrival_carry: float = 0.0
     service_credit: float = 0.0
 
-    def clone(self) -> "SliceQueueState":
-        return SliceQueueState(
-            arrival_ticks=self.arrival_ticks.copy(),
-            arrival_carry=self.arrival_carry,
-            service_credit=self.service_credit,
-        )
-
 
 @dataclass
 class SimState:
@@ -194,9 +153,6 @@ class SimState:
     @classmethod
     def fresh(cls, n_slices: int) -> "SimState":
         return cls(tick=0, queues=[SliceQueueState() for _ in range(n_slices)])
-
-    def clone(self) -> "SimState":
-        return SimState(tick=self.tick, queues=[q.clone() for q in self.queues])
 
 
 @dataclass(frozen=True)

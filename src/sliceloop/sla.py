@@ -66,10 +66,6 @@ class RiskAssessment:
         )
 
 
-class NoDataError(ValueError):
-    """No measurement available to score against the SLA."""
-
-
 def violation_level(measured: float, spec: SliceSpec) -> float:
     """Normalised SLA excess: (measured - target) / target."""
     return (measured - spec.sla_target) / spec.sla_target

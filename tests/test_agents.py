@@ -1,5 +1,5 @@
 import json
-import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -15,6 +15,7 @@ from sliceloop.agents import (
     Predictor,
     RemoteBackend,
     ScriptedBackend,
+    SplitScore,
     build_meta_prompt,
     count_tokens,
     heuristic_oracle_decide,
@@ -28,7 +29,8 @@ from sliceloop.core import (
     SliceKpm,
     SliceSpec,
 )
-from sliceloop.radio import QueueConfig, SimState, UeChannelState
+from sliceloop.loop import Environment, run_experiment
+from sliceloop.radio import QueueConfig, SimState, StepProfile, UeChannelState
 from sliceloop.sla import assess
 from sliceloop.store import ExperienceRecord
 
@@ -170,10 +172,10 @@ class TestHeuristicOracle:
         scored = []
         current = 5
         for i in range(1, 10):
-            sigma, excess, thr = predictor.score([i, 10 - i])
+            s = predictor.score([i, 10 - i])
             scored.append(
-                ((round(sigma, 6), -round(excess, 3), round(thr, 1),
-                  -abs(i - current)), i)
+                ((round(s.sigma, 6), -round(s.excess, 3), round(s.throughput_mbps, 1),
+                  -abs(i - current), -i), i)
             )
         best = max(scored, key=lambda t: t[0])[1]
         prompt = make_prompt(sigma_kpm=make_kpm(off=offered))
@@ -185,13 +187,33 @@ class TestHeuristicOracle:
             predictor = make_predictor(offered=offered)
             prompt = make_prompt(sigma_kpm=make_kpm(off=offered))
             got = heuristic_oracle_decide(prompt.structured_payload, predictor)
-            sigma_new, _, _ = predictor.score(
+            sigma_new = predictor.score(
                 [round(got.shares[0] * 10), round(got.shares[1] * 10)]
-            )
-            sigma_cur, _, _ = predictor.score([5, 5])
+            ).sigma
+            sigma_cur = predictor.score([5, 5]).sigma
             # the oracle compares sigma rounded to 1e-6, so the chosen
             # candidate can trail the current one by at most that much
             assert sigma_new >= sigma_cur - 1e-6
+
+    @pytest.mark.parametrize("latency_idx", [0, 1])
+    def test_ties_go_to_fewest_latency_rbs(self, latency_idx):
+        # every split but the current 5-5 scores the same, so its two
+        # neighbours tie on every key but the latency RB count
+        specs = SPECS if latency_idx == 0 else [
+            replace(SPECS[1], slice_id=0), replace(SPECS[0], slice_id=1)
+        ]
+
+        class FlatPredictor:
+            radio_cfg = RadioConfig(total_rbs=10)
+
+            def score(self, counts):
+                sigma = -1.0 if counts[latency_idx] == 5 else 0.0
+                return SplitScore(make_kpm(), sigma, 0.0, 0.0)
+
+        predictor = FlatPredictor()
+        predictor.specs = specs
+        got = heuristic_oracle_decide({"current_shares": [0.5, 0.5]}, predictor)
+        assert got.shares[latency_idx] == pytest.approx(0.4)
 
     def test_backend_wraps_decision_with_tokens(self):
         backend = HeuristicOracleBackend()
@@ -226,13 +248,18 @@ class TestScriptedBackend:
 
 
 class FakeResponse:
-    def __init__(self, content, status=200, usage=None):
+    def __init__(self, content, status=200, usage=None, body=None):
         self.status_code = status
         self.text = content
         self._content = content
         self._usage = usage or {"prompt_tokens": 10, "completion_tokens": 5}
+        self._body = body  # replaces the wire body; an exception is raised
 
     def json(self):
+        if isinstance(self._body, Exception):
+            raise self._body
+        if self._body is not None:
+            return self._body
         return {
             "choices": [{"message": {"content": self._content}}],
             "usage": self._usage,
@@ -299,6 +326,50 @@ class TestRemoteBackend:
         backend = RemoteBackend("https://api.example/v1/chat", "m", session=session)
         with pytest.raises(BackendError):
             backend.propose(make_prompt())
+
+
+class TestFailStatic:
+    """Malformed backend output fails the cycle, never the run."""
+
+    @staticmethod
+    def run_cycles(backend, n_cycles=2):
+        env = Environment(
+            radio_cfg=RadioConfig(total_rbs=10),
+            queue_cfg=QueueConfig(),
+            specs=SPECS,
+            channels=[UeChannelState(0, 0, SINR), UeChannelState(1, 1, SINR)],
+            profile=StepProfile(steps=(((0, 16.0),), ((0, 4.0),))),
+        )
+        log = run_experiment(env, n_cycles, backend, gate_enabled=False)
+        assert len(log.cycles) == n_cycles
+        assert all(c.backend_error and c.decision is None for c in log.cycles)
+        assert log.final_state.current_allocation.shares == (0.5, 0.5)
+
+    def test_scripted_shares_not_summing_to_one(self):
+        entries = [{"shares": [0.9, 0.9]}] * 2
+        with pytest.raises(ParseError):
+            ScriptedBackend(entries).propose(make_prompt())
+        self.run_cycles(ScriptedBackend(entries))
+
+    @pytest.mark.parametrize(
+        "body, error",
+        [
+            (json.JSONDecodeError("Expecting value", "<html>", 0), BackendError),
+            ({"error": {"message": "overloaded"}}, BackendError),
+            ({"choices": []}, BackendError),
+            ({"choices": [{"message": {"content": None}}]}, ParseError),
+        ],
+        ids=["not_json", "no_choices", "empty_choices", "null_content"],
+    )
+    def test_remote_malformed_body(self, body, error):
+        def backend():
+            responses = [FakeResponse("", body=body) for _ in range(2)]
+            return RemoteBackend("https://api.example/v1/chat", "m",
+                                 session=FakeSession(responses))
+
+        with pytest.raises(error):
+            backend().propose(make_prompt())
+        self.run_cycles(backend())
 
 
 def test_decision_outcome_rejects_negative_tokens():

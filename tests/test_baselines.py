@@ -7,7 +7,6 @@ from sliceloop.baselines import (
     UnsupportedScaleError,
     brute_force_optimal,
     enumerate_splits,
-    fixed_policy,
 )
 from sliceloop.core import RadioConfig, SliceKind, SliceSpec
 from sliceloop.radio import QueueConfig, SimState, UeChannelState
@@ -24,17 +23,6 @@ def make_env(total_rbs=10, n_slices=2):
     radio = RadioConfig(total_rbs=total_rbs)
     channels = [UeChannelState(i, i, SINR) for i in range(n_slices)]
     return radio, QueueConfig(), channels
-
-
-class TestFixedPolicy:
-    def test_constant_over_cycles(self):
-        policy = fixed_policy([0.7, 0.3])
-        assert policy.allocation_at(0).shares == (0.7, 0.3)
-        assert policy.allocation_at(99) == policy.allocation_at(0)
-
-    def test_invalid_shares_rejected(self):
-        with pytest.raises(ValueError):
-            fixed_policy([0.7, 0.7])
 
 
 class TestEnumerateSplits:
