@@ -16,12 +16,15 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from sliceloop.agents import HeuristicOracleBackend, Predictor, heuristic_oracle_decide
 from sliceloop.baselines import brute_force_optimal, enumerate_splits
 from sliceloop.cli import main
 from sliceloop.core import RadioConfig, SliceKind, SliceSpec
 from sliceloop.loop import Environment, run_experiment
 from sliceloop.radio import QueueConfig, SimState, StepProfile, UeChannelState, simulate_interval
+from sliceloop.store import ExperienceStore
 
 SINR = 2.0 ** (2_200_000 / 180_000) - 1.0  # 2.2 Mbps per RB
 
@@ -119,6 +122,34 @@ def oracle_order_digests() -> dict[str, str]:
     return out
 
 
+def retrieval_digests() -> dict[str, str]:
+    """Retrieved record ids while a store grows, and after reloading it.
+
+    Rates lie on a 5 Mbps grid and sigmas on a 0.01 grid, so distances
+    and sigmas tie often and the tie-break order is pinned too.
+    """
+    rng = np.random.default_rng(2024)
+    grid = np.arange(40.0, 245.0, 5.0)
+    n, checkpoints = 20_000, (100, 1_000, 5_000, 20_000)
+    rates = rng.choice(grid, size=(n, 2)).tolist()
+    sigmas = (-np.round(rng.uniform(0.0, 2.5, size=n), 2)).tolist()
+    queries = rng.choice(grid, size=(8, 2)).tolist() + rng.uniform(30.0, 250.0, size=(8, 2)).tolist()
+
+    def ids(store):
+        return [[r.record_id for r in store.retrieve(q, k)] for q in queries for k in range(1, 6)]
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "history.jsonl"
+        store = ExperienceStore(2, path=path)
+        for i in range(n):
+            store.record(rates[i], [0.5, 0.5], sigmas[i], [{}, {}], i)
+            if i + 1 in checkpoints:
+                out[f"appended_{i + 1}"] = _sha(repr(ids(store)))
+        out["reloaded"] = _sha(repr(ids(ExperienceStore.load(path, 2))))
+    return out
+
+
 GOLDEN = {
     "tokens": {
         "config.json": "20463c0e43cb0379fd694c6d871ee1bffd33819d7f2cd3fbf2f486a08288d278",
@@ -148,6 +179,13 @@ GOLDEN = {
         "loop_latency_first": "af184a01ec0b390ab51ba4e8422728786520c166722c4be179e5de5b8d721610",
         "decisions_latency_second": "be596b298dc1fded0641c67b8a07e2f86d495a7d0b27b851e13fad60f097cc5d",
         "loop_latency_second": "4f1a800928bfa78256bbf5038e7109e778147de225e579e864dd235f5802c66c"
+    },
+    "retrieval": {
+        "appended_100": "41c32d49854dab3c367c093a646f2ff36857ef65bf1817a9e1841ff2273ab8b4",
+        "appended_1000": "e1418918689a2f470d45305f097162ec217ce9ad7313ef5fc6aa6adbde3d9bf4",
+        "appended_5000": "1109ad85bde287def212970f81c3e493414a73f16ac276042ab627e0be4c1dfe",
+        "appended_20000": "9fc54a7991ea4a7d5b249e731425ef838187fc10d0a7a70f059b4a7ee44f934b",
+        "reloaded": "9fc54a7991ea4a7d5b249e731425ef838187fc10d0a7a70f059b4a7ee44f934b"
     }
 }
 
@@ -172,6 +210,10 @@ def test_oracle_decisions_in_both_slice_orders():
     assert oracle_order_digests() == GOLDEN["oracle_order"]
 
 
+def test_retrieval_ids_while_appending_and_after_reload():
+    assert retrieval_digests() == GOLDEN["retrieval"]
+
+
 if __name__ == "__main__":
     table = {
         "tokens": tokens_digests(),
@@ -179,6 +221,7 @@ if __name__ == "__main__":
         "oracle_table": oracle_table_digests(),
         "three_slice": three_slice_digests(),
         "oracle_order": oracle_order_digests(),
+        "retrieval": retrieval_digests(),
     }
     json.dump(table, sys.stdout, indent=4)
     print()
