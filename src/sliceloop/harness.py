@@ -148,9 +148,10 @@ def make_backend(name: str, config: HarnessConfig):
 
 
 def _phase_starts(config: HarnessConfig) -> list[int]:
+    """Cycles at which any slice's rate steps; steps past the run are dropped."""
     starts = {0}
     for slice_steps in config.scenario1_steps:
-        starts.update(s for s, _ in slice_steps)
+        starts.update(s for s, _ in slice_steps if s < config.scenario1_cycles)
     return sorted(starts)
 
 

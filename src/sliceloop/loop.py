@@ -6,7 +6,8 @@ cycles still run the simulator and record experiences, but the gate is
 held closed, mirroring a controller that sleeps while the network
 settles.  On any backend failure the previous allocation stays in force
 (fail-static) so failures show up in the metrics instead of being
-masked by a fallback policy.
+masked by a fallback policy.  A failed write to the experience store
+likewise ends up on the cycle report; the record stays in memory.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from .radio import (
     simulate_interval,
 )
 from .sla import RiskAssessment, assess
-from .store import ExperienceStore
+from .store import ExperienceStore, StorageError
 
 
 @dataclass
@@ -57,6 +58,7 @@ class CycleReport:
     prompt_token_delta: int
     completion_token_delta: int
     accounting: tuple
+    storage_error: Optional[str] = None
 
     @property
     def token_delta(self) -> int:
@@ -159,13 +161,17 @@ def run_cycle(
         except BackendError as exc:
             backend_error = str(exc)
 
-    store.record(
-        arrival_rates_mbps=offered,
-        allocation_shares=applied_allocation.shares,
-        resulting_sigma=assessment.sigma,
-        kpm_summary=_kpm_summary(result.kpm),
-        created_at_interval=idx,
-    )
+    storage_error: Optional[str] = None
+    try:
+        store.record(
+            arrival_rates_mbps=offered,
+            allocation_shares=applied_allocation.shares,
+            resulting_sigma=assessment.sigma,
+            kpm_summary=_kpm_summary(result.kpm),
+            created_at_interval=idx,
+        )
+    except StorageError as exc:
+        storage_error = str(exc)
 
     p_delta = decision.prompt_tokens if decision else 0
     c_delta = decision.completion_tokens if decision else 0
@@ -189,6 +195,7 @@ def run_cycle(
         prompt_token_delta=p_delta,
         completion_token_delta=c_delta,
         accounting=result.accounting,
+        storage_error=storage_error,
     )
     return new_state, report
 

@@ -36,11 +36,6 @@ class UeChannelState:
             if v < 0:
                 raise ValueError(f"SINR must be nonnegative (linear), got {v}")
 
-    def sinr_for_rb(self, j: int) -> float:
-        if isinstance(self.sinr, tuple):
-            return self.sinr[j]
-        return self.sinr
-
 
 @dataclass(frozen=True)
 class QueueConfig:

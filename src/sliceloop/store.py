@@ -2,9 +2,10 @@
 
 Records are append-only JSON lines (one object per line, flushed per
 write) so the history is human-inspectable and survives crashes.
-Retrieval is an exact linear scan: shortlist the ``m = multiplier * k``
-records nearest to the query traffic vector by Euclidean distance, then
-keep the ``k`` with the best (least negative) historical sigma.  Final
+Retrieval is an exact linear scan over one rates array, built by
+``load`` and extended by ``record``: shortlist the ``3 * k`` records
+nearest to the query traffic vector by Euclidean distance, then keep
+the ``k`` with the best (least negative) historical sigma.  Final
 ordering is descending sigma, then ascending distance, then ascending
 record id.
 """
@@ -19,6 +20,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 log = logging.getLogger(__name__)
+
+SHORTLIST_MULTIPLIER = 3
 
 
 class StorageError(RuntimeError):
@@ -67,19 +70,12 @@ class ExperienceRecord:
 class ExperienceStore:
     """Single-writer store of ExperienceRecords over one slice topology."""
 
-    def __init__(
-        self,
-        n_slices: int,
-        path: Optional[Path] = None,
-        shortlist_multiplier: int = 3,
-    ) -> None:
-        if shortlist_multiplier < 1:
-            raise ValueError("shortlist_multiplier must be >= 1")
+    def __init__(self, n_slices: int, path: Optional[Path] = None) -> None:
         self.n_slices = n_slices
         self.path = Path(path) if path is not None else None
-        self.shortlist_multiplier = shortlist_multiplier
         self._records: list[ExperienceRecord] = []
-        self._rates_cache: Optional[np.ndarray] = None
+        # Row i holds record i's arrival rates; the retrieval index.
+        self._rates = np.empty((0, n_slices), dtype=np.float64)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -89,28 +85,22 @@ class ExperienceStore:
         return list(self._records)
 
     @classmethod
-    def load(
-        cls, path: Path, n_slices: int, shortlist_multiplier: int = 3
-    ) -> "ExperienceStore":
-        store = cls(n_slices, path=None, shortlist_multiplier=shortlist_multiplier)
+    def load(cls, path: Path, n_slices: int) -> "ExperienceStore":
+        """Read a JSONL history; later records are appended to the same file."""
         with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    store._append(ExperienceRecord.from_json_obj(json.loads(line)))
-        store.path = Path(path)
+            records = [
+                ExperienceRecord.from_json_obj(json.loads(line))
+                for line in fh
+                if line.strip()
+            ]
+        if any(len(r.arrival_rates_mbps) != n_slices for r in records):
+            raise ValueError(f"{path}: every rate vector must have {n_slices} entries")
+        store = cls(n_slices, path=path)
+        store._records = records
+        store._rates = np.array(
+            [r.arrival_rates_mbps for r in records], dtype=np.float64
+        ).reshape(len(records), n_slices)
         return store
-
-    def _append(self, rec: ExperienceRecord) -> None:
-        self._records.append(rec)
-        self._rates_cache = None
-
-    def _rates(self) -> np.ndarray:
-        if self._rates_cache is None or len(self._rates_cache) != len(self._records):
-            self._rates_cache = np.array(
-                [r.arrival_rates_mbps for r in self._records], dtype=np.float64
-            ).reshape(len(self._records), self.n_slices)
-        return self._rates_cache
 
     def record(
         self,
@@ -131,7 +121,8 @@ class ExperienceStore:
             kpm_summary=tuple(dict(k) for k in kpm_summary),
             created_at_interval=int(created_at_interval),
         )
-        self._append(rec)
+        self._records.append(rec)
+        self._rates = np.vstack([self._rates, rec.arrival_rates_mbps])
         if self.path is not None:
             try:
                 with open(self.path, "a") as fh:
@@ -153,11 +144,10 @@ class ExperienceStore:
         if n == 0:
             return []
         q = np.asarray(query_rates, dtype=np.float64)
-        dist = np.sqrt(((self._rates() - q) ** 2).sum(axis=1))
-        ids = np.arange(n)
+        dist = np.sqrt(((self._rates - q) ** 2).sum(axis=1))
         # Shortlist: m nearest by distance, ties to the lower record id.
-        m = min(self.shortlist_multiplier * k, n)
-        shortlist = np.lexsort((ids, dist))[:m]
+        m = min(SHORTLIST_MULTIPLIER * k, n)
+        shortlist = np.argsort(dist, kind="stable")[:m]
         sigmas = np.array([self._records[i].resulting_sigma for i in shortlist])
         # Rank: best sigma first, then nearest, then lowest id.
         order = np.lexsort((shortlist, dist[shortlist], -sigmas))[:k]

@@ -49,6 +49,15 @@ class TestScenario1Command:
             out_b / "timeline.csv"
         ).read_bytes()
 
+    def test_steps_at_or_after_last_cycle_are_dropped(self, tmp_path):
+        # The default timeline steps at cycles 10, 20, 30 and 40.
+        cfg = tmp_path / "short.json"
+        cfg.write_text(json.dumps({"scenario1_cycles": 10}))
+        out = tmp_path / "short"
+        assert main(["scenario1", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert [(p["start"], p["end"]) for p in summary["phases"]] == [(0, 10)]
+
 
 class TestScenario2Command:
     def test_writes_figures(self, tmp_path, small_cfg):

@@ -166,6 +166,15 @@ class TestFailStatic:
             1 for c in log.cycles if c.assessment.violation_detected
         )
 
+    def test_storage_error_keeps_record_and_run_going(self, tmp_path):
+        # A directory cannot be opened for appending.
+        store = ExperienceStore(2, path=tmp_path)
+        log = run_experiment(make_env(), 6, backend=HeuristicOracleBackend(), store=store)
+        assert len(log.cycles) == 6
+        assert len(store) == 6
+        assert all(c.storage_error for c in log.cycles)
+        assert log.reallocation_count >= 1
+
     def test_errors_cost_no_tokens(self):
         log = run_experiment(make_env(), 12, backend=AlwaysErrorBackend())
         assert log.cumulative_tokens[-1] == 0

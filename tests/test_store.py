@@ -53,6 +53,13 @@ class TestRecord:
         reloaded = ExperienceStore.load(path, 2)
         assert reloaded.records == store.records
 
+    def test_load_rejects_rates_of_another_slice_count(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        store = ExperienceStore(3, path=path)
+        store.record(**make_record_args([80.0, 95.0, 70.0], -0.25))
+        with pytest.raises(ValueError, match="2 entries"):
+            ExperienceStore.load(path, 2)
+
     def test_jsonl_field_names_are_stable(self, tmp_path):
         path = tmp_path / "store.jsonl"
         store = ExperienceStore(2, path=path)
@@ -82,7 +89,7 @@ class TestRetrieve:
         assert len(store.retrieve([80.0, 80.0], k=5)) == 1
 
     def test_sigma_outranks_distance_within_shortlist(self):
-        store = ExperienceStore(2, shortlist_multiplier=3)
+        store = ExperienceStore(2)
         store.record(**make_record_args([100.0, 100.0], -0.9))  # nearest, worst
         store.record(**make_record_args([101.0, 100.0], -0.1))  # close, best
         store.record(**make_record_args([102.0, 100.0], -0.5))
