@@ -3,7 +3,7 @@
 Three interchangeable backends sit behind the same ``propose`` call:
 
 * ``HeuristicOracleBackend`` searches the allocation grid against a
-  one-interval predictive rollout; it is the default for every offline
+  one-interval prediction; it is the default for every offline
   experiment and needs no network.
 * ``ScriptedBackend`` replays a fixed decision list for tests.
 * ``RemoteBackend`` speaks the de-facto chat-completion JSON wire format
@@ -11,9 +11,10 @@ Three interchangeable backends sit behind the same ``propose`` call:
   variable and the endpoint/model are configuration.
 
 ``Predictor`` is the package's one evaluator of a hypothetical RB split:
-it rolls the carried queue state forward one interval and scores the
-result.  The oracle here and the exhaustive optimizer in ``baselines``
-are its two consumers.
+it looks the split's KPMs up in per-slice response tables, each slice's
+next-interval KPMs from the carried queue state for every RB count, and
+scores them.  The oracle here and the exhaustive optimizer in
+``baselines`` are its two consumers.
 """
 from __future__ import annotations
 
@@ -29,11 +30,18 @@ from .core import (
     KpmSample,
     RadioConfig,
     SliceKind,
+    SliceKpm,
     SliceSpec,
     ratio_to_rb_counts,
     rb_splits,
 )
-from .radio import QueueConfig, SimState, UeChannelState, simulate_interval
+from .radio import (
+    InternalStateError,
+    QueueConfig,
+    SimState,
+    UeChannelState,
+    slice_kpm_table,
+)
 from .sla import RiskAssessment, assess
 
 API_KEY_ENV = "RELLM_API_KEY"
@@ -221,9 +229,12 @@ class SplitScore:
 class Predictor:
     """One-interval lookahead from a carried queue state.
 
-    ``simulate_interval`` never mutates its input state, so every
-    candidate starts from the same state and the live simulation is
-    untouched.
+    Slices share only the RB total, so a split's predicted KPMs are one
+    entry per slice from that slice's response table: its KPMs for every
+    RB count it can hold, 1 to ``total_rbs - n + 1`` for n slices.  The
+    tables are computed on the first ``predict``, each in one batched
+    queue recursion (``radio.slice_kpm_table``), and every prediction is
+    then a lookup.  The carried state is never mutated.
     """
 
     def __init__(
@@ -241,18 +252,28 @@ class Predictor:
         self.queue_cfg = queue_cfg
         self.specs = list(specs)
         self._state = state
+        self._tables: Optional[list[list[SliceKpm]]] = None
 
-    def predict(self, rb_counts: Sequence[int]):
-        """Predicted KpmSample for the next interval under rb_counts."""
-        result = simulate_interval(
-            self.offered_mbps,
-            rb_counts,
-            self.channels,
-            self.radio_cfg,
-            self.queue_cfg,
-            self._state,
-        )
-        return result.kpm
+    def predict(self, rb_counts: Sequence[int]) -> KpmSample:
+        """Predicted KpmSample for the next interval under rb_counts.
+
+        Equal to ``simulate_interval(...).kpm`` from the carried state.
+        """
+        n = len(self._state.queues)
+        if len(rb_counts) != n or len(self.offered_mbps) != n:
+            raise InternalStateError("slice counts disagree across inputs")
+        if sum(rb_counts) != self.radio_cfg.total_rbs:
+            raise InternalStateError("RB counts must sum to the configured pool")
+        if min(rb_counts) < 1:
+            raise ValueError("every slice needs at least one RB")
+        if self._tables is None:
+            max_rbs = self.radio_cfg.total_rbs - n + 1
+            self._tables = [
+                slice_kpm_table(self.offered_mbps[k], self.channels, self.radio_cfg,
+                                self.queue_cfg, self._state, k, max_rbs)
+                for k in range(n)
+            ]
+        return KpmSample(0, [table[c - 1] for table, c in zip(self._tables, rb_counts)])
 
     def score(self, rb_counts: Sequence[int]) -> SplitScore:
         """Predicted KPMs, sigma, violation excess and throughput."""
@@ -291,7 +312,7 @@ def heuristic_oracle_decide(
 
     Scores are rounded before comparison (sigma to 1e-6, excess to 1e-3,
     throughput to 0.1 Mbps) so that packet-quantisation noise in the
-    rollout does not break ties that are physically meaningless; when
+    prediction does not break ties that are physically meaningless; when
     every candidate on a safe plateau scores the same, the fewest-moved
     rule keeps the current allocation.
     """

@@ -74,6 +74,12 @@ class HarnessConfig:
     remote_model: str = ""
     scripted_path: str = ""
 
+    def __post_init__(self) -> None:
+        for name in ("scenario1_cycles", "scenario2_cycles"):
+            cycles = getattr(self, name)
+            if cycles < 1:
+                raise ValueError(f"{name} must be at least 1, got {cycles}")
+
     def radio_cfg(self) -> RadioConfig:
         return RadioConfig(
             total_rbs=self.total_rbs,

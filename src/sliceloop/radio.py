@@ -10,6 +10,13 @@ Arrivals are deterministic (evenly spaced at the offered rate) so that
 every KPM timeline is exactly reproducible; packets arriving to a full
 buffer are dropped.  Latency is enqueue-to-dequeue time at tick
 granularity, so an unloaded slice reports one tick of transmission delay.
+
+``simulate_interval`` advances the live queues with the scalar per-tick
+loop ``_advance_slice``, which also returns the carried FIFO.
+Predictions need no new state, only KPMs: ``slice_kpm_table`` steps the
+same recursion for every RB count of one slice at once
+(``_advance_slice_batch``), bit-identical to the scalar loop, so the
+KPMs of any candidate split are a lookup into one table per slice.
 """
 from __future__ import annotations
 
@@ -168,6 +175,18 @@ class IntervalResult:
     accounting: Tuple[SliceAccounting, ...]
 
 
+def _arrivals(
+    qs: SliceQueueState, offered_bps: float, n_ticks: int, tick_s: float, packet_bits: int
+) -> tuple[np.ndarray, int, float]:
+    """Deterministic arrivals per tick, their total and the carry out."""
+    r = offered_bps * tick_s / packet_bits  # arrival, packets per tick
+    ticks = np.arange(1, n_ticks + 1, dtype=np.float64)
+    cum_offered = np.floor(qs.arrival_carry + r * ticks).astype(np.int64)
+    offered = int(cum_offered[-1])
+    carry_out = qs.arrival_carry + r * n_ticks - offered
+    return np.diff(cum_offered, prepend=np.int64(0)), offered, carry_out
+
+
 def _advance_slice(
     qs: SliceQueueState,
     offered_bps: float,
@@ -188,14 +207,8 @@ def _advance_slice(
     if queued_before > buffer_cap:
         raise InternalStateError("queued backlog exceeds buffer capacity")
 
-    r = offered_bps * tick_s / packet_bits  # arrival, packets per tick
+    arrivals, offered, carry_out = _arrivals(qs, offered_bps, n_ticks, tick_s, packet_bits)
     c = service_bps * tick_s / packet_bits  # service, packets per tick
-
-    ticks = np.arange(1, n_ticks + 1, dtype=np.float64)
-    cum_offered = np.floor(qs.arrival_carry + r * ticks).astype(np.int64)
-    offered = int(cum_offered[-1])
-    carry_out = qs.arrival_carry + r * n_ticks - offered
-    arrivals = np.diff(cum_offered, prepend=np.int64(0))
 
     q = queued_before
     credit = qs.service_credit
@@ -245,6 +258,145 @@ def _advance_slice(
     return new_state, acct, mean_latency_ticks, delivered
 
 
+# Ticks of admitted counts widened to int64 at a time after the loop.
+_BLOCK_TICKS = 64
+
+
+@dataclass(frozen=True)
+class SliceBatch:
+    """One slice's packet books over one interval, one entry per service rate."""
+
+    offered_packets: int
+    delivered_packets: np.ndarray
+    dropped_packets: np.ndarray
+    queued_after: np.ndarray
+    mean_latency_ticks: np.ndarray
+
+
+def _advance_slice_batch(
+    qs: SliceQueueState,
+    offered_bps: float,
+    service_bps: np.ndarray,
+    n_ticks: int,
+    tick_s: float,
+    packet_bits: int,
+    buffer_cap: int,
+    start_tick: int,
+) -> SliceBatch:
+    """``_advance_slice`` for every service rate at once, without the new state.
+
+    Steps the same tick recursion with the same float operations in the
+    same order, vectorised across the rates, so every count and latency
+    equals the scalar loop's bit for bit.  Mean latency is the exact
+    integer sum of departure minus arrival ticks over the first
+    ``delivered`` packets in FIFO order, divided by ``delivered``; that
+    equals the scalar mean while the sums stay below 2**53.  Besides
+    length-M state, only the admitted counts per tick are kept, in the
+    smallest integer type that holds one tick's arrivals.
+    """
+    queued_before = len(qs.arrival_ticks)
+    if queued_before > buffer_cap:
+        raise InternalStateError("queued backlog exceeds buffer capacity")
+
+    arrivals, offered, _ = _arrivals(qs, offered_bps, n_ticks, tick_s, packet_bits)
+    c = np.asarray(service_bps, dtype=np.float64) * tick_s / packet_bits
+    m = len(c)
+
+    # Counts are whole numbers held in float64, exact far beyond any
+    # buffer, so each tick is a handful of same-dtype ufunc calls.  Rows
+    # of `books` are the queue length and the service credit; rows of
+    # `step` are this tick's admissions and the per-tick service rate.
+    books = np.empty((2, m))
+    q, credit = books
+    q.fill(queued_before)
+    credit.fill(qs.service_credit)
+    step = np.empty((2, m))
+    adm = step[0]
+    step[1] = c
+    served = np.empty(m)
+    queue_sum = np.zeros(m)  # queue length after service, summed over ticks
+    cap = np.full(m, float(buffer_cap))
+    admitted = np.empty((n_ticks, m), dtype=np.min_scalar_type(int(arrivals.max())))
+    for t, a in enumerate(arrivals.astype(np.float64)):
+        np.subtract(cap, q, out=adm)
+        np.minimum(adm, a, out=adm)
+        books += step  # q += adm; credit += c
+        # int(credit) capped by q, as min(credit, q) truncated: q is whole
+        np.minimum(credit, q, out=served)
+        np.trunc(served, out=served)
+        q -= served
+        credit -= served
+        # credit = 0 where the queue is empty: otherwise q >= 1 > credit
+        np.minimum(credit, q, out=credit)
+        admitted[t] = adm
+        queue_sum += q
+
+    q = q.astype(np.int64)
+    admitted_total = admitted.sum(axis=0, dtype=np.int64)
+    delivered = queued_before + admitted_total - q
+    # The first `delivered` packets in FIFO order are the carried backlog,
+    # then the first `new_delivered` admitted ones.  Tick offsets summed
+    # over departures follow from the admissions and the queue lengths,
+    # as s_t = adm_t + q_{t-1} - q_t:
+    # sum(t * s_t) = sum(t * adm_t) + sum(q_t) - n_ticks * q_last.
+    new_delivered = np.maximum(delivered - queued_before, 0)
+    carried = np.concatenate(([0], np.cumsum(qs.arrival_ticks - start_tick)))
+    arrival_sum = carried[np.minimum(delivered, queued_before)]
+    new_tick_sum = np.zeros(m, dtype=np.int64)
+    before = np.zeros(m, dtype=np.int64)  # admitted before the block
+    for lo in range(0, n_ticks, _BLOCK_TICKS):
+        block = admitted[lo:lo + _BLOCK_TICKS].astype(np.int64)
+        ticks = np.arange(lo, lo + len(block))
+        upto = np.cumsum(block, axis=0) + before
+        first = np.clip(new_delivered - upto + block, 0, block)
+        new_tick_sum += ticks @ block
+        arrival_sum += ticks @ first
+        before = upto[-1]
+    dep_tick_sum = new_tick_sum + queue_sum.astype(np.int64) - n_ticks * q
+    latency_sum = dep_tick_sum - arrival_sum + delivered
+    mean_latency = np.zeros(m)
+    np.divide(latency_sum, delivered, out=mean_latency, where=delivered > 0)
+    return SliceBatch(
+        offered_packets=offered,
+        delivered_packets=delivered,
+        dropped_packets=offered - admitted_total,
+        queued_after=q,
+        mean_latency_ticks=mean_latency,
+    )
+
+
+def _interval_ticks(radio_cfg: RadioConfig, queue_cfg: QueueConfig) -> tuple[float, int, float]:
+    """(tick length in s, ticks per monitoring interval, interval length in s)."""
+    tick_s = queue_cfg.tick_duration_ms / 1000.0
+    n_ticks = max(1, round(radio_cfg.monitoring_interval_s / tick_s))
+    return tick_s, n_ticks, n_ticks * tick_s
+
+
+def _slice_kpm(
+    offered_mbps: float,
+    offered_packets: int,
+    delivered: int,
+    dropped: int,
+    latency_ticks: float,
+    queue_cfg: QueueConfig,
+    interval_s: float,
+) -> SliceKpm:
+    """One slice's KPMs from its packet books over one interval."""
+    delivered_mbps = delivered * queue_cfg.packet_bits / interval_s / 1e6
+    # Backlog drain can push delivered bits past this interval's offered
+    # bits; the KPM reports at most the offered rate and the accounting
+    # keeps the exact counts.
+    throughput = min(delivered_mbps, offered_mbps)
+    drop_ratio = dropped / offered_packets if offered_packets else 0.0
+    return SliceKpm(
+        mean_latency_ms=latency_ticks * queue_cfg.tick_duration_ms,
+        mean_throughput_mbps=throughput,
+        drop_ratio=drop_ratio,
+        offered_load_mbps=offered_mbps,
+        delivered_count=delivered,
+    )
+
+
 def simulate_interval(
     offered_mbps: Sequence[float],
     rb_counts: Sequence[int],
@@ -266,10 +418,7 @@ def simulate_interval(
     if sum(rb_counts) != radio_cfg.total_rbs:
         raise InternalStateError("RB counts must sum to the configured pool")
 
-    tick_s = queue_cfg.tick_duration_ms / 1000.0
-    n_ticks = max(1, round(radio_cfg.monitoring_interval_s / tick_s))
-    interval_s = n_ticks * tick_s
-
+    tick_s, n_ticks, interval_s = _interval_ticks(radio_cfg, queue_cfg)
     slice_kpms = []
     new_queues = []
     accounting = []
@@ -286,22 +435,9 @@ def simulate_interval(
             queue_cfg.buffer_capacity_packets,
             state.tick,
         )
-        delivered_mbps = delivered * queue_cfg.packet_bits / interval_s / 1e6
-        # Backlog drain can push delivered bits past this interval's offered
-        # bits; the KPM reports at most the offered rate and the accounting
-        # keeps the exact counts.
-        throughput = min(delivered_mbps, offered_mbps[k])
-        drop_ratio = (
-            acct.dropped_packets / acct.offered_packets if acct.offered_packets else 0.0
-        )
         slice_kpms.append(
-            SliceKpm(
-                mean_latency_ms=lat_ticks * queue_cfg.tick_duration_ms,
-                mean_throughput_mbps=throughput,
-                drop_ratio=drop_ratio,
-                offered_load_mbps=offered_mbps[k],
-                delivered_count=delivered,
-            )
+            _slice_kpm(offered_mbps[k], acct.offered_packets, delivered,
+                       acct.dropped_packets, lat_ticks, queue_cfg, interval_s)
         )
         new_queues.append(new_qs)
         accounting.append(acct)
@@ -309,3 +445,45 @@ def simulate_interval(
     kpm = KpmSample(interval_index=interval_index, slices=slice_kpms)
     new_state = SimState(tick=state.tick + n_ticks, queues=new_queues)
     return IntervalResult(kpm=kpm, state=new_state, accounting=tuple(accounting))
+
+
+def slice_kpm_table(
+    offered_mbps: float,
+    channels: Sequence[UeChannelState],
+    radio_cfg: RadioConfig,
+    queue_cfg: QueueConfig,
+    state: SimState,
+    slice_id: int,
+    max_rbs: int,
+) -> list[SliceKpm]:
+    """One slice's KPMs over the next interval for 1..max_rbs RBs.
+
+    Entry ``i`` equals the KPMs ``simulate_interval`` reports for this
+    slice from ``state`` with ``i + 1`` RBs, whatever the other slices
+    hold, since slices share nothing but the RB total.  All RB counts
+    run in one batched queue recursion.
+    """
+    tick_s, n_ticks, interval_s = _interval_ticks(radio_cfg, queue_cfg)
+    ues = [ue for ue in channels if ue.slice_id == slice_id]
+    service_bps = [
+        slice_capacity_bps(ues, n, radio_cfg.rb_bandwidth_hz) for n in range(1, max_rbs + 1)
+    ]
+    batch = _advance_slice_batch(
+        state.queues[slice_id],
+        offered_mbps * 1e6,
+        np.array(service_bps),
+        n_ticks,
+        tick_s,
+        queue_cfg.packet_bits,
+        queue_cfg.buffer_capacity_packets,
+        state.tick,
+    )
+    return [
+        _slice_kpm(offered_mbps, batch.offered_packets, delivered, dropped, lat_ticks,
+                   queue_cfg, interval_s)
+        for delivered, dropped, lat_ticks in zip(
+            batch.delivered_packets.tolist(),
+            batch.dropped_packets.tolist(),
+            batch.mean_latency_ticks.tolist(),
+        )
+    ]

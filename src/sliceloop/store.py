@@ -3,9 +3,10 @@
 Records are append-only JSON lines (one object per line, flushed per
 write) so the history is human-inspectable and survives crashes.
 Retrieval is an exact linear scan over one rates array, built by
-``load`` and extended by ``record``: shortlist the ``3 * k`` records
-nearest to the query traffic vector by Euclidean distance, then keep
-the ``k`` with the best (least negative) historical sigma.  Final
+``load`` and extended by ``record`` into spare rows (the array doubles
+when full, so an append costs amortised O(1)): shortlist the ``3 * k``
+records nearest to the query traffic vector by Euclidean distance, then
+keep the ``k`` with the best (least negative) historical sigma.  Final
 ordering is descending sigma, then ascending distance, then ascending
 record id.
 """
@@ -74,7 +75,8 @@ class ExperienceStore:
         self.n_slices = n_slices
         self.path = Path(path) if path is not None else None
         self._records: list[ExperienceRecord] = []
-        # Row i holds record i's arrival rates; the retrieval index.
+        # Row i < len(self) holds record i's arrival rates: the retrieval
+        # index.  Rows past that are spare capacity for `record`.
         self._rates = np.empty((0, n_slices), dtype=np.float64)
 
     def __len__(self) -> int:
@@ -121,8 +123,13 @@ class ExperienceStore:
             kpm_summary=tuple(dict(k) for k in kpm_summary),
             created_at_interval=int(created_at_interval),
         )
+        n = len(self._records)
+        if n == len(self._rates):
+            grown = np.empty((max(2 * n, 16), self.n_slices), dtype=np.float64)
+            grown[:n] = self._rates
+            self._rates = grown
+        self._rates[n] = rec.arrival_rates_mbps
         self._records.append(rec)
-        self._rates = np.vstack([self._rates, rec.arrival_rates_mbps])
         if self.path is not None:
             try:
                 with open(self.path, "a") as fh:
@@ -144,7 +151,7 @@ class ExperienceStore:
         if n == 0:
             return []
         q = np.asarray(query_rates, dtype=np.float64)
-        dist = np.sqrt(((self._rates - q) ** 2).sum(axis=1))
+        dist = np.sqrt(((self._rates[:n] - q) ** 2).sum(axis=1))
         # Shortlist: m nearest by distance, ties to the lower record id.
         m = min(SHORTLIST_MULTIPLIER * k, n)
         shortlist = np.argsort(dist, kind="stable")[:m]

@@ -28,9 +28,17 @@ from sliceloop.core import (
     SliceKind,
     SliceKpm,
     SliceSpec,
+    rb_splits,
 )
 from sliceloop.loop import Environment, run_experiment
-from sliceloop.radio import QueueConfig, SimState, StepProfile, UeChannelState
+from sliceloop.radio import (
+    InternalStateError,
+    QueueConfig,
+    SimState,
+    StepProfile,
+    UeChannelState,
+    simulate_interval,
+)
 from sliceloop.sla import assess
 from sliceloop.store import ExperienceRecord
 
@@ -147,6 +155,39 @@ class TestCountTokens:
     @given(a=st.text(max_size=200), b=st.text(max_size=200))
     def test_monotone_in_length(self, a, b):
         assert count_tokens(a + b) >= count_tokens(a)
+
+
+class TestPredictor:
+    @pytest.mark.parametrize("n_slices", [2, 3])
+    @pytest.mark.parametrize("carried", [False, True], ids=["fresh", "carried"])
+    def test_predict_equals_simulate_interval_for_every_split(self, n_slices, carried):
+        radio = RadioConfig(total_rbs=20)
+        queue = QueueConfig()
+        channels = [UeChannelState(k, k, SINR) for k in range(n_slices)]
+        specs = (SPECS + [replace(SPECS[1], slice_id=2)])[:n_slices]
+        state = SimState.fresh(n_slices)
+        if carried:
+            # Two overloaded intervals leave every slice a backlog, a
+            # fractional arrival carry and service credit.
+            heavy = [30.31, 25.13, 20.77][:n_slices]
+            counts = [10, 10] if n_slices == 2 else [7, 7, 6]
+            for _ in range(2):
+                state = simulate_interval(heavy, counts, channels, radio, queue,
+                                          state).state
+            assert all(len(q.arrival_ticks) and q.arrival_carry and q.service_credit
+                       for q in state.queues)
+        offered = [26.31, 9.7, 14.0][:n_slices]
+        predictor = Predictor(offered, channels, radio, queue, specs, state)
+        for counts in rb_splits(20, n_slices):
+            expected = simulate_interval(offered, counts, channels, radio, queue, state)
+            assert repr(predictor.predict(counts)) == repr(expected.kpm)
+
+    def test_split_off_the_pool_rejected(self):
+        predictor = make_predictor()
+        with pytest.raises(ValueError):
+            predictor.predict([0, 10])
+        with pytest.raises(InternalStateError):
+            predictor.predict([5, 6])
 
 
 class TestHeuristicOracle:

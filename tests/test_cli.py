@@ -118,6 +118,21 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ValueError"
 
+    @pytest.mark.parametrize("command, field", [
+        (["scenario1"], "scenario1_cycles"),
+        (["scenario2", "--trials", "2"], "scenario2_cycles"),
+    ])
+    def test_cycle_count_below_one_names_the_field(self, tmp_path, capsys,
+                                                   command, field):
+        cfg = tmp_path / "zero.json"
+        cfg.write_text(json.dumps({**SMALL, field: 0}))
+        rc = main(command + ["--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert field in err["message"]
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_subcommand_exits_nonzero(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

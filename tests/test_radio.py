@@ -10,8 +10,11 @@ from sliceloop.radio import (
     InternalStateError,
     QueueConfig,
     SimState,
+    SliceQueueState,
     StepProfile,
     UeChannelState,
+    _advance_slice,
+    _advance_slice_batch,
     channel_capacity,
     generate_traffic,
     simulate_interval,
@@ -231,3 +234,50 @@ class TestSimulateInterval:
         s = res2.kpm.slices[0]
         assert s.mean_throughput_mbps <= s.offered_load_mbps
         assert res2.accounting[0].delivered_packets > res2.accounting[0].offered_packets
+
+
+@st.composite
+def carried_queues(draw):
+    """(buffer capacity, start tick, carried state): any backlog, carry, credit."""
+    cap = draw(st.integers(1, 64))
+    ages = draw(st.lists(st.integers(0, 400), max_size=cap))
+    start = draw(st.integers(max(ages, default=-1) + 1, 5000))
+    qs = SliceQueueState(
+        arrival_ticks=np.array(sorted(start - 1 - a for a in ages), dtype=np.int64),
+        arrival_carry=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        service_credit=draw(st.floats(0.0, 1.0, exclude_max=True)),
+    )
+    return cap, start, qs
+
+
+class TestBatchedQueue:
+    """``_advance_slice_batch`` against the scalar loop it vectorises."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        carried=carried_queues(),
+        offered_mbps=st.floats(0.0, 40.0),
+        service_mbps=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=6),
+        n_ticks=st.integers(1, 300),
+    )
+    def test_matches_scalar_loop_bit_for_bit(self, carried, offered_mbps,
+                                             service_mbps, n_ticks):
+        cap, start, qs = carried
+        tick_s, packet_bits = 0.001, 12_000
+        batch = _advance_slice_batch(qs, offered_mbps * 1e6,
+                                     np.array(service_mbps) * 1e6, n_ticks,
+                                     tick_s, packet_bits, cap, start)
+        for i, mbps in enumerate(service_mbps):
+            _, acct, latency, delivered = _advance_slice(
+                qs, offered_mbps * 1e6, mbps * 1e6, n_ticks, tick_s,
+                packet_bits, cap, start)
+            assert (batch.offered_packets, int(batch.delivered_packets[i]),
+                    int(batch.dropped_packets[i]), int(batch.queued_after[i])) == (
+                acct.offered_packets, delivered, acct.dropped_packets,
+                acct.queued_after)
+            assert float(batch.mean_latency_ticks[i]).hex() == latency.hex()
+
+    def test_backlog_beyond_buffer_rejected(self):
+        qs = SliceQueueState(arrival_ticks=np.zeros(5, dtype=np.int64))
+        with pytest.raises(InternalStateError):
+            _advance_slice_batch(qs, 1e6, np.array([1e6]), 10, 0.001, 12_000, 4, 1)

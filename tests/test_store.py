@@ -122,3 +122,30 @@ class TestRetrieve:
         assert [r.record_id for r in store.retrieve(q, 3)] == [
             r.record_id for r in reloaded.retrieve(q, 3)
         ]
+
+    def test_interleaved_load_record_retrieve_match_a_rebuilt_store(self, tmp_path):
+        # Appends fill spare rows of the rates index, which grows by
+        # doubling and restarts at the exact size on load; every retrieve
+        # must see exactly the records so far.
+        path = tmp_path / "store.jsonl"
+        rng = np.random.default_rng(17)
+        grid = np.arange(80.0, 130.0, 5.0)
+        store = ExperienceStore(2, path=path)
+        history = []
+        for _ in range(6):
+            for _ in range(int(rng.integers(1, 40))):
+                args = make_record_args(list(rng.choice(grid, size=2)),
+                                        -float(rng.uniform(0, 2)))
+                store.record(**args)
+                history.append(args)
+                rebuilt = ExperienceStore(2)
+                for a in history:
+                    rebuilt.record(**a)
+                for _ in range(3):
+                    query = list(rng.uniform(70, 140, size=2))
+                    k = int(rng.integers(1, 6))
+                    assert [r.record_id for r in store.retrieve(query, k)] == [
+                        r.record_id for r in rebuilt.retrieve(query, k)
+                    ]
+            store = ExperienceStore.load(path, 2)
+            assert store.records == rebuilt.records
