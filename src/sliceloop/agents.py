@@ -11,10 +11,11 @@ Three interchangeable backends sit behind the same ``propose`` call:
   variable and the endpoint/model are configuration.
 
 ``Predictor`` is the package's one evaluator of a hypothetical RB split:
-it looks the split's KPMs up in per-slice response tables, each slice's
-next-interval KPMs from the carried queue state for every RB count, and
-scores them.  The oracle here and the exhaustive optimizer in
-``baselines`` are its two consumers.
+it looks the split up in per-slice response tables, which hold each
+slice's next-interval KPMs from the carried queue state and their SLA
+risk for every RB count, and sums the split's score from them.  The
+oracle here and the exhaustive optimizer in ``baselines`` are its two
+consumers; the live loop assesses measured KPMs with ``sla.assess``.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ from .radio import (
     UeChannelState,
     slice_kpm_table,
 )
-from .sla import RiskAssessment, assess
+from .sla import RiskAssessment, compliance_index, slice_risk
 
 API_KEY_ENV = "RELLM_API_KEY"
 
@@ -226,15 +227,24 @@ class SplitScore:
     throughput_mbps: float
 
 
+def _excess(spec: SliceSpec, epsilon: float) -> float:
+    """One slice's term of ``SplitScore.excess``."""
+    if spec.kind is SliceKind.LATENCY:
+        return max(0.0, 1e6 if math.isinf(epsilon) else epsilon)
+    return max(0.0, -epsilon)
+
+
 class Predictor:
     """One-interval lookahead from a carried queue state.
 
-    Slices share only the RB total, so a split's predicted KPMs are one
-    entry per slice from that slice's response table: its KPMs for every
-    RB count it can hold, 1 to ``total_rbs - n + 1`` for n slices.  The
-    tables are computed on the first ``predict``, each in one batched
-    queue recursion (``radio.slice_kpm_table``), and every prediction is
-    then a lookup.  The carried state is never mutated.
+    Slices share only the RB total, so a split's predicted KPMs and SLA
+    risks are one entry per slice from that slice's response table: for
+    every RB count it can hold, 1 to ``total_rbs - n + 1`` for n slices,
+    its KPMs (one batched queue recursion, ``radio.slice_kpm_table``),
+    its ``sla.slice_risk`` and its term of the violation excess.  The
+    tables are computed on the first ``predict`` or ``score``; each
+    prediction is then a lookup, and each score adds ``compliance_index``
+    and two sums.  The carried state is never mutated.
     """
 
     def __init__(
@@ -252,7 +262,33 @@ class Predictor:
         self.queue_cfg = queue_cfg
         self.specs = list(specs)
         self._state = state
-        self._tables: Optional[list[list[SliceKpm]]] = None
+        self._weights = [spec.weight for spec in self.specs]
+        self._throughput_slices = [
+            k for k, spec in enumerate(self.specs) if spec.kind is SliceKind.THROUGHPUT
+        ]
+        # Response tables: per slice, indexed by RB count - 1.
+        self._kpms: Optional[list[list[SliceKpm]]] = None
+        self._rhos: list[list[float]] = []
+        self._excess: list[list[float]] = []
+
+    def _build_tables(self) -> None:
+        n = len(self._state.queues)
+        max_rbs = self.radio_cfg.total_rbs - n + 1
+        kpms = [
+            slice_kpm_table(self.offered_mbps[k], self.channels, self.radio_cfg,
+                            self.queue_cfg, self._state, k, max_rbs)
+            for k in range(n)
+        ]
+        rhos, excess = [], []
+        for spec, row in zip(self.specs, kpms):
+            risks = [
+                slice_risk(spec, s.mean_latency_ms, s.mean_throughput_mbps,
+                           s.drop_ratio, s.offered_load_mbps, s.delivered_count)
+                for s in row
+            ]
+            rhos.append([r.rho for r in risks])
+            excess.append([_excess(spec, r.epsilon) for r in risks])
+        self._kpms, self._rhos, self._excess = kpms, rhos, excess
 
     def predict(self, rb_counts: Sequence[int]) -> KpmSample:
         """Predicted KpmSample for the next interval under rb_counts.
@@ -260,40 +296,31 @@ class Predictor:
         Equal to ``simulate_interval(...).kpm`` from the carried state.
         """
         n = len(self._state.queues)
-        if len(rb_counts) != n or len(self.offered_mbps) != n:
+        if len(rb_counts) != n or len(self.offered_mbps) != n or len(self.specs) != n:
             raise InternalStateError("slice counts disagree across inputs")
         if sum(rb_counts) != self.radio_cfg.total_rbs:
             raise InternalStateError("RB counts must sum to the configured pool")
         if min(rb_counts) < 1:
             raise ValueError("every slice needs at least one RB")
-        if self._tables is None:
-            max_rbs = self.radio_cfg.total_rbs - n + 1
-            self._tables = [
-                slice_kpm_table(self.offered_mbps[k], self.channels, self.radio_cfg,
-                                self.queue_cfg, self._state, k, max_rbs)
-                for k in range(n)
-            ]
-        return KpmSample(0, [table[c - 1] for table, c in zip(self._tables, rb_counts)])
+        if self._kpms is None:
+            self._build_tables()
+        return KpmSample(0, [row[c - 1] for row, c in zip(self._kpms, rb_counts)])
 
     def score(self, rb_counts: Sequence[int]) -> SplitScore:
-        """Predicted KPMs, sigma, violation excess and throughput."""
+        """Predicted KPMs, sigma, violation excess and throughput.
+
+        Equal field for field to scoring ``predict(rb_counts)`` with
+        ``sla.assess``, the excess counting a starved latency slice as 1e6.
+        """
         kpm = self.predict(rb_counts)
-        a = assess([kpm], self.specs, self.radio_cfg.violation_threshold)
-        excess = 0.0
-        for k, spec in enumerate(self.specs):
-            eps = a.slices[k].epsilon
-            if spec.kind is SliceKind.LATENCY:
-                if math.isinf(eps):
-                    eps = 1e6
-                excess += max(0.0, eps)
-            else:
-                excess += max(0.0, -eps)
-        thr = sum(
-            kpm.slices[k].mean_throughput_mbps
-            for k, spec in enumerate(self.specs)
-            if spec.kind is SliceKind.THROUGHPUT
+        sigma = compliance_index(
+            [row[c - 1] for row, c in zip(self._rhos, rb_counts)], self._weights
         )
-        return SplitScore(kpm, a.sigma, excess, thr)
+        excess = 0.0
+        for row, c in zip(self._excess, rb_counts):
+            excess += row[c - 1]
+        thr = sum(kpm.slices[k].mean_throughput_mbps for k in self._throughput_slices)
+        return SplitScore(kpm, sigma, excess, thr)
 
 
 def heuristic_oracle_decide(
@@ -463,7 +490,11 @@ class RemoteBackend:
         if not isinstance(content, str):
             raise ParseError("response content is not text", repr(content))
         usage = data.get("usage") or {}
-        return content, usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0)
+        if isinstance(usage, dict):
+            tokens = (usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0))
+            if all(isinstance(t, int) and t >= 0 for t in tokens):
+                return content, *tokens
+        raise BackendError(f"malformed token usage: {usage!r}")
 
     def propose(
         self, prompt: MetaPrompt, predictor: Optional[Predictor] = None

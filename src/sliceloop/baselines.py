@@ -4,7 +4,8 @@ The optimizer enumerates every integer RB split (each slice at least one
 RB) and scores each with ``agents.Predictor``, the same one-interval
 evaluator the oracle uses.  It picks the split maximizing the throughput
 slices' total predicted throughput subject to the latency bounds (and
-throughput floors when declared).  If nothing is feasible it falls back
+throughput floors when declared); a latency slice that delivers nothing
+of its offered load meets no bound.  If nothing is feasible it falls back
 to the split with the best predicted compliance index.  Exponential in
 the slice count, so capped at three slices; at desk scale exactness is
 the point.
@@ -17,6 +18,7 @@ from typing import Optional, Sequence, Tuple
 from .agents import Predictor
 from .core import AllocationRatio, RadioConfig, SliceKind, SliceSpec, rb_splits
 from .radio import QueueConfig, SimState, UeChannelState
+from .sla import starved
 
 
 class UnsupportedScaleError(ValueError):
@@ -68,11 +70,14 @@ def enumerate_splits(
         kpm = score.kpm
         feasible = True
         for k, spec in enumerate(specs):
+            s = kpm.slices[k]
             if spec.kind is SliceKind.LATENCY:
-                if not kpm.slices[k].mean_latency_ms < spec.sla_target:
+                # A starved slice reports 0 ms: it delivered nothing.
+                if (starved(s.delivered_count, s.offered_load_mbps)
+                        or not s.mean_latency_ms < spec.sla_target):
                     feasible = False
             elif throughput_floors[k] > 0:
-                if not kpm.slices[k].mean_throughput_mbps > throughput_floors[k]:
+                if not s.mean_throughput_mbps > throughput_floors[k]:
                     feasible = False
         rows.append(
             EnumerationRow(

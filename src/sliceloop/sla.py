@@ -13,9 +13,15 @@ Conventions worth knowing:
   for best-effort traffic.
 * A latency slice that delivered nothing while traffic was offered is
   total starvation and scores maximal risk rather than "no data".
+
+``slice_risk`` is the one per-slice formula: ``assess`` applies it to a
+monitoring window's means, and ``agents.Predictor`` tables it for every
+RB count a slice can hold, so that scoring a candidate split is lookups
+plus ``compliance_index``.
 """
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -45,11 +51,17 @@ class RiskAssessment:
     violation_detected: bool
 
     def to_dict(self) -> dict:
-        """Versioned JSON-serialisable form (the A1-like message body)."""
+        """Versioned strict-JSON form (the A1-like message body).
+
+        A starved slice's infinite epsilon is written as ``null``.
+        """
         return {
             "version": 1,
             "interval": self.interval_index,
-            "slices": [{"epsilon": s.epsilon, "rho": s.rho} for s in self.slices],
+            "slices": [
+                {"epsilon": None if s.epsilon == math.inf else s.epsilon, "rho": s.rho}
+                for s in self.slices
+            ],
             "sigma": self.sigma,
             "violation_detected": self.violation_detected,
         }
@@ -60,7 +72,10 @@ class RiskAssessment:
             raise ValueError(f"unsupported assessment version {data.get('version')}")
         return cls(
             interval_index=data["interval"],
-            slices=tuple(SliceRisk(s["epsilon"], s["rho"]) for s in data["slices"]),
+            slices=tuple(
+                SliceRisk(math.inf if s["epsilon"] is None else s["epsilon"], s["rho"])
+                for s in data["slices"]
+            ),
             sigma=data["sigma"],
             violation_detected=data["violation_detected"],
         )
@@ -84,28 +99,35 @@ def compliance_index(rhos: Sequence[float], weights: Sequence[float]) -> float:
     return -float(sum(w * r * r for r, w in zip(rhos, weights)))
 
 
-def _slice_epsilon(
+def starved(delivered: int, offered_mbps: float) -> bool:
+    """True when a slice delivered nothing while traffic was offered."""
+    return delivered == 0 and offered_mbps > 0
+
+
+def slice_risk(
     spec: SliceSpec,
     mean_latency_ms: float,
     mean_throughput_mbps: float,
     mean_drop_ratio: float,
     mean_offered_mbps: float,
     total_delivered: int,
-) -> tuple[float, float | None]:
-    """Violation level for one slice; second element overrides rho if set."""
+) -> SliceRisk:
+    """Violation level and risk of one slice from its window-mean KPMs."""
     if spec.kind is SliceKind.LATENCY:
-        if total_delivered == 0 and mean_offered_mbps > 0:
+        if starved(total_delivered, mean_offered_mbps):
             # Starvation: worst possible violation, not missing data.
-            return float("inf"), _RHO_MAX
-        return violation_level(mean_latency_ms, spec), None
-    if spec.sla_target <= mean_offered_mbps:
+            return SliceRisk(math.inf, _RHO_MAX)
+        epsilon = violation_level(mean_latency_ms, spec)
+    elif spec.sla_target <= mean_offered_mbps:
         # A declared floor below current demand binds as written.
-        return violation_level(mean_throughput_mbps, spec), None
-    if mean_offered_mbps <= 0:
-        return 0.0, None
-    # Demand-capped target: the shortfall against demand is the drop
-    # ratio, which is the metric of record for best-effort slices.
-    return -mean_drop_ratio, None
+        epsilon = violation_level(mean_throughput_mbps, spec)
+    elif mean_offered_mbps <= 0:
+        epsilon = 0.0
+    else:
+        # Demand-capped target: the shortfall against demand is the drop
+        # ratio, which is the metric of record for best-effort slices.
+        epsilon = -mean_drop_ratio
+    return SliceRisk(epsilon, risk_factor(epsilon, spec))
 
 
 def assess(
@@ -133,9 +155,7 @@ def assess(
         off = float(np.mean([s.slices[k].offered_load_mbps for s in window]))
         drop = float(np.mean([s.slices[k].drop_ratio for s in window]))
         delivered = sum(s.slices[k].delivered_count for s in window)
-        epsilon, rho_override = _slice_epsilon(spec, lat, thr, drop, off, delivered)
-        rho = rho_override if rho_override is not None else risk_factor(epsilon, spec)
-        risks.append(SliceRisk(epsilon=epsilon, rho=rho))
+        risks.append(slice_risk(spec, lat, thr, drop, off, delivered))
 
     sigma = compliance_index([r.rho for r in risks], [s.weight for s in specs])
     detected = max(r.rho for r in risks) > theta

@@ -1,8 +1,9 @@
 import json
+import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sliceloop.agents import (
@@ -28,6 +29,7 @@ from sliceloop.core import (
     SliceKind,
     SliceKpm,
     SliceSpec,
+    ratio_to_rb_counts,
     rb_splits,
 )
 from sliceloop.loop import Environment, run_experiment
@@ -181,6 +183,69 @@ class TestPredictor:
         for counts in rb_splits(20, n_slices):
             expected = simulate_interval(offered, counts, channels, radio, queue, state)
             assert repr(predictor.predict(counts)) == repr(expected.kpm)
+
+    @staticmethod
+    def reference_score(predictor, counts):
+        """Scores ``predict(counts)`` with a full ``assess`` call."""
+        kpm = predictor.predict(counts)
+        a = assess([kpm], predictor.specs, predictor.radio_cfg.violation_threshold)
+        excess = 0.0
+        for spec, risk in zip(predictor.specs, a.slices):
+            if spec.kind is SliceKind.LATENCY:
+                excess += max(0.0, 1e6 if math.isinf(risk.epsilon) else risk.epsilon)
+            else:
+                excess += max(0.0, -risk.epsilon)
+        thr = sum(s.mean_throughput_mbps for s, spec in zip(kpm.slices, predictor.specs)
+                  if spec.kind is SliceKind.THROUGHPUT)
+        return a.sigma, excess, thr
+
+    @staticmethod
+    def risk_branch(spec, kpm):
+        if spec.kind is SliceKind.LATENCY:
+            starved = kpm.delivered_count == 0 and kpm.offered_load_mbps > 0
+            return "starved" if starved else "latency"
+        if spec.sla_target <= kpm.offered_load_mbps:
+            return "floor"
+        return "idle" if kpm.offered_load_mbps <= 0 else "capped"
+
+    @pytest.mark.parametrize("n_slices", [2, 3])
+    @pytest.mark.parametrize("carried", [False, True], ids=["fresh", "carried"])
+    def test_score_equals_assess_of_predict_for_every_split(self, n_slices, carried):
+        radio = RadioConfig(total_rbs=20)
+        queue = QueueConfig()
+        lat, capped = SPECS
+        floor = replace(capped, slice_id=1, sla_target=5.0)
+        # (specs, SINR per slice, offered Mbps): every risk branch, with
+        # SINR 0 starving the latency slice and 0 Mbps idling a slice.
+        cases = {
+            2: [([lat, floor], [SINR, SINR], [26.31, 9.7]),
+                ([lat, capped], [0.0, SINR], [4.0, 0.0]),
+                ([lat, capped], [SINR, SINR], [9.1, 30.5])],
+            3: [([lat, floor, replace(capped, slice_id=2)], [SINR] * 3,
+                 [26.31, 9.7, 14.0]),
+                ([lat, capped, replace(capped, slice_id=2)], [0.0, SINR, SINR],
+                 [4.0, 0.0, 14.0])],
+        }[n_slices]
+        state = SimState.fresh(n_slices)
+        if carried:
+            channels = [UeChannelState(k, k, SINR) for k in range(n_slices)]
+            counts = [10, 10] if n_slices == 2 else [7, 7, 6]
+            for _ in range(2):
+                state = simulate_interval([30.31, 25.13, 20.77][:n_slices], counts,
+                                          channels, radio, queue, state).state
+        branches = set()
+        for specs, sinrs, offered in cases:
+            channels = [UeChannelState(k, k, x) for k, x in enumerate(sinrs)]
+            predictor = Predictor(offered, channels, radio, queue, specs, state)
+            for counts in rb_splits(20, n_slices):
+                got = predictor.score(counts)
+                want = self.reference_score(predictor, counts)
+                assert [float.hex(x) for x in (got.sigma, got.excess, got.throughput_mbps)] \
+                    == [float.hex(x) for x in want]
+                assert got.kpm == predictor.predict(counts)
+                branches.update(self.risk_branch(spec, s)
+                                for spec, s in zip(specs, got.kpm.slices))
+        assert branches == {"starved", "latency", "floor", "idle", "capped"}
 
     def test_split_off_the_pool_rejected(self):
         predictor = make_predictor()
@@ -373,15 +438,18 @@ class TestFailStatic:
     """Malformed backend output fails the cycle, never the run."""
 
     @staticmethod
-    def run_cycles(backend, n_cycles=2):
-        env = Environment(
+    def env():
+        return Environment(
             radio_cfg=RadioConfig(total_rbs=10),
             queue_cfg=QueueConfig(),
             specs=SPECS,
             channels=[UeChannelState(0, 0, SINR), UeChannelState(1, 1, SINR)],
             profile=StepProfile(steps=(((0, 16.0),), ((0, 4.0),))),
         )
-        log = run_experiment(env, n_cycles, backend, gate_enabled=False)
+
+    @classmethod
+    def run_cycles(cls, backend, n_cycles=2):
+        log = run_experiment(cls.env(), n_cycles, backend, gate_enabled=False)
         assert len(log.cycles) == n_cycles
         assert all(c.backend_error and c.decision is None for c in log.cycles)
         assert log.final_state.current_allocation.shares == (0.5, 0.5)
@@ -411,6 +479,80 @@ class TestFailStatic:
         with pytest.raises(error):
             backend().propose(make_prompt())
         self.run_cycles(backend())
+
+
+class FaultSession:
+    """Answers a cycle's request, and its retry, as that cycle's plan says."""
+
+    def __init__(self, plans):
+        self.plans = list(plans)
+        self.plan = None
+
+    def post(self, url, **kwargs):
+        if len(kwargs["json"]["messages"]) == 1:  # a retry carries three
+            self.plan = self.plans.pop(0)
+        kind, arg = self.plan
+        if kind == "raise":
+            raise arg
+        if kind == "ok":
+            return FakeResponse(json.dumps({"shares": arg}))
+        if kind == "status":
+            return FakeResponse("upstream trouble", status=arg)
+        if kind == "body":
+            return FakeResponse("", body=arg)
+        return FakeResponse(arg)  # "content": a wire-valid reply with junk text
+
+
+def fault_plans():
+    import requests
+
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("ok"), st.sampled_from([[0.3, 0.7], [0.625, 0.375]])),
+            st.tuples(st.just("status"),
+                      st.integers(100, 599).filter(lambda code: code != 200)),
+            st.tuples(st.just("body"), st.sampled_from([
+                json.JSONDecodeError("Expecting value", "<html>", 0),
+                ValueError("not json"), [], "text", {}, {"choices": "x"},
+                {"choices": [None]}, {"choices": [{"message": {}}]},
+                {"choices": [{"message": {"content": 7}}]},
+                *({"choices": [{"message": {"content": '{"shares": [0.5, 0.5]}'}}],
+                   "usage": usage}
+                  for usage in (["x"], {"prompt_tokens": None},
+                                {"completion_tokens": -3}, {"prompt_tokens": 2.5})),
+            ])),
+            st.tuples(st.just("content"), st.text(max_size=40).filter(
+                lambda text: "shares" not in text)),
+            st.tuples(st.just("raise"), st.sampled_from([
+                requests.Timeout("read timed out"),
+                requests.ConnectionError("connection refused"),
+            ])),
+        ),
+        min_size=1, max_size=6,
+    )
+
+
+class TestRemoteFaultMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(plans=fault_plans())
+    def test_every_fault_keeps_the_allocation_and_is_reported(self, plans):
+        session = FaultSession(plans)
+        backend = RemoteBackend("https://api.example/v1/chat", "m", session=session)
+        log = run_experiment(TestFailStatic.env(), len(plans), backend,
+                             gate_enabled=False)
+        assert len(log.cycles) == len(plans) and not session.plans
+        shares = (0.5, 0.5)
+        for (kind, arg), report in zip(plans, log.cycles):
+            assert report.rb_counts == tuple(
+                ratio_to_rb_counts(AllocationRatio(shares), 10))
+            if kind == "ok":
+                assert report.backend_error is None
+                shares = report.decision.allocation.shares
+                assert shares == tuple(arg)
+            else:
+                assert report.backend_error and report.decision is None
+                assert report.token_delta == 0
+        assert log.final_state.current_allocation.shares == shares
 
 
 def test_decision_outcome_rejects_negative_tokens():

@@ -120,6 +120,16 @@ class TestBruteForceOptimal:
         assert got.feasible
         assert got.rb_counts[0] == 1
 
+    def test_starved_latency_slice_is_infeasible(self):
+        # A latency slice that delivers nothing reports 0 ms; at SINR 0.01
+        # one or a few RBs carry no packet of its 5 Mbps in an interval.
+        channels = [UeChannelState(0, 0, 0.01), UeChannelState(1, 1, SINR)]
+        args = ([5.0, 100.0], channels, RadioConfig(), QueueConfig(), SPECS)
+        assert not any(r.feasible for r in enumerate_splits(*args))
+        got = brute_force_optimal(*args)
+        assert not got.feasible
+        assert got.rb_counts == (1, 105)  # best sigma: every split starves or lags
+
     def test_allocation_matches_counts(self):
         radio, queue, channels = make_env()
         got = brute_force_optimal([11.0, 4.0], channels, radio, queue, SPECS)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -177,3 +178,13 @@ class TestAssess:
         assert RiskAssessment.from_dict(a.to_dict()) == a
         with pytest.raises(ValueError):
             RiskAssessment.from_dict({"version": 99})
+
+    def test_starved_slice_round_trips_through_strict_json(self):
+        window = [
+            KpmSample(3, [SliceKpm(0.0, 0.0, 1.0, 50.0, 0), SliceKpm(1.0, 50.0, 0.0, 50.0, 10)])
+        ]
+        a = assess(window, [LAT, THR], 0.7)
+        assert a.slices[0].epsilon == math.inf
+        text = json.dumps(a.to_dict(), allow_nan=False)
+        assert json.loads(text)["slices"][0]["epsilon"] is None
+        assert RiskAssessment.from_dict(json.loads(text)) == a
