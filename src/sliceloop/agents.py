@@ -46,6 +46,8 @@ from .radio import (
 from .sla import RiskAssessment, compliance_index, slice_risk
 
 API_KEY_ENV = "RELLM_API_KEY"
+REMOTE_TEMPERATURE = 0.0
+REMOTE_MAX_TOKENS = 256
 
 
 class BackendError(RuntimeError):
@@ -67,6 +69,14 @@ class ParseError(BackendError):
 def count_tokens(text: str) -> int:
     """Token estimate for offline backends: one token per four bytes."""
     return math.ceil(len(text.encode("utf-8")) / 4)
+
+
+def _token_counts(report: dict, prompt_default: int) -> Optional[tuple[int, int]]:
+    """(prompt, completion) tokens a backend reports, or None unless both are
+    nonnegative ints.  A missing completion count is 0."""
+    tokens = (report.get("prompt_tokens", prompt_default),
+              report.get("completion_tokens", 0))
+    return tokens if all(isinstance(t, int) and t >= 0 for t in tokens) else None
 
 
 def _fmt(x: float) -> str:
@@ -425,10 +435,13 @@ class ScriptedBackend:
             raise ParseError(f"invalid scripted shares ({exc})", str(entry)) from exc
         if len(allocation) != slice_count:
             raise ParseError("scripted shares have the wrong length", str(entry))
+        tokens = _token_counts(entry, count_tokens(prompt.rendered_text))
+        if tokens is None:
+            raise ParseError("invalid scripted token counts", str(entry))
         return DecisionOutcome(
             allocation=allocation,
-            prompt_tokens=entry.get("prompt_tokens", count_tokens(prompt.rendered_text)),
-            completion_tokens=entry.get("completion_tokens", 0),
+            prompt_tokens=tokens[0],
+            completion_tokens=tokens[1],
             backend_label=self.label,
             raw_response=json.dumps(entry),
         )
@@ -443,8 +456,6 @@ class RemoteBackend:
         self,
         endpoint_url: str,
         model: str,
-        temperature: float = 0.0,
-        max_tokens: int = 256,
         timeout_s: float = 30.0,
         session=None,
     ) -> None:
@@ -454,8 +465,6 @@ class RemoteBackend:
             session = requests.Session()
         self.endpoint_url = endpoint_url
         self.model = model
-        self.temperature = temperature
-        self.max_tokens = max_tokens
         self.timeout_s = timeout_s
         self.session = session
 
@@ -469,8 +478,8 @@ class RemoteBackend:
         body = {
             "model": self.model,
             "messages": messages,
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
+            "temperature": REMOTE_TEMPERATURE,
+            "max_tokens": REMOTE_MAX_TOKENS,
         }
         try:
             resp = self.session.post(
@@ -490,11 +499,10 @@ class RemoteBackend:
         if not isinstance(content, str):
             raise ParseError("response content is not text", repr(content))
         usage = data.get("usage") or {}
-        if isinstance(usage, dict):
-            tokens = (usage.get("prompt_tokens", 0), usage.get("completion_tokens", 0))
-            if all(isinstance(t, int) and t >= 0 for t in tokens):
-                return content, *tokens
-        raise BackendError(f"malformed token usage: {usage!r}")
+        tokens = _token_counts(usage, 0) if isinstance(usage, dict) else None
+        if tokens is None:
+            raise BackendError(f"malformed token usage: {usage!r}")
+        return content, *tokens
 
     def propose(
         self, prompt: MetaPrompt, predictor: Optional[Predictor] = None

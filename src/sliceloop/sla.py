@@ -27,12 +27,14 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.special import expit
 
 from .core import KpmSample, SliceKind, SliceSpec
 
 _RHO_MAX = 1.0 - sys.float_info.epsilon
 _RHO_MIN = sys.float_info.min
+# math.exp overflows above ~709.78; 1 / (1 + exp(709)) is already below
+# _RHO_MIN, so capping the exponent there leaves the clamped risk unchanged.
+_EXP_ARG_MAX = 709.0
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,8 @@ def violation_level(measured: float, spec: SliceSpec) -> float:
 
 def risk_factor(epsilon: float, spec: SliceSpec) -> float:
     """Sigmoid risk 1 / (1 + exp(-a * (eps - b))), clamped strictly into (0, 1)."""
-    rho = float(expit(spec.shape_a * (epsilon - spec.shape_b)))
+    x = spec.shape_a * (epsilon - spec.shape_b)
+    rho = 1.0 / (1.0 + math.exp(min(-x, _EXP_ARG_MAX)))
     return min(max(rho, _RHO_MIN), _RHO_MAX)
 
 

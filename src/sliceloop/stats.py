@@ -45,20 +45,3 @@ def write_csv(path: Path, fieldnames: Sequence[str], rows: Sequence[dict]) -> No
         for row in rows:
             writer.writerow([_cell(row[f]) for f in fieldnames])
 
-
-def read_csv(path: Path) -> list[dict]:
-    """Reload a CSV written by write_csv, restoring numeric types."""
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            parsed = {}
-            for key, raw in row.items():
-                try:
-                    parsed[key] = int(raw)
-                except ValueError:
-                    try:
-                        parsed[key] = float(raw)
-                    except ValueError:
-                        parsed[key] = raw
-            out.append(parsed)
-    return out

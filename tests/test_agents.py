@@ -453,9 +453,22 @@ class TestFailStatic:
         assert len(log.cycles) == n_cycles
         assert all(c.backend_error and c.decision is None for c in log.cycles)
         assert log.final_state.current_allocation.shares == (0.5, 0.5)
+        assert log.cumulative_tokens[-1] == 0
 
     def test_scripted_shares_not_summing_to_one(self):
         entries = [{"shares": [0.9, 0.9]}] * 2
+        with pytest.raises(ParseError):
+            ScriptedBackend(entries).propose(make_prompt())
+        self.run_cycles(ScriptedBackend(entries))
+
+    @pytest.mark.parametrize(
+        "tokens",
+        [{"prompt_tokens": -1}, {"completion_tokens": "5"}, {"prompt_tokens": 2.5},
+         {"completion_tokens": None}],
+        ids=["negative", "string", "float", "null"],
+    )
+    def test_scripted_bad_token_counts(self, tokens):
+        entries = [{"shares": [0.7, 0.3], **tokens}] * 2
         with pytest.raises(ParseError):
             ScriptedBackend(entries).propose(make_prompt())
         self.run_cycles(ScriptedBackend(entries))

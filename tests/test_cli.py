@@ -3,7 +3,8 @@ import json
 import pytest
 
 from sliceloop.cli import main
-from sliceloop.stats import read_csv
+
+from csv_rows import read_csv
 
 SMALL = dict(
     total_rbs=10,

@@ -15,7 +15,9 @@ from sliceloop.harness import (
     token_figure_csv,
     write_run_dir,
 )
-from sliceloop.stats import compute_distribution_stats, read_csv, write_csv
+from sliceloop.stats import compute_distribution_stats, write_csv
+
+from csv_rows import read_csv
 
 
 def small_config(**overrides):

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sliceloop
 from sliceloop.core import KpmSample, SliceKind, SliceKpm, SliceSpec
 from sliceloop.sla import (
     RiskAssessment,
@@ -16,6 +21,24 @@ from sliceloop.sla import (
 
 LAT = SliceSpec(0, SliceKind.LATENCY, 10.0, 2.0, 10.0, 0.2)
 THR = SliceSpec(1, SliceKind.THROUGHPUT, 100.0, 1.0, -10.0, -0.2)
+
+# exp(x) overflows above the first; exp(-x) underflows to 0 below minus the second.
+EXP_EDGES = (709.782712893384, 745.1332191019412)
+
+
+def sigmoid_args():
+    """Finite and infinite sigmoid arguments, weighted toward exp's edges."""
+    edges = [sign * edge for edge in EXP_EDGES for sign in (1.0, -1.0)]
+    return st.one_of(
+        st.floats(allow_nan=False),
+        st.sampled_from(edges).flatmap(lambda e: st.floats(e - 1.0, e + 1.0)),
+        st.sampled_from(edges + [math.inf, -math.inf]),
+    )
+
+
+@pytest.fixture(scope="module")
+def expit():
+    return pytest.importorskip("scipy.special").expit
 
 
 def sample(interval, lat_ms, lat_thr, lat_off, thr_ms, thr_thr, thr_off,
@@ -63,6 +86,30 @@ class TestRiskFactor:
         lo, hi = min(e1, e2), max(e1, e2)
         assert risk_factor(lo, LAT) <= risk_factor(hi, LAT)
         assert risk_factor(lo, THR) >= risk_factor(hi, THR)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(
+        x=sigmoid_args(),
+        shape_a=st.sampled_from([1.0, -1.0, 2.0, 0.5, -30.0, 1e-3]),
+        shape_b=st.sampled_from([0.0, 0.2, -0.02]),
+    )
+    def test_bit_identical_to_clamped_expit(self, expit, x, shape_a, shape_b):
+        spec = SliceSpec(0, SliceKind.LATENCY, 10.0, 1.0, shape_a, shape_b)
+        # With shape_a = 1 and shape_b = 0 the sigmoid argument is x itself.
+        arg = shape_a * (x - shape_b)
+        rho = float(expit(arg))
+        expected = min(max(rho, sys.float_info.min), 1.0 - sys.float_info.epsilon)
+        assert risk_factor(x, spec).hex() == expected.hex()
+
+
+def test_import_does_not_load_scipy():
+    src = Path(sliceloop.__file__).resolve().parents[1]
+    probe = "import sys, sliceloop; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestComplianceIndex:
