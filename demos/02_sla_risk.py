@@ -43,6 +43,6 @@ for label, latency in (("healthy", 2.0), ("violating", 25.0)):
             SliceKpm(1.0, 80.0, 0.0, 80.0, 1000),
         ],
     )
-    a = assess([sample], [lat_slice, thr_slice], theta=0.7)
+    a = assess(sample, [lat_slice, thr_slice], theta=0.7)
     print(f"{label:>9}: max risk {max(s.rho for s in a.slices):.4f}, "
           f"sigma {a.sigma:+.4f}, gate fires: {a.violation_detected}")

@@ -45,6 +45,6 @@ for c in log.cycles:
 
 print()
 print(f"Backend consulted {log.backend_call_count} time(s); "
-      f"{log.final_state.prompt_tokens + log.final_state.completion_tokens} "
+      f"{log.prompt_tokens + log.completion_tokens} "
       f"tokens total.  The wait period keeps the gate closed while the "
       f"backlog drains.")

@@ -216,7 +216,8 @@ def parse_allocation_response(text: str, slice_count: int) -> AllocationRatio:
         raise ParseError(f"shares sum to {total}", text)
     if abs(total - 1.0) > SUM_TOLERANCE:
         values = [v / total for v in values]
-        values[-1] = 1.0 - sum(values[:-1])
+        # With 3+ shares the rounded remainder can dip just below zero.
+        values[-1] = max(0.0, 1.0 - sum(values[:-1]))
     return AllocationRatio(values)
 
 
@@ -250,11 +251,12 @@ class Predictor:
     Slices share only the RB total, so a split's predicted KPMs and SLA
     risks are one entry per slice from that slice's response table: for
     every RB count it can hold, 1 to ``total_rbs - n + 1`` for n slices,
-    its KPMs (one batched queue recursion, ``radio.slice_kpm_table``),
-    its ``sla.slice_risk`` and its term of the violation excess.  The
-    tables are computed on the first ``predict`` or ``score``; each
-    prediction is then a lookup, and each score adds ``compliance_index``
-    and two sums.  The carried state is never mutated.
+    one interval's KPMs (one batched queue recursion,
+    ``radio.slice_kpm_table``), their ``sla.slice_risk`` and its term of
+    the violation excess.  The tables are computed on the first
+    ``predict`` or ``score``; each prediction is then a lookup, and each
+    score adds ``compliance_index`` and two sums.  The carried state is
+    never mutated.
     """
 
     def __init__(
@@ -291,11 +293,7 @@ class Predictor:
         ]
         rhos, excess = [], []
         for spec, row in zip(self.specs, kpms):
-            risks = [
-                slice_risk(spec, s.mean_latency_ms, s.mean_throughput_mbps,
-                           s.drop_ratio, s.offered_load_mbps, s.delivered_count)
-                for s in row
-            ]
+            risks = [slice_risk(spec, kpm) for kpm in row]
             rhos.append([r.rho for r in risks])
             excess.append([_excess(spec, r.epsilon) for r in risks])
         self._kpms, self._rhos, self._excess = kpms, rhos, excess
@@ -522,15 +520,9 @@ class RemoteBackend:
                     '{"shares": [..]}.',
                 },
             ]
-            content2, p2, c2 = self._call(retry)
-            allocation = parse_allocation_response(content2, slice_count)
-            return DecisionOutcome(
-                allocation=allocation,
-                prompt_tokens=p_tok + p2,
-                completion_tokens=c_tok + c2,
-                backend_label=self.label,
-                raw_response=content2,
-            )
+            content, p2, c2 = self._call(retry)
+            p_tok, c_tok = p_tok + p2, c_tok + c2
+            allocation = parse_allocation_response(content, slice_count)
         return DecisionOutcome(
             allocation=allocation,
             prompt_tokens=p_tok,

@@ -75,10 +75,10 @@ class HarnessConfig:
     scripted_path: str = ""
 
     def __post_init__(self) -> None:
-        for name in ("scenario1_cycles", "scenario2_cycles"):
-            cycles = getattr(self, name)
-            if cycles < 1:
-                raise ValueError(f"{name} must be at least 1, got {cycles}")
+        for name in ("scenario1_cycles", "scenario2_cycles", "retrieve_k"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
     def radio_cfg(self) -> RadioConfig:
         return RadioConfig(
@@ -209,8 +209,8 @@ def run_scenario1(
             c.interval_index for c in log.cycles if c.reallocated
         ],
         "backend_call_count": log.backend_call_count,
-        "total_prompt_tokens": log.final_state.prompt_tokens,
-        "total_completion_tokens": log.final_state.completion_tokens,
+        "total_prompt_tokens": log.prompt_tokens,
+        "total_completion_tokens": log.completion_tokens,
         "phases": phases,
     }
     return log, summary

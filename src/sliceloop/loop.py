@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 from .core import AllocationRatio, KpmSample, RadioConfig, SliceSpec, ratio_to_rb_counts
@@ -39,8 +40,6 @@ from .store import ExperienceStore, StorageError
 class LoopState:
     current_allocation: AllocationRatio
     interval_index: int
-    prompt_tokens: int
-    completion_tokens: int
     sim_state: SimState
     cooldown_remaining: int = 0
 
@@ -55,14 +54,13 @@ class CycleReport:
     gate_open: bool
     decision: Optional[DecisionOutcome]
     backend_error: Optional[str]
-    prompt_token_delta: int
-    completion_token_delta: int
     accounting: tuple
     storage_error: Optional[str] = None
 
     @property
     def token_delta(self) -> int:
-        return self.prompt_token_delta + self.completion_token_delta
+        d = self.decision
+        return d.prompt_tokens + d.completion_tokens if d else 0
 
     @property
     def reallocated(self) -> bool:
@@ -124,9 +122,7 @@ def run_cycle(
         state.sim_state,
         interval_index=idx,
     )
-    assessment = assess(
-        [result.kpm], env.specs, env.radio_cfg.violation_threshold
-    )
+    assessment = assess(result.kpm, env.specs, env.radio_cfg.violation_threshold)
 
     in_cooldown = gate_enabled and state.cooldown_remaining > 0
     if backend is None:
@@ -173,13 +169,9 @@ def run_cycle(
     except StorageError as exc:
         storage_error = str(exc)
 
-    p_delta = decision.prompt_tokens if decision else 0
-    c_delta = decision.completion_tokens if decision else 0
     new_state = LoopState(
         current_allocation=applied_allocation,
         interval_index=idx + 1,
-        prompt_tokens=state.prompt_tokens + p_delta,
-        completion_tokens=state.completion_tokens + c_delta,
         sim_state=result.state,
         cooldown_remaining=new_cooldown,
     )
@@ -192,8 +184,6 @@ def run_cycle(
         gate_open=gate_open,
         decision=decision,
         backend_error=backend_error,
-        prompt_token_delta=p_delta,
-        completion_token_delta=c_delta,
         accounting=result.accounting,
         storage_error=storage_error,
     )
@@ -214,12 +204,16 @@ class ExperimentLog:
         return sum(1 for c in self.cycles if c.gate_open)
 
     @property
+    def prompt_tokens(self) -> int:
+        return sum(c.decision.prompt_tokens for c in self.cycles if c.decision)
+
+    @property
+    def completion_tokens(self) -> int:
+        return sum(c.decision.completion_tokens for c in self.cycles if c.decision)
+
+    @property
     def cumulative_tokens(self) -> list[int]:
-        out, total = [], 0
-        for c in self.cycles:
-            total += c.token_delta
-            out.append(total)
-        return out
+        return list(accumulate(c.token_delta for c in self.cycles))
 
     def timeline_rows(self) -> list[dict]:
         """Flat per-(interval, slice) rows matching the KPM CSV schema."""
@@ -257,8 +251,6 @@ def run_experiment(
     state = LoopState(
         current_allocation=initial_allocation,
         interval_index=0,
-        prompt_tokens=0,
-        completion_tokens=0,
         sim_state=SimState.fresh(n_slices),
     )
     cycles = []

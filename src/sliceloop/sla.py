@@ -14,10 +14,10 @@ Conventions worth knowing:
 * A latency slice that delivered nothing while traffic was offered is
   total starvation and scores maximal risk rather than "no data".
 
-``slice_risk`` is the one per-slice formula: ``assess`` applies it to a
-monitoring window's means, and ``agents.Predictor`` tables it for every
-RB count a slice can hold, so that scoring a candidate split is lookups
-plus ``compliance_index``.
+``slice_risk`` is the one per-slice formula: ``assess`` applies it to
+each slice of one interval's KPMs, and ``agents.Predictor`` tables it for
+every RB count a slice can hold, so that scoring a candidate split is
+lookups plus ``compliance_index``.
 """
 from __future__ import annotations
 
@@ -26,9 +26,7 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-import numpy as np
-
-from .core import KpmSample, SliceKind, SliceSpec
+from .core import KpmSample, SliceKind, SliceKpm, SliceSpec
 
 _RHO_MAX = 1.0 - sys.float_info.epsilon
 _RHO_MIN = sys.float_info.min
@@ -107,63 +105,38 @@ def starved(delivered: int, offered_mbps: float) -> bool:
     return delivered == 0 and offered_mbps > 0
 
 
-def slice_risk(
-    spec: SliceSpec,
-    mean_latency_ms: float,
-    mean_throughput_mbps: float,
-    mean_drop_ratio: float,
-    mean_offered_mbps: float,
-    total_delivered: int,
-) -> SliceRisk:
-    """Violation level and risk of one slice from its window-mean KPMs."""
+def slice_risk(spec: SliceSpec, kpm: SliceKpm) -> SliceRisk:
+    """Violation level and risk of one slice from one interval's KPMs."""
     if spec.kind is SliceKind.LATENCY:
-        if starved(total_delivered, mean_offered_mbps):
+        if starved(kpm.delivered_count, kpm.offered_load_mbps):
             # Starvation: worst possible violation, not missing data.
             return SliceRisk(math.inf, _RHO_MAX)
-        epsilon = violation_level(mean_latency_ms, spec)
-    elif spec.sla_target <= mean_offered_mbps:
+        epsilon = violation_level(kpm.mean_latency_ms, spec)
+    elif spec.sla_target <= kpm.offered_load_mbps:
         # A declared floor below current demand binds as written.
-        epsilon = violation_level(mean_throughput_mbps, spec)
-    elif mean_offered_mbps <= 0:
+        epsilon = violation_level(kpm.mean_throughput_mbps, spec)
+    elif kpm.offered_load_mbps <= 0:
         epsilon = 0.0
     else:
         # Demand-capped target: the shortfall against demand is the drop
         # ratio, which is the metric of record for best-effort slices.
-        epsilon = -mean_drop_ratio
+        epsilon = -kpm.drop_ratio
     return SliceRisk(epsilon, risk_factor(epsilon, spec))
 
 
 def assess(
-    window: Sequence[KpmSample], specs: Sequence[SliceSpec], theta: float
+    sample: KpmSample, specs: Sequence[SliceSpec], theta: float
 ) -> RiskAssessment:
-    """Score a monitoring window and decide whether the gate fires.
-
-    Measurements are averaged over the window first; the violation level
-    is affine in the measurement, so this commutes with per-sample
-    assessment of the mean.
-    """
-    if not window:
-        raise ValueError("assessment window must be nonempty")
+    """Score one interval's KPMs and decide whether the gate fires."""
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
-    n_slices = len(specs)
-    for sample in window:
-        if len(sample.slices) != n_slices:
-            raise ValueError("sample slice count does not match specs")
-
-    risks = []
-    for k, spec in enumerate(specs):
-        lat = float(np.mean([s.slices[k].mean_latency_ms for s in window]))
-        thr = float(np.mean([s.slices[k].mean_throughput_mbps for s in window]))
-        off = float(np.mean([s.slices[k].offered_load_mbps for s in window]))
-        drop = float(np.mean([s.slices[k].drop_ratio for s in window]))
-        delivered = sum(s.slices[k].delivered_count for s in window)
-        risks.append(slice_risk(spec, lat, thr, drop, off, delivered))
-
+    if len(sample.slices) != len(specs):
+        raise ValueError("sample slice count does not match specs")
+    risks = [slice_risk(spec, kpm) for spec, kpm in zip(specs, sample.slices)]
     sigma = compliance_index([r.rho for r in risks], [s.weight for s in specs])
     detected = max(r.rho for r in risks) > theta
     return RiskAssessment(
-        interval_index=window[-1].interval_index,
+        interval_index=sample.interval_index,
         slices=tuple(risks),
         sigma=sigma,
         violation_detected=detected,

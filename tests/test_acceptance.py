@@ -190,7 +190,7 @@ def test_criterion_6_optimizer_oracle():
         kpm = simulate_interval(
             offered, [i, 10 - i], channels, radio, queue, SimState.fresh(2)
         ).kpm
-        a = assess([kpm], SPECS, radio.violation_threshold)
+        a = assess(kpm, SPECS, radio.violation_threshold)
         feasible = kpm.slices[0].mean_latency_ms < SPECS[0].sla_target
         table.append(
             {

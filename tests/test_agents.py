@@ -64,7 +64,7 @@ def make_kpm(lat=25.0, thr=80.0, drop=0.0, off=(120.0, 80.0)):
 
 def make_prompt(retrieved=(), sigma_kpm=None):
     kpm = sigma_kpm or make_kpm()
-    assessment = assess([kpm], SPECS, 0.7)
+    assessment = assess(kpm, SPECS, 0.7)
     return build_meta_prompt(
         assessment, kpm, AllocationRatio([0.5, 0.5]), list(retrieved), SPECS,
         RadioConfig(total_rbs=10),
@@ -143,6 +143,24 @@ class TestParseAllocationResponse:
             parse_allocation_response("nope", 2)
         assert err.value.text == "nope"
 
+    @settings(max_examples=500)
+    @given(data=st.data())
+    def test_near_one_replies_parse_or_raise_parse_error(self, data):
+        # Shares on a 0.001 grid, often exactly 0; one of them is set so the
+        # sum lands within a little over the parser's 0.02 tolerance of 1.
+        milli = data.draw(st.lists(st.one_of(st.just(0), st.integers(0, 1000)),
+                                   min_size=2, max_size=4))
+        j = data.draw(st.integers(0, len(milli) - 1))
+        rest = sum(milli) - milli[j]
+        milli[j] = max(0, 1000 - rest + data.draw(st.integers(-25, 25)))
+        shares = [m / 1000 for m in milli]
+        text = json.dumps({"shares": shares})
+        try:
+            got = parse_allocation_response(text, len(shares))
+        except ParseError:
+            return
+        assert isinstance(got, AllocationRatio) and len(got) == len(shares)
+
 
 class TestCountTokens:
     def test_empty(self):
@@ -188,7 +206,7 @@ class TestPredictor:
     def reference_score(predictor, counts):
         """Scores ``predict(counts)`` with a full ``assess`` call."""
         kpm = predictor.predict(counts)
-        a = assess([kpm], predictor.specs, predictor.radio_cfg.violation_threshold)
+        a = assess(kpm, predictor.specs, predictor.radio_cfg.violation_threshold)
         excess = 0.0
         for spec, risk in zip(predictor.specs, a.slices):
             if spec.kind is SliceKind.LATENCY:
@@ -492,6 +510,24 @@ class TestFailStatic:
         with pytest.raises(error):
             backend().propose(make_prompt())
         self.run_cycles(backend())
+
+
+def test_three_slice_remote_reply_renormalized_to_a_zero_share_is_applied():
+    # The renormalised last share of this reply rounds to -2.2e-16.
+    reply = '{"shares":[0.362,0.647,0.0]}'
+    env = replace(
+        TestFailStatic.env(),
+        specs=SPECS + [replace(SPECS[1], slice_id=2)],
+        channels=[UeChannelState(k, k, SINR) for k in range(3)],
+        profile=StepProfile(steps=(((0, 16.0),), ((0, 4.0),), ((0, 4.0),))),
+    )
+    session = FakeSession([FakeResponse(reply) for _ in range(2)])
+    backend = RemoteBackend("https://api.example/v1/chat", "m", session=session)
+    log = run_experiment(env, 2, backend, gate_enabled=False)
+    assert [c.backend_error for c in log.cycles] == [None, None]
+    shares = log.final_state.current_allocation.shares
+    assert shares == parse_allocation_response(reply, 3).shares
+    assert shares[2] == 0.0
 
 
 class FaultSession:

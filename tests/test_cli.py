@@ -134,6 +134,18 @@ class TestErrors:
         assert field in err["message"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_retrieve_k_below_one_names_the_field(self, tmp_path, capsys, k):
+        # Five cycles open no gate, so an unchecked k would never be used.
+        cfg = tmp_path / "k.json"
+        cfg.write_text(json.dumps({**SMALL, "scenario1_cycles": 5, "retrieve_k": k}))
+        rc = main(["scenario1", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert "retrieve_k" in err["message"]
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_subcommand_exits_nonzero(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

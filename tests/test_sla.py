@@ -152,85 +152,66 @@ class TestComplianceIndex:
 
 class TestAssess:
     def test_comfortable_no_violation(self):
-        window = [sample(0, 2.0, 90.0, 90.0, 0.0, 90.0, 90.0)]
-        a = assess(window, [LAT, THR], 0.7)
+        kpm = sample(0, 2.0, 90.0, 90.0, 0.0, 90.0, 90.0)
+        a = assess(kpm, [LAT, THR], 0.7)
         assert not a.violation_detected
 
     def test_doubled_latency_detects(self):
-        window = [sample(3, 20.0, 100.0, 120.0, 0.0, 80.0, 80.0)]
-        a = assess(window, [LAT, THR], 0.7)
+        kpm = sample(3, 20.0, 100.0, 120.0, 0.0, 80.0, 80.0)
+        a = assess(kpm, [LAT, THR], 0.7)
         assert a.slices[0].rho == pytest.approx(1.0 / (1.0 + math.exp(-8.0)), abs=1e-12)
         assert a.violation_detected
         assert a.interval_index == 3
 
-    def test_single_sample_window_is_identity(self):
-        window = [sample(0, 12.0, 100.0, 110.0, 0.0, 70.0, 90.0)]
-        a1 = assess(window, [LAT, THR], 0.7)
-        a2 = assess(window * 3, [LAT, THR], 0.7)
-        assert a1.slices == a2.slices
-
-    def test_mean_commutes(self):
-        window = [
-            sample(0, 8.0, 100.0, 110.0, 0.0, 70.0, 90.0),
-            sample(1, 16.0, 90.0, 100.0, 0.0, 90.0, 100.0),
-        ]
-        mean = sample(1, 12.0, 95.0, 105.0, 0.0, 80.0, 95.0, lat_count=200, thr_count=200)
-        a1 = assess(window, [LAT, THR], 0.7)
-        a2 = assess([mean], [LAT, THR], 0.7)
-        for s1, s2 in zip(a1.slices, a2.slices):
-            assert s1.epsilon == pytest.approx(s2.epsilon, abs=1e-12)
-            assert s1.rho == pytest.approx(s2.rho, abs=1e-12)
-
     def test_starved_latency_slice_is_maximal_risk(self):
-        window = [
-            KpmSample(0, [SliceKpm(0.0, 0.0, 1.0, 50.0, 0), SliceKpm(1.0, 50.0, 0.0, 50.0, 10)])
-        ]
-        a = assess(window, [LAT, THR], 0.7)
+        kpm = KpmSample(0, [SliceKpm(0.0, 0.0, 1.0, 50.0, 0), SliceKpm(1.0, 50.0, 0.0, 50.0, 10)])
+        a = assess(kpm, [LAT, THR], 0.7)
         assert a.slices[0].rho > 0.999
         assert a.slices[0].rho < 1.0
         assert a.violation_detected
 
     def test_idle_latency_slice_is_low_risk(self):
-        window = [
-            KpmSample(0, [SliceKpm(0.0, 0.0, 0.0, 0.0, 0), SliceKpm(1.0, 50.0, 0.0, 50.0, 10)])
-        ]
-        a = assess(window, [LAT, THR], 0.7)
+        kpm = KpmSample(0, [SliceKpm(0.0, 0.0, 0.0, 0.0, 0), SliceKpm(1.0, 50.0, 0.0, 50.0, 10)])
+        a = assess(kpm, [LAT, THR], 0.7)
         assert not a.violation_detected
 
     def test_throughput_target_capped_by_demand(self):
         # delivering everything offered is not a violation, however large
         # the configured target
         big = SliceSpec(1, SliceKind.THROUGHPUT, 1000.0, 1.0, -10.0, -0.2)
-        window = [sample(0, 2.0, 50.0, 50.0, 0.0, 50.0, 50.0)]
-        a = assess(window, [LAT, big], 0.7)
+        kpm = sample(0, 2.0, 50.0, 50.0, 0.0, 50.0, 50.0)
+        a = assess(kpm, [LAT, big], 0.7)
         assert a.slices[1].epsilon == pytest.approx(0.0)
         assert not a.violation_detected
 
     def test_theta_monotone(self):
-        window = [sample(0, 14.0, 100.0, 120.0, 0.0, 80.0, 80.0)]
+        kpm = sample(0, 14.0, 100.0, 120.0, 0.0, 80.0, 80.0)
         detected = [
-            assess(window, [LAT, THR], th).violation_detected
+            assess(kpm, [LAT, THR], th).violation_detected
             for th in (0.1, 0.3, 0.5, 0.7, 0.9)
         ]
         # once it flips to False it stays False as theta rises
         assert detected == sorted(detected, reverse=True)
 
-    def test_empty_window_rejected(self):
-        with pytest.raises(ValueError):
-            assess([], [LAT, THR], 0.7)
+    @pytest.mark.parametrize("theta", [0.0, 1.0, -0.5, 1.5, math.nan])
+    def test_theta_outside_open_unit_interval_rejected(self, theta):
+        with pytest.raises(ValueError, match="theta"):
+            assess(sample(0, 2.0, 90.0, 90.0, 0.0, 90.0, 90.0), [LAT, THR], theta)
+
+    @pytest.mark.parametrize("specs", [[LAT], [LAT, THR, THR]])
+    def test_slice_count_mismatch_rejected(self, specs):
+        with pytest.raises(ValueError, match="slice count"):
+            assess(sample(0, 2.0, 90.0, 90.0, 0.0, 90.0, 90.0), specs, 0.7)
 
     def test_round_trip_dict(self):
-        window = [sample(2, 14.0, 100.0, 120.0, 0.0, 80.0, 80.0)]
-        a = assess(window, [LAT, THR], 0.7)
+        a = assess(sample(2, 14.0, 100.0, 120.0, 0.0, 80.0, 80.0), [LAT, THR], 0.7)
         assert RiskAssessment.from_dict(a.to_dict()) == a
         with pytest.raises(ValueError):
             RiskAssessment.from_dict({"version": 99})
 
     def test_starved_slice_round_trips_through_strict_json(self):
-        window = [
-            KpmSample(3, [SliceKpm(0.0, 0.0, 1.0, 50.0, 0), SliceKpm(1.0, 50.0, 0.0, 50.0, 10)])
-        ]
-        a = assess(window, [LAT, THR], 0.7)
+        kpm = KpmSample(3, [SliceKpm(0.0, 0.0, 1.0, 50.0, 0), SliceKpm(1.0, 50.0, 0.0, 50.0, 10)])
+        a = assess(kpm, [LAT, THR], 0.7)
         assert a.slices[0].epsilon == math.inf
         text = json.dumps(a.to_dict(), allow_nan=False)
         assert json.loads(text)["slices"][0]["epsilon"] is None
