@@ -1,8 +1,10 @@
 """Radio capacity math and the per-slice packet queue.
 
-Walks through the capacity chain (SINR -> per-RB rate -> slice capacity)
-and then pushes three load levels through the queueing simulator to show
-how latency and drops emerge once demand crosses capacity.
+Each slice serves one user whose SINR is the same on every RB, so a
+slice's capacity is one formula: RBs x 180 kHz x log2(1 + SINR).  The
+demo prints it for a few RB counts, then pushes three load levels
+through the queueing simulator to show how latency and drops emerge once
+demand crosses capacity.
 
 Run: python3 demos/01_radio_queue_basics.py
 """
@@ -23,7 +25,7 @@ queue = QueueConfig()
 channels = [UeChannelState(0, 0, SINR), UeChannelState(1, 1, SINR)]
 
 ue = channels[0]
-print("=== Capacity chain ===")
+print("=== Slice capacity ===")
 for rbs in (1, 5, 10):
     cap = channel_capacity(ue, rbs, radio.rb_bandwidth_hz)
     print(f"{rbs:2d} RB -> {cap / 1e6:6.1f} Mbps")

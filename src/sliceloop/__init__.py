@@ -19,7 +19,6 @@ from .radio import (
     channel_capacity,
     generate_traffic,
     simulate_interval,
-    slice_throughput,
 )
 from .sla import RiskAssessment, assess, compliance_index, risk_factor, violation_level
 from .store import ExperienceRecord, ExperienceStore

@@ -21,13 +21,14 @@ from .harness import (
     token_figure_csv,
     write_run_dir,
 )
-from .stats import compute_distribution_stats, write_csv
+from .stats import write_csv
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, runs_loop: bool = True) -> None:
     p.add_argument("--config", type=Path, help="JSON config overriding the defaults")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--backend", choices=["oracle", "scripted", "remote"], default="oracle")
+    if runs_loop:
+        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--backend", choices=["oracle", "scripted", "remote"], default="oracle")
     p.add_argument("--out", type=Path, default=Path("run_out"))
 
 
@@ -49,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p3)
 
     p4 = sub.add_parser("oracle-table", help="exhaustive split enumeration as CSV")
-    _add_common(p4)
+    _add_common(p4, runs_loop=False)
     p4.add_argument("--rates", type=float, nargs=2, default=[120.0, 80.0],
                     metavar=("S1_MBPS", "S2_MBPS"))
     return parser
@@ -86,10 +87,10 @@ def main(argv: list[str] | None = None) -> int:
                 "draws": [list(d) for d in results["draws"]],
                 "policies": {
                     name: {
-                        "s1_latency": compute_distribution_stats(d["s1_latency_ms"]),
-                        "s2_drop": compute_distribution_stats(d["s2_drop_ratio"]),
+                        "s1_latency": dict(by_metric["s1_latency_ms"]),
+                        "s2_drop": dict(by_metric["s2_drop_ratio"]),
                     }
-                    for name, d in results["policies"].items()
+                    for name, by_metric in results["stats"].items()
                 },
             }
             for policy in summary["policies"].values():

@@ -22,6 +22,14 @@ class InfeasibleAllocationError(ValueError):
     """The RB pool cannot give every slice its minimum of one RB."""
 
 
+def check_counts(config, *names: str) -> None:
+    """Raise ValueError, naming the field, unless each is an int >= 1 (not a bool)."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SliceSpec:
     """Identity and SLA contract of one slice.
@@ -59,18 +67,14 @@ class RadioConfig:
 
     total_rbs: int = 106
     rb_bandwidth_hz: float = 180_000.0
-    interval_duration_s: float = 1.0
     monitoring_interval_s: float = 1.0
     wait_period_s: float = 5.0
     violation_threshold: float = 0.7
 
     def __post_init__(self) -> None:
-        if self.total_rbs < 1:
-            raise ValueError("total_rbs must be positive")
+        check_counts(self, "total_rbs")
         if self.rb_bandwidth_hz <= 0:
             raise ValueError("rb_bandwidth_hz must be positive")
-        if self.interval_duration_s <= 0:
-            raise ValueError("interval_duration_s must be positive")
         if self.monitoring_interval_s <= 0:
             raise ValueError("monitoring_interval_s must be positive")
         if self.wait_period_s < 0:

@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import AllocationRatio, RadioConfig, SliceKind, SliceSpec
+from .core import AllocationRatio, RadioConfig, SliceKind, SliceSpec, check_counts
 from .agents import HeuristicOracleBackend, RemoteBackend, ScriptedBackend
 from .loop import Environment, ExperimentLog, run_experiment
 from .radio import QueueConfig, StepProfile, UeChannelState
@@ -35,7 +35,11 @@ FIXED_BASELINES = {
 
 @dataclass
 class HarnessConfig:
-    """Fully resolved experiment configuration; JSON round-trippable."""
+    """Fully resolved experiment configuration; JSON round-trippable.
+
+    ``interval_duration_s`` is only written to ``config.json``; nothing
+    reads it.  The simulator's interval is ``monitoring_interval_s``.
+    """
 
     total_rbs: int = 106
     rb_bandwidth_hz: float = 180_000.0
@@ -75,16 +79,12 @@ class HarnessConfig:
     scripted_path: str = ""
 
     def __post_init__(self) -> None:
-        for name in ("scenario1_cycles", "scenario2_cycles", "retrieve_k"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+        check_counts(self, "scenario1_cycles", "scenario2_cycles", "retrieve_k")
 
     def radio_cfg(self) -> RadioConfig:
         return RadioConfig(
             total_rbs=self.total_rbs,
             rb_bandwidth_hz=self.rb_bandwidth_hz,
-            interval_duration_s=self.interval_duration_s,
             monitoring_interval_s=self.monitoring_interval_s,
             wait_period_s=self.wait_period_s,
             violation_threshold=self.violation_threshold,
@@ -237,7 +237,9 @@ def run_scenario2(
     """Paired comparison: adaptive vs fixed policies on identical traffic.
 
     Every policy in a trial sees the same constant drawn rates; samples
-    are per interval, pooled across trials.
+    are per interval, pooled across trials.  ``stats`` holds each
+    policy's ``compute_distribution_stats`` of both sample lists, which
+    the summary and the figure CSVs share.
     """
     draws = scenario2_draws(config, trials, seed)
     policies = ["adaptive"] + list(FIXED_BASELINES)
@@ -263,7 +265,11 @@ def run_scenario2(
             results[name]["s1_latency_ms"].extend(lat)
             results[name]["s2_drop_ratio"].extend(drop)
             results[name]["trial_max_s2_drop"].append(max(drop))
-    return {"draws": draws, "policies": results, "trials": trials, "seed": seed}
+    stats = {
+        name: {m: compute_distribution_stats(data[m]) for m in ("s1_latency_ms", "s2_drop_ratio")}
+        for name, data in results.items()
+    }
+    return {"draws": draws, "policies": results, "stats": stats, "trials": trials, "seed": seed}
 
 
 def run_token_comparison(
@@ -319,15 +325,14 @@ def scenario2_figure_csvs(results: dict) -> dict:
     csvs = {}
     for metric, fig in (("s1_latency_ms", "fig3a_latency_cdf"), ("s2_drop_ratio", "fig3b_drop_cdf")):
         rows = []
-        for policy, data in results["policies"].items():
-            stats = compute_distribution_stats(data[metric])
-            for x, f in stats["cdf"]:
+        for policy, by_metric in results["stats"].items():
+            for x, f in by_metric[metric]["cdf"]:
                 rows.append({"policy": policy, "value": x, "cdf": f})
         csvs[f"{fig}.csv"] = (["policy", "value", "cdf"], rows)
     for metric, fig in (("s1_latency_ms", "fig4a_latency_box"), ("s2_drop_ratio", "fig4b_drop_box")):
         rows = []
-        for policy, data in results["policies"].items():
-            stats = compute_distribution_stats(data[metric])
+        for policy, by_metric in results["stats"].items():
+            stats = by_metric[metric]
             rows.append(
                 {
                     "policy": policy,

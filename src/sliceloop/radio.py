@@ -1,11 +1,11 @@
 """Discrete-time air-interface simulation.
 
-Capacity model: each user's channel capacity is the Shannon sum over its
-assigned RBs, ``B * sum_j log2(1 + SINR_j)``, and a slice's service rate
-is the sum over the slice's users.
+Capacity model: each slice serves one user, whose SINR is the same on
+every RB, so the slice's service rate on ``n`` RBs is the Shannon
+capacity ``B * (n * log2(1 + SINR))`` (``channel_capacity``).
 
 Queue model: one FIFO per slice, packetised arrivals (fixed packet size),
-finite buffer, tick-driven service at the slice's aggregate capacity.
+finite buffer, tick-driven service at the slice's capacity.
 Arrivals are deterministic (evenly spaced at the offered rate) so that
 every KPM timeline is exactly reproducible; packets arriving to a full
 buffer are dropped.  Latency is enqueue-to-dequeue time at tick
@@ -22,26 +22,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .core import KpmSample, RadioConfig, SliceKpm
+from .core import KpmSample, RadioConfig, SliceKpm, check_counts
 
 
 @dataclass(frozen=True)
 class UeChannelState:
-    """Per-user channel quality: linear SINR, per RB or uniform."""
+    """The user of one slice: its linear SINR, the same on every RB."""
 
     ue_id: int
     slice_id: int
-    sinr: Union[float, Tuple[float, ...]]
+    sinr: float
 
     def __post_init__(self) -> None:
-        values = self.sinr if isinstance(self.sinr, tuple) else (self.sinr,)
-        for v in values:
-            if v < 0:
-                raise ValueError(f"SINR must be nonnegative (linear), got {v}")
+        if not 0.0 <= self.sinr < math.inf:
+            raise ValueError(f"SINR must be finite and nonnegative (linear), got {self.sinr}")
 
 
 @dataclass(frozen=True)
@@ -51,8 +49,7 @@ class QueueConfig:
     tick_duration_ms: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.packet_size_bytes <= 0 or self.buffer_capacity_packets <= 0:
-            raise ValueError("queue parameters must be positive")
+        check_counts(self, "packet_size_bytes", "buffer_capacity_packets")
         if self.tick_duration_ms <= 0:
             raise ValueError("tick_duration_ms must be positive")
 
@@ -94,46 +91,29 @@ def generate_traffic(profile: StepProfile, interval_index: int) -> list[float]:
     return rates
 
 
-def channel_capacity(ue: UeChannelState, assigned_rbs: int, rb_bandwidth_hz: float) -> float:
-    """Shannon capacity in bits per second over the user's assigned RBs."""
-    if assigned_rbs < 0:
+def channel_capacity(
+    ue: UeChannelState, assigned_rbs: int | np.ndarray, rb_bandwidth_hz: float
+) -> float | np.ndarray:
+    """Shannon capacity in bits per second over the user's assigned RBs.
+
+    ``assigned_rbs`` is an RB count, giving a float, or an integer array
+    of them, giving one capacity per entry with the same float operations.
+    """
+    if np.min(assigned_rbs) < 0:
         raise ValueError("assigned_rbs must be nonnegative")
-    if assigned_rbs == 0:
-        return 0.0
-    if isinstance(ue.sinr, tuple):
-        if len(ue.sinr) < assigned_rbs:
-            raise ValueError("not enough per-RB SINR entries")
-        total = sum(math.log2(1.0 + ue.sinr[j]) for j in range(assigned_rbs))
-    else:
-        total = assigned_rbs * math.log2(1.0 + ue.sinr)
-    return rb_bandwidth_hz * total
-
-
-def slice_throughput(user_throughputs: Sequence[float]) -> float:
-    """Aggregate slice throughput: plain sum, 0 for no users."""
-    return float(sum(user_throughputs))
-
-
-def split_rbs_among_users(rb_count: int, n_users: int) -> list[int]:
-    """Divide a slice's RBs across its users as evenly as possible."""
-    if n_users <= 0:
-        return []
-    base, extra = divmod(rb_count, n_users)
-    return [base + (1 if i < extra else 0) for i in range(n_users)]
-
-
-def slice_capacity_bps(
-    ues: Sequence[UeChannelState], rb_count: int, rb_bandwidth_hz: float
-) -> float:
-    """Aggregate service rate of one slice given its RB count."""
-    per_user = split_rbs_among_users(rb_count, len(ues))
-    return slice_throughput(
-        [channel_capacity(ue, n, rb_bandwidth_hz) for ue, n in zip(ues, per_user)]
-    )
+    return rb_bandwidth_hz * (assigned_rbs * math.log2(1.0 + ue.sinr))
 
 
 class InternalStateError(RuntimeError):
     """Carried queue state is inconsistent with the configuration."""
+
+
+def _slice_ue(channels: Sequence[UeChannelState], slice_id: int) -> UeChannelState:
+    """The one user of a slice."""
+    ues = [ue for ue in channels if ue.slice_id == slice_id]
+    if len(ues) != 1:
+        raise InternalStateError(f"slice {slice_id} has {len(ues)} UEs, expected one")
+    return ues[0]
 
 
 @dataclass
@@ -423,8 +403,8 @@ def simulate_interval(
     new_queues = []
     accounting = []
     for k in range(n_slices):
-        ues = [ue for ue in channels if ue.slice_id == k]
-        service_bps = slice_capacity_bps(ues, rb_counts[k], radio_cfg.rb_bandwidth_hz)
+        ue = _slice_ue(channels, k)
+        service_bps = channel_capacity(ue, rb_counts[k], radio_cfg.rb_bandwidth_hz)
         new_qs, acct, lat_ticks, delivered = _advance_slice(
             state.queues[k],
             offered_mbps[k] * 1e6,
@@ -464,14 +444,12 @@ def slice_kpm_table(
     run in one batched queue recursion.
     """
     tick_s, n_ticks, interval_s = _interval_ticks(radio_cfg, queue_cfg)
-    ues = [ue for ue in channels if ue.slice_id == slice_id]
-    service_bps = [
-        slice_capacity_bps(ues, n, radio_cfg.rb_bandwidth_hz) for n in range(1, max_rbs + 1)
-    ]
+    ue = _slice_ue(channels, slice_id)
+    service_bps = channel_capacity(ue, np.arange(1, max_rbs + 1), radio_cfg.rb_bandwidth_hz)
     batch = _advance_slice_batch(
         state.queues[slice_id],
         offered_mbps * 1e6,
-        np.array(service_bps),
+        service_bps,
         n_ticks,
         tick_s,
         queue_cfg.packet_bits,

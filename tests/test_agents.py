@@ -272,6 +272,16 @@ class TestPredictor:
         with pytest.raises(InternalStateError):
             predictor.predict([5, 6])
 
+    @pytest.mark.parametrize("ue_slices", [[0], [0, 1, 1]], ids=["no_ue", "two_ues"])
+    def test_slice_without_exactly_one_ue_rejected(self, ue_slices):
+        radio, queue = RadioConfig(total_rbs=10), QueueConfig()
+        channels = [UeChannelState(i, k, SINR) for i, k in enumerate(ue_slices)]
+        with pytest.raises(InternalStateError, match="slice 1"):
+            simulate_interval([5.0, 5.0], [5, 5], channels, radio, queue, SimState.fresh(2))
+        predictor = Predictor([5.0, 5.0], channels, radio, queue, SPECS, SimState.fresh(2))
+        with pytest.raises(InternalStateError, match="slice 1"):
+            predictor.predict([5, 5])
+
 
 class TestHeuristicOracle:
     def test_fixed_point_under_light_load(self):

@@ -146,6 +146,26 @@ class TestErrors:
         assert "retrieve_k" in err["message"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", [1.5, True])
+    @pytest.mark.parametrize("field", [
+        "scenario1_cycles", "scenario2_cycles", "retrieve_k",
+        "total_rbs", "packet_size_bytes", "buffer_capacity_packets",
+    ])
+    def test_non_integer_count_names_the_field(self, tmp_path, capsys, field, value):
+        cfg = tmp_path / "count.json"
+        cfg.write_text(json.dumps({**SMALL, "scenario1_cycles": 5, field: value}))
+        rc = main(["scenario1", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert field in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    def test_oracle_table_takes_no_seed(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle-table", "--seed", "1", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+
     def test_unknown_subcommand_exits_nonzero(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

@@ -18,7 +18,6 @@ from sliceloop.radio import (
     channel_capacity,
     generate_traffic,
     simulate_interval,
-    slice_throughput,
 )
 
 
@@ -48,14 +47,9 @@ class TestChannelCapacity:
         assert channel_capacity(ue, 5, 180_000.0) == pytest.approx(1_800_000.0)
 
     def test_negative_sinr_rejected(self):
-        with pytest.raises(ValueError):
-            UeChannelState(0, 0, sinr=-0.5)
-
-    def test_per_rb_list(self):
-        ue = UeChannelState(0, 0, sinr=(1.0, 3.0, 1.0))
-        assert channel_capacity(ue, 2, 180_000.0) == pytest.approx(180_000.0 * 3)
-        with pytest.raises(ValueError):
-            channel_capacity(ue, 4, 180_000.0)
+        for sinr in (-0.5, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                UeChannelState(0, 0, sinr=sinr)
 
     @given(
         sinr=st.floats(0.0, 1e4),
@@ -65,13 +59,10 @@ class TestChannelCapacity:
     def test_monotone_in_rbs(self, sinr, rbs, more):
         ue = UeChannelState(0, 0, sinr=sinr)
         assert channel_capacity(ue, rbs + more, 1.0) >= channel_capacity(ue, rbs, 1.0)
-
-
-class TestThroughput:
-    def test_slice_sum(self):
-        assert slice_throughput([100.0, 200.0, 300.0]) == 600.0
-        assert slice_throughput([]) == 0.0
-        assert slice_throughput([42.0]) == 42.0
+        # The array form is the scalar form entry by entry, bit for bit.
+        counts = np.arange(rbs + more + 1)
+        assert [float.hex(c) for c in channel_capacity(ue, counts, 180_000.0).tolist()] \
+            == [float.hex(channel_capacity(ue, n, 180_000.0)) for n in range(rbs + more + 1)]
 
 
 class TestGenerateTraffic:
