@@ -75,8 +75,8 @@ class RadioConfig:
         check_counts(self, "total_rbs")
         if self.rb_bandwidth_hz <= 0:
             raise ValueError("rb_bandwidth_hz must be positive")
-        if self.monitoring_interval_s <= 0:
-            raise ValueError("monitoring_interval_s must be positive")
+        if not 0 < self.monitoring_interval_s < math.inf:
+            raise ValueError("monitoring_interval_s must be positive and finite")
         if self.wait_period_s < 0:
             raise ValueError("wait_period_s must be nonnegative")
         if not 0.0 < self.violation_threshold < 1.0:

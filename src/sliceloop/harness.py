@@ -80,6 +80,15 @@ class HarnessConfig:
 
     def __post_init__(self) -> None:
         check_counts(self, "scenario1_cycles", "scenario2_cycles", "retrieve_k")
+        if not self.scenario2_grid:
+            raise ValueError("scenario2_grid must hold at least one rate")
+        n_slices = len(self.specs())
+        for name in ("initial_shares", "scenario1_steps"):
+            count = len(getattr(self, name))
+            if count != n_slices:
+                raise ValueError(
+                    f"{name} must have one entry per slice ({n_slices}), got {count}"
+                )
 
     def radio_cfg(self) -> RadioConfig:
         return RadioConfig(

@@ -50,8 +50,8 @@ class QueueConfig:
 
     def __post_init__(self) -> None:
         check_counts(self, "packet_size_bytes", "buffer_capacity_packets")
-        if self.tick_duration_ms <= 0:
-            raise ValueError("tick_duration_ms must be positive")
+        if not 0 < self.tick_duration_ms < math.inf:
+            raise ValueError("tick_duration_ms must be positive and finite")
 
     @property
     def packet_bits(self) -> int:
@@ -75,8 +75,8 @@ class StepProfile:
             starts = [s for s, _ in slice_steps]
             if starts != sorted(set(starts)):
                 raise ValueError("step intervals must be strictly increasing")
-            if any(r < 0 for _, r in slice_steps):
-                raise ValueError("rates must be nonnegative")
+            if not all(0 <= r < math.inf for _, r in slice_steps):
+                raise ValueError("rates must be finite and nonnegative")
 
 
 def generate_traffic(profile: StepProfile, interval_index: int) -> list[float]:
@@ -346,9 +346,19 @@ def _advance_slice_batch(
 
 
 def _interval_ticks(radio_cfg: RadioConfig, queue_cfg: QueueConfig) -> tuple[float, int, float]:
-    """(tick length in s, ticks per monitoring interval, interval length in s)."""
+    """(tick length in s, ticks per monitoring interval, interval length in s).
+
+    The interval must be a whole number of ticks, to a relative 1e-9.
+    """
     tick_s = queue_cfg.tick_duration_ms / 1000.0
-    n_ticks = max(1, round(radio_cfg.monitoring_interval_s / tick_s))
+    n_ticks = round(radio_cfg.monitoring_interval_s / tick_s)
+    if n_ticks < 1 or not math.isclose(
+        n_ticks * tick_s, radio_cfg.monitoring_interval_s, rel_tol=1e-9
+    ):
+        raise ValueError(
+            f"monitoring_interval_s ({radio_cfg.monitoring_interval_s} s) must be a "
+            f"whole number of ticks of tick_duration_ms ({queue_cfg.tick_duration_ms} ms)"
+        )
     return tick_s, n_ticks, n_ticks * tick_s
 
 

@@ -2,18 +2,29 @@
 
 Records are append-only JSON lines (one object per line, flushed per
 write) so the history is human-inspectable and survives crashes.
-Retrieval is an exact linear scan over one rates array, built by
-``load`` and extended by ``record`` into spare rows (the array doubles
-when full, so an append costs amortised O(1)): shortlist the ``3 * k``
-records nearest to the query traffic vector by Euclidean distance, then
-keep the ``k`` with the best (least negative) historical sigma.  Final
-ordering is descending sigma, then ascending distance, then ascending
-record id.
+Retrieval is an exact linear-time scan over a slice-major index: one row
+of arrival rates per slice and one array of sigmas, record ``i`` in
+column ``i``, built by ``load`` and extended by ``record`` into spare
+columns (the arrays double when full, so an append costs amortised
+O(1)).  Shortlist the ``3 * k`` records nearest to the query traffic
+vector by Euclidean distance, ties to the lower record id, then keep the
+``k`` with the best (least negative) historical sigma.  Final ordering
+is descending sigma, then ascending distance, then ascending record id.
+
+The squared differences are summed one slice at a time, in slice order,
+which is bit for bit what ``np.sum`` over a row of up to 7 slices
+gives.  A store of 8 or more slices keeps the slice-ordered sum, where
+numpy would switch to pairwise summation and could differ in the last
+bit.  The shortlist selects the ``m``-th smallest distance with
+``np.partition`` and ranks only the ``m`` records it keeps, so no
+retrieve sorts the whole store.  Rates must be finite: a NaN distance
+would fall outside both the shortlist's ``<`` and ``==`` tests.
 """
 from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
@@ -75,9 +86,11 @@ class ExperienceStore:
         self.n_slices = n_slices
         self.path = Path(path) if path is not None else None
         self._records: list[ExperienceRecord] = []
-        # Row i < len(self) holds record i's arrival rates: the retrieval
-        # index.  Rows past that are spare capacity for `record`.
-        self._rates = np.empty((0, n_slices), dtype=np.float64)
+        # Column i < len(self) holds record i's arrival rates, one row per
+        # slice, and _sigmas[i] its sigma: the retrieval index.  Columns
+        # past that are spare capacity for `record`.
+        self._rates = np.empty((n_slices, 0), dtype=np.float64)
+        self._sigmas = np.empty(0, dtype=np.float64)
 
     def __len__(self) -> int:
         return len(self._records)
@@ -97,11 +110,15 @@ class ExperienceStore:
             ]
         if any(len(r.arrival_rates_mbps) != n_slices for r in records):
             raise ValueError(f"{path}: every rate vector must have {n_slices} entries")
-        store = cls(n_slices, path=path)
-        store._records = records
-        store._rates = np.array(
+        rates = np.array(
             [r.arrival_rates_mbps for r in records], dtype=np.float64
         ).reshape(len(records), n_slices)
+        if not np.isfinite(rates).all():
+            raise ValueError(f"{path}: every arrival rate must be finite")
+        store = cls(n_slices, path=path)
+        store._records = records
+        store._rates = np.ascontiguousarray(rates.T)
+        store._sigmas = np.array([r.resulting_sigma for r in records], dtype=np.float64)
         return store
 
     def record(
@@ -123,12 +140,18 @@ class ExperienceStore:
             kpm_summary=tuple(dict(k) for k in kpm_summary),
             created_at_interval=int(created_at_interval),
         )
+        if not all(math.isfinite(r) for r in rec.arrival_rates_mbps):
+            raise ValueError(f"arrival rates must be finite, got {rec.arrival_rates_mbps}")
         n = len(self._records)
-        if n == len(self._rates):
-            grown = np.empty((max(2 * n, 16), self.n_slices), dtype=np.float64)
-            grown[:n] = self._rates
-            self._rates = grown
-        self._rates[n] = rec.arrival_rates_mbps
+        if n == len(self._sigmas):
+            capacity = max(2 * n, 16)
+            rates = np.empty((self.n_slices, capacity), dtype=np.float64)
+            rates[:, :n] = self._rates
+            sigmas = np.empty(capacity, dtype=np.float64)
+            sigmas[:n] = self._sigmas
+            self._rates, self._sigmas = rates, sigmas
+        self._rates[:, n] = rec.arrival_rates_mbps
+        self._sigmas[n] = rec.resulting_sigma
         self._records.append(rec)
         if self.path is not None:
             try:
@@ -147,15 +170,33 @@ class ExperienceStore:
             raise ValueError("query vector length must equal slice count")
         if k < 1:
             raise ValueError("k must be >= 1")
+        q = np.asarray(query_rates, dtype=np.float64)
+        if not np.isfinite(q).all():
+            raise ValueError(f"query rates must be finite, got {list(query_rates)}")
         n = len(self._records)
         if n == 0:
             return []
-        q = np.asarray(query_rates, dtype=np.float64)
-        dist = np.sqrt(((self._rates[:n] - q) ** 2).sum(axis=1))
+        dist = self._distances(q)
         # Shortlist: m nearest by distance, ties to the lower record id.
+        # Everything below the m-th smallest distance is in; the lowest
+        # ids at exactly that distance fill the rest.
         m = min(SHORTLIST_MULTIPLIER * k, n)
-        shortlist = np.argsort(dist, kind="stable")[:m]
-        sigmas = np.array([self._records[i].resulting_sigma for i in shortlist])
-        # Rank: best sigma first, then nearest, then lowest id.
-        order = np.lexsort((shortlist, dist[shortlist], -sigmas))[:k]
+        kth = np.partition(dist, m - 1)[m - 1]
+        below = np.flatnonzero(dist < kth)
+        at_kth = np.flatnonzero(dist == kth)[: m - len(below)]
+        shortlist = np.concatenate((below, at_kth))
+        # Rank: best sigma first, then nearest, then lowest id.  The ids
+        # are unique, so the shortlist's own order does not matter.
+        order = np.lexsort((shortlist, dist[shortlist], -self._sigmas[shortlist]))[:k]
         return [self._records[shortlist[i]] for i in order]
+
+    def _distances(self, q: np.ndarray) -> np.ndarray:
+        """Euclidean distance from ``q`` to every record, summed in slice order."""
+        n = len(self._records)
+        dist = np.zeros(n)
+        d = np.empty(n)
+        for row, q_k in zip(self._rates, q):
+            np.subtract(row[:n], q_k, out=d)
+            d *= d
+            dist += d
+        return np.sqrt(dist, out=dist)

@@ -161,6 +161,47 @@ class TestErrors:
         assert field in err["message"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_step_rate_rejected(self, tmp_path, capsys, rate):
+        cfg = tmp_path / "steps.json"
+        cfg.write_text(json.dumps({**SMALL, "scenario1_steps": [[[0, rate]], [[0, 8.0]]]}))
+        rc = main(["scenario1", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert "finite" in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("tick_ms", [2000.0, 0.7])
+    def test_interval_not_whole_ticks_names_both_fields(self, tmp_path, capsys, tick_ms):
+        cfg = tmp_path / "tick.json"
+        cfg.write_text(json.dumps({**SMALL, "tick_duration_ms": tick_ms}))
+        rc = main(["scenario1", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert "tick_duration_ms" in err["message"]
+        assert "monitoring_interval_s" in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, field, value", [
+        (["scenario2", "--trials", "2"], "scenario2_grid", []),
+        (["scenario1"], "initial_shares", [0.4, 0.3, 0.3]),
+        (["scenario1"], "initial_shares", [1.0]),
+        (["scenario1"], "scenario1_steps", [[[0, 5.0]]]),
+        (["scenario1"], "scenario1_steps", [[[0, 5.0]], [[0, 4.0]], [[0, 4.0]]]),
+    ])
+    def test_config_list_of_wrong_length_names_the_field(self, tmp_path, capsys,
+                                                         command, field, value):
+        cfg = tmp_path / "lists.json"
+        cfg.write_text(json.dumps({**SMALL, field: value}))
+        rc = main(command + ["--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert field in err["message"]
+        assert not (tmp_path / "o").exists()
+
     def test_oracle_table_takes_no_seed(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["oracle-table", "--seed", "1", "--out", str(tmp_path / "o")])

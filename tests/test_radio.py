@@ -15,6 +15,7 @@ from sliceloop.radio import (
     UeChannelState,
     _advance_slice,
     _advance_slice_batch,
+    _interval_ticks,
     channel_capacity,
     generate_traffic,
     simulate_interval,
@@ -100,6 +101,25 @@ def independent_scalar_queue(offered_bps, service_bps, n_ticks, pkt_bits, buffer
         if q == 0:
             credit = 0.0
     return offered, delivered, dropped, q
+
+
+class TestIntervalTicks:
+    @pytest.mark.parametrize("interval_s, tick_ms, n_ticks", [
+        (1.0, 1.0, 1000), (0.1, 1.0, 100), (1.0, 0.25, 4000), (0.3, 0.1, 3000),
+    ])
+    def test_whole_ticks(self, interval_s, tick_ms, n_ticks):
+        tick_s, got, length_s = _interval_ticks(
+            RadioConfig(monitoring_interval_s=interval_s), QueueConfig(tick_duration_ms=tick_ms)
+        )
+        assert (tick_s, got, length_s) == (tick_ms / 1000.0, n_ticks, n_ticks * tick_s)
+
+    @pytest.mark.parametrize("interval_s, tick_ms", [(1.0, 2000.0), (1.0, 0.7), (0.1, 0.3)])
+    def test_partial_tick_rejected(self, interval_s, tick_ms):
+        with pytest.raises(ValueError, match="tick_duration_ms"):
+            _interval_ticks(
+                RadioConfig(monitoring_interval_s=interval_s),
+                QueueConfig(tick_duration_ms=tick_ms),
+            )
 
 
 class TestSimulateInterval:
