@@ -25,7 +25,6 @@ from .store import ExperienceRecord, ExperienceStore
 from .agents import (
     DecisionOutcome,
     HeuristicOracleBackend,
-    MetaPrompt,
     ParseError,
     Predictor,
     RemoteBackend,

@@ -1,6 +1,10 @@
 """Decision layer: meta-prompt assembly, backends, parsing, token accounting.
 
-Three interchangeable backends sit behind the same ``propose`` call:
+``build_meta_prompt`` renders the reallocation prompt as text.  Three
+interchangeable backends answer it through the same call,
+``propose(prompt, current_allocation, predictor=None)``: the prompt text,
+the shares in force (their length is the slice count), and the
+one-interval lookahead that only the oracle reads:
 
 * ``HeuristicOracleBackend`` searches the allocation grid against a
   one-interval prediction; it is the default for every offline
@@ -48,6 +52,7 @@ from .sla import RiskAssessment, compliance_index, slice_risk
 API_KEY_ENV = "RELLM_API_KEY"
 REMOTE_TEMPERATURE = 0.0
 REMOTE_MAX_TOKENS = 256
+REMOTE_TIMEOUT_S = 30.0
 
 
 class BackendError(RuntimeError):
@@ -84,12 +89,6 @@ def _fmt(x: float) -> str:
 
 
 @dataclass(frozen=True)
-class MetaPrompt:
-    rendered_text: str
-    structured_payload: dict
-
-
-@dataclass(frozen=True)
 class DecisionOutcome:
     allocation: AllocationRatio
     prompt_tokens: int
@@ -104,74 +103,46 @@ class DecisionOutcome:
 
 def build_meta_prompt(
     assessment: RiskAssessment,
-    kpm,
+    kpm: KpmSample,
     current_allocation: AllocationRatio,
     retrieved: Sequence,
     specs: Sequence[SliceSpec],
     radio_cfg: RadioConfig,
-) -> MetaPrompt:
-    """Render the reallocation prompt; byte-identical for equal payloads."""
-    payload = {
-        "interval": assessment.interval_index,
-        "total_rbs": radio_cfg.total_rbs,
-        "slices": [
-            {
-                "slice_id": spec.slice_id,
-                "kind": spec.kind.value,
-                "sla_target": spec.sla_target,
-                "latency_ms": kpm.slices[k].mean_latency_ms,
-                "throughput_mbps": kpm.slices[k].mean_throughput_mbps,
-                "drop_ratio": kpm.slices[k].drop_ratio,
-                "offered_mbps": kpm.slices[k].offered_load_mbps,
-                "rho": assessment.slices[k].rho,
-            }
-            for k, spec in enumerate(specs)
-        ],
-        "sigma": assessment.sigma,
-        "current_shares": list(current_allocation.shares),
-        "examples": [
-            {
-                "rates": list(r.arrival_rates_mbps),
-                "shares": list(r.allocation_shares),
-                "sigma": r.resulting_sigma,
-            }
-            for r in retrieved
-        ],
-    }
-
+) -> str:
+    """Render the reallocation prompt; byte-identical for equal inputs."""
     lines = [
         "You are a radio resource manager for a sliced RAN.",
         f"The gNB owns {radio_cfg.total_rbs} resource blocks shared by "
         f"{len(specs)} slices.",
         "Slice status this interval:",
     ]
-    for s in payload["slices"]:
-        if s["kind"] == SliceKind.LATENCY.value:
-            target = f"latency SLA {_fmt(s['sla_target'])} ms"
-            meas = f"measured latency {_fmt(s['latency_ms'])} ms"
+    for spec, s, risk in zip(specs, kpm.slices, assessment.slices):
+        if spec.kind is SliceKind.LATENCY:
+            target = f"latency SLA {_fmt(spec.sla_target)} ms"
+            meas = f"measured latency {_fmt(s.mean_latency_ms)} ms"
         else:
-            target = f"throughput target {_fmt(s['sla_target'])} Mbps"
-            meas = f"measured throughput {_fmt(s['throughput_mbps'])} Mbps"
+            target = f"throughput target {_fmt(spec.sla_target)} Mbps"
+            meas = f"measured throughput {_fmt(s.mean_throughput_mbps)} Mbps"
         lines.append(
-            f"- slice {s['slice_id']}: {target}, {meas}, "
-            f"offered {_fmt(s['offered_mbps'])} Mbps, "
-            f"drop ratio {_fmt(s['drop_ratio'])}, risk {_fmt(s['rho'])}"
+            f"- slice {spec.slice_id}: {target}, {meas}, "
+            f"offered {_fmt(s.offered_load_mbps)} Mbps, "
+            f"drop ratio {_fmt(s.drop_ratio)}, risk {_fmt(risk.rho)}"
         )
-    lines.append(f"Overall compliance index: {_fmt(payload['sigma'])}")
+    lines.append(f"Overall compliance index: {_fmt(assessment.sigma)}")
     lines.append(
         "Current allocation shares: ["
-        + ", ".join(_fmt(s) for s in payload["current_shares"])
+        + ", ".join(_fmt(s) for s in current_allocation.shares)
         + "]"
     )
-    if payload["examples"]:
+    if retrieved:
         lines.append("Historical decisions at similar traffic (best first):")
-        for ex in payload["examples"]:
+        for r in retrieved:
             lines.append(
                 "- rates ["
-                + ", ".join(_fmt(r) for r in ex["rates"])
+                + ", ".join(_fmt(x) for x in r.arrival_rates_mbps)
                 + "] shares ["
-                + ", ".join(_fmt(s) for s in ex["shares"])
-                + f"] compliance {_fmt(ex['sigma'])}"
+                + ", ".join(_fmt(x) for x in r.allocation_shares)
+                + f"] compliance {_fmt(r.resulting_sigma)}"
             )
     else:
         lines.append("No historical examples are available for this traffic.")
@@ -180,7 +151,7 @@ def build_meta_prompt(
         'Respond with a single JSON object {"shares": [..]} whose values '
         "sum to 1, one share per slice, and nothing else."
     )
-    return MetaPrompt(rendered_text="\n".join(lines), structured_payload=payload)
+    return "\n".join(lines)
 
 
 def parse_allocation_response(text: str, slice_count: int) -> AllocationRatio:
@@ -332,7 +303,7 @@ class Predictor:
 
 
 def heuristic_oracle_decide(
-    payload: dict,
+    current_allocation: AllocationRatio,
     predictor: Predictor,
 ) -> AllocationRatio:
     """Grid search over the latency slice's share, scored by predicted sigma.
@@ -358,10 +329,7 @@ def heuristic_oracle_decide(
         k for k, s in enumerate(specs) if s.kind is SliceKind.LATENCY
     )
     total = predictor.radio_cfg.total_rbs
-    current = ratio_to_rb_counts(
-        AllocationRatio(payload["current_shares"]), total
-    )
-    current_lat = current[latency_idx]
+    current_lat = ratio_to_rb_counts(current_allocation, total)[latency_idx]
 
     def key(counts):
         s = predictor.score(counts)
@@ -380,7 +348,10 @@ class Backend(Protocol):
     label: str
 
     def propose(
-        self, prompt: MetaPrompt, predictor: Optional[Predictor] = None
+        self,
+        prompt: str,
+        current_allocation: AllocationRatio,
+        predictor: Optional[Predictor] = None,
     ) -> DecisionOutcome: ...
 
 
@@ -390,15 +361,18 @@ class HeuristicOracleBackend:
     label = "oracle"
 
     def propose(
-        self, prompt: MetaPrompt, predictor: Optional[Predictor] = None
+        self,
+        prompt: str,
+        current_allocation: AllocationRatio,
+        predictor: Optional[Predictor] = None,
     ) -> DecisionOutcome:
         if predictor is None:
             raise BackendError("the oracle backend needs a predictor")
-        allocation = heuristic_oracle_decide(prompt.structured_payload, predictor)
+        allocation = heuristic_oracle_decide(current_allocation, predictor)
         response = json.dumps({"shares": list(allocation.shares)})
         return DecisionOutcome(
             allocation=allocation,
-            prompt_tokens=count_tokens(prompt.rendered_text),
+            prompt_tokens=count_tokens(prompt),
             completion_tokens=count_tokens(response),
             backend_label=self.label,
             raw_response=response,
@@ -420,20 +394,23 @@ class ScriptedBackend:
             return cls(json.load(fh))
 
     def propose(
-        self, prompt: MetaPrompt, predictor: Optional[Predictor] = None
+        self,
+        prompt: str,
+        current_allocation: AllocationRatio,
+        predictor: Optional[Predictor] = None,
     ) -> DecisionOutcome:
         if self._cursor >= len(self._decisions):
             raise BackendError("scripted backend exhausted")
         entry = self._decisions[self._cursor]
         self._cursor += 1
-        slice_count = len(prompt.structured_payload["current_shares"])
+        slice_count = len(current_allocation)
         try:
             allocation = AllocationRatio(entry["shares"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"invalid scripted shares ({exc})", str(entry)) from exc
         if len(allocation) != slice_count:
             raise ParseError("scripted shares have the wrong length", str(entry))
-        tokens = _token_counts(entry, count_tokens(prompt.rendered_text))
+        tokens = _token_counts(entry, count_tokens(prompt))
         if tokens is None:
             raise ParseError("invalid scripted token counts", str(entry))
         return DecisionOutcome(
@@ -450,20 +427,13 @@ class RemoteBackend:
 
     label = "remote"
 
-    def __init__(
-        self,
-        endpoint_url: str,
-        model: str,
-        timeout_s: float = 30.0,
-        session=None,
-    ) -> None:
+    def __init__(self, endpoint_url: str, model: str, session=None) -> None:
         if session is None:
             import requests
 
             session = requests.Session()
         self.endpoint_url = endpoint_url
         self.model = model
-        self.timeout_s = timeout_s
         self.session = session
 
     def _call(self, messages: list[dict]) -> tuple[str, int, int]:
@@ -481,7 +451,7 @@ class RemoteBackend:
         }
         try:
             resp = self.session.post(
-                self.endpoint_url, json=body, headers=headers, timeout=self.timeout_s
+                self.endpoint_url, json=body, headers=headers, timeout=REMOTE_TIMEOUT_S
             )
         except requests.Timeout as exc:
             raise BackendTimeoutError(str(exc)) from exc
@@ -503,10 +473,13 @@ class RemoteBackend:
         return content, *tokens
 
     def propose(
-        self, prompt: MetaPrompt, predictor: Optional[Predictor] = None
+        self,
+        prompt: str,
+        current_allocation: AllocationRatio,
+        predictor: Optional[Predictor] = None,
     ) -> DecisionOutcome:
-        slice_count = len(prompt.structured_payload["current_shares"])
-        messages = [{"role": "user", "content": prompt.rendered_text}]
+        slice_count = len(current_allocation)
+        messages = [{"role": "user", "content": prompt}]
         content, p_tok, c_tok = self._call(messages)
         try:
             allocation = parse_allocation_response(content, slice_count)

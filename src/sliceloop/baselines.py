@@ -3,15 +3,15 @@
 The optimizer enumerates every integer RB split (each slice at least one
 RB) and scores each with ``agents.Predictor``, the same one-interval
 evaluator the oracle uses.  It picks the split maximizing the throughput
-slices' total predicted throughput subject to the latency bounds (and
-throughput floors when declared); a latency slice that delivers nothing
-of its offered load meets no bound.  If nothing is feasible it falls back
-to the split with the best predicted compliance index.  Exponential in
-the slice count, so capped at three slices; at desk scale exactness is
-the point.
+slices' total predicted throughput subject to the latency bounds; a
+latency slice that delivers nothing of its offered load meets no bound.
+If nothing is feasible it falls back to the split with the best
+predicted compliance index.  Exponential in the slice count, so capped
+at three slices; at desk scale exactness is the point.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -52,16 +52,17 @@ def enumerate_splits(
     queue_cfg: QueueConfig,
     specs: Sequence[SliceSpec],
     state: Optional[SimState] = None,
-    throughput_floors: Optional[Sequence[float]] = None,
 ) -> list[EnumerationRow]:
     """Predicted KPM table for every feasible-by-construction RB split."""
     n = len(specs)
     if n < 2 or n > 3:
         raise UnsupportedScaleError(f"{n} slices (supported: 2 or 3)")
+    if not all(0 <= r < math.inf for r in offered_mbps):
+        raise ValueError(
+            f"offered_mbps must be finite and nonnegative, got {list(offered_mbps)}"
+        )
     if state is None:
         state = SimState.fresh(n)
-    if throughput_floors is None:
-        throughput_floors = [0.0] * n
     predictor = Predictor(offered_mbps, channels, radio_cfg, queue_cfg, specs, state)
 
     rows = []
@@ -69,16 +70,12 @@ def enumerate_splits(
         score = predictor.score(counts)
         kpm = score.kpm
         feasible = True
-        for k, spec in enumerate(specs):
-            s = kpm.slices[k]
-            if spec.kind is SliceKind.LATENCY:
-                # A starved slice reports 0 ms: it delivered nothing.
-                if (starved(s.delivered_count, s.offered_load_mbps)
-                        or not s.mean_latency_ms < spec.sla_target):
-                    feasible = False
-            elif throughput_floors[k] > 0:
-                if not s.mean_throughput_mbps > throughput_floors[k]:
-                    feasible = False
+        for spec, s in zip(specs, kpm.slices):
+            # A starved slice reports 0 ms: it delivered nothing.
+            if spec.kind is SliceKind.LATENCY and (
+                    starved(s.delivered_count, s.offered_load_mbps)
+                    or not s.mean_latency_ms < spec.sla_target):
+                feasible = False
         rows.append(
             EnumerationRow(
                 rb_counts=counts,
@@ -106,16 +103,13 @@ def brute_force_optimal(
     queue_cfg: QueueConfig,
     specs: Sequence[SliceSpec],
     state: Optional[SimState] = None,
-    throughput_floors: Optional[Sequence[float]] = None,
 ) -> OptimizerResult:
     """Exact per-interval optimum by enumeration.
 
     Ties break toward the fewest RBs on latency slices, then the lowest
     slice-0 count; the result is invariant to enumeration order.
     """
-    rows = enumerate_splits(
-        offered_mbps, channels, radio_cfg, queue_cfg, specs, state, throughput_floors
-    )
+    rows = enumerate_splits(offered_mbps, channels, radio_cfg, queue_cfg, specs, state)
     feasible_rows = [r for r in rows if r.feasible]
     if feasible_rows:
         pool = feasible_rows

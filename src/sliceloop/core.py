@@ -22,12 +22,16 @@ class InfeasibleAllocationError(ValueError):
     """The RB pool cannot give every slice its minimum of one RB."""
 
 
+def check_count(name: str, value) -> None:
+    """Raise ValueError, naming the field, unless value is an int >= 1 (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+
+
 def check_counts(config, *names: str) -> None:
-    """Raise ValueError, naming the field, unless each is an int >= 1 (not a bool)."""
+    """``check_count`` of each named field of config."""
     for name in names:
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+        check_count(name, getattr(config, name))
 
 
 @dataclass(frozen=True)

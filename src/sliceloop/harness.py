@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import AllocationRatio, RadioConfig, SliceKind, SliceSpec, check_counts
+from .core import AllocationRatio, RadioConfig, SliceKind, SliceSpec, check_count, check_counts
 from .agents import HeuristicOracleBackend, RemoteBackend, ScriptedBackend
 from .loop import Environment, ExperimentLog, run_experiment
 from .radio import QueueConfig, StepProfile, UeChannelState
@@ -250,6 +250,7 @@ def run_scenario2(
     policy's ``compute_distribution_stats`` of both sample lists, which
     the summary and the figure CSVs share.
     """
+    check_count("trials", trials)
     draws = scenario2_draws(config, trials, seed)
     policies = ["adaptive"] + list(FIXED_BASELINES)
     results = {

@@ -150,7 +150,7 @@ def run_cycle(
             offered, env.channels, env.radio_cfg, env.queue_cfg, env.specs, result.state
         )
         try:
-            decision = backend.propose(prompt, predictor)
+            decision = backend.propose(prompt, state.current_allocation, predictor)
             applied_allocation = decision.allocation
             if gate_enabled:
                 new_cooldown = env.cooldown_cycles()

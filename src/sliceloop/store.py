@@ -52,8 +52,8 @@ class ExperienceRecord:
     created_at_interval: int
 
     def __post_init__(self) -> None:
-        if self.resulting_sigma > 0:
-            raise ValueError("resulting_sigma must be nonpositive")
+        if not -math.inf < self.resulting_sigma <= 0:
+            raise ValueError(f"resulting_sigma must be finite and <= 0, got {self.resulting_sigma}")
         if len(self.arrival_rates_mbps) != len(self.kpm_summary):
             raise ValueError("arrival rates and KPM summary disagree on slice count")
 

@@ -218,7 +218,7 @@ def test_criterion_6_optimizer_oracle():
             continue
         predictor = Predictor(inst, channels, radio, queue, SPECS, SimState.fresh(2))
         agent = heuristic_oracle_decide(
-            {"current_shares": [0.5, 0.5]}, predictor
+            AllocationRatio([0.5, 0.5]), predictor
         )
         agent_counts = ratio_to_rb_counts(agent, radio.total_rbs)
         agent_obj, agent_feasible = _predicted_objective(

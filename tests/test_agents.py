@@ -62,12 +62,14 @@ def make_kpm(lat=25.0, thr=80.0, drop=0.0, off=(120.0, 80.0)):
     )
 
 
+CURRENT = AllocationRatio([0.5, 0.5])
+
+
 def make_prompt(retrieved=(), sigma_kpm=None):
     kpm = sigma_kpm or make_kpm()
     assessment = assess(kpm, SPECS, 0.7)
     return build_meta_prompt(
-        assessment, kpm, AllocationRatio([0.5, 0.5]), list(retrieved), SPECS,
-        RadioConfig(total_rbs=10),
+        assessment, kpm, CURRENT, list(retrieved), SPECS, RadioConfig(total_rbs=10),
     )
 
 
@@ -85,10 +87,10 @@ def make_predictor(offered=(120.0, 80.0), total_rbs=10, state=None):
 
 class TestBuildMetaPrompt:
     def test_deterministic(self):
-        assert make_prompt().rendered_text == make_prompt().rendered_text
+        assert make_prompt() == make_prompt()
 
     def test_no_examples_line(self):
-        text = make_prompt().rendered_text
+        text = make_prompt()
         assert "No historical examples" in text
 
     def test_examples_rendered(self):
@@ -96,17 +98,16 @@ class TestBuildMetaPrompt:
             0, (118.0, 82.0), (0.6, 0.4), -0.25,
             ({"latency_ms": 2.0}, {"latency_ms": 1.0}), 7,
         )
-        text = make_prompt(retrieved=[rec]).rendered_text
+        text = make_prompt(retrieved=[rec])
         assert "118.000" in text and "0.600" in text
 
     def test_fixed_precision_sigma(self):
         # sigma is rendered with exactly three decimals
-        prompt = make_prompt()
-        sigma = prompt.structured_payload["sigma"]
-        assert f"{sigma:.3f}" in prompt.rendered_text
+        sigma = assess(make_kpm(), SPECS, 0.7).sigma
+        assert f"{sigma:.3f}" in make_prompt()
 
     def test_output_contract_mentioned(self):
-        assert '{"shares": [..]}' in make_prompt().rendered_text
+        assert '{"shares": [..]}' in make_prompt()
 
 
 class TestParseAllocationResponse:
@@ -285,16 +286,14 @@ class TestPredictor:
 
 class TestHeuristicOracle:
     def test_fixed_point_under_light_load(self):
-        prompt = make_prompt(sigma_kpm=make_kpm(lat=1.0, off=(5.0, 5.0)))
         predictor = make_predictor(offered=(5.0, 5.0))
-        got = heuristic_oracle_decide(prompt.structured_payload, predictor)
+        got = heuristic_oracle_decide(CURRENT, predictor)
         assert got.shares == (0.5, 0.5)
 
     def test_overloaded_latency_slice_gains_share(self):
         # 5 RBs = 11 Mbps; slice 0 offered 16 needs more than half
-        prompt = make_prompt(sigma_kpm=make_kpm(off=(16.0, 4.0)))
         predictor = make_predictor(offered=(16.0, 4.0))
-        got = heuristic_oracle_decide(prompt.structured_payload, predictor)
+        got = heuristic_oracle_decide(CURRENT, predictor)
         assert got.shares[0] > 0.5
         kpm = predictor.predict([round(got.shares[0] * 10), round(got.shares[1] * 10)])
         assert kpm.slices[0].mean_latency_ms < 10.0
@@ -312,15 +311,13 @@ class TestHeuristicOracle:
                   -abs(i - current), -i), i)
             )
         best = max(scored, key=lambda t: t[0])[1]
-        prompt = make_prompt(sigma_kpm=make_kpm(off=offered))
-        got = heuristic_oracle_decide(prompt.structured_payload, predictor)
+        got = heuristic_oracle_decide(CURRENT, predictor)
         assert got.shares[0] == pytest.approx(best / 10)
 
     def test_never_worse_than_current(self):
         for offered in ((16.0, 4.0), (8.0, 14.0), (11.0, 11.0)):
             predictor = make_predictor(offered=offered)
-            prompt = make_prompt(sigma_kpm=make_kpm(off=offered))
-            got = heuristic_oracle_decide(prompt.structured_payload, predictor)
+            got = heuristic_oracle_decide(CURRENT, predictor)
             sigma_new = predictor.score(
                 [round(got.shares[0] * 10), round(got.shares[1] * 10)]
             ).sigma
@@ -346,21 +343,21 @@ class TestHeuristicOracle:
 
         predictor = FlatPredictor()
         predictor.specs = specs
-        got = heuristic_oracle_decide({"current_shares": [0.5, 0.5]}, predictor)
+        got = heuristic_oracle_decide(CURRENT, predictor)
         assert got.shares[latency_idx] == pytest.approx(0.4)
 
     def test_backend_wraps_decision_with_tokens(self):
         backend = HeuristicOracleBackend()
         prompt = make_prompt(sigma_kpm=make_kpm(off=(16.0, 4.0)))
         predictor = make_predictor(offered=(16.0, 4.0))
-        outcome = backend.propose(prompt, predictor)
-        assert outcome.prompt_tokens == count_tokens(prompt.rendered_text)
+        outcome = backend.propose(prompt, CURRENT, predictor)
+        assert outcome.prompt_tokens == count_tokens(prompt)
         assert outcome.completion_tokens > 0
         assert outcome.backend_label == "oracle"
 
     def test_backend_requires_predictor(self):
         with pytest.raises(BackendError):
-            HeuristicOracleBackend().propose(make_prompt())
+            HeuristicOracleBackend().propose(make_prompt(), CURRENT)
 
 
 class TestScriptedBackend:
@@ -368,17 +365,17 @@ class TestScriptedBackend:
         backend = ScriptedBackend(
             [{"shares": [0.6, 0.4], "prompt_tokens": 11, "completion_tokens": 3}]
         )
-        outcome = backend.propose(make_prompt())
+        outcome = backend.propose(make_prompt(), CURRENT)
         assert outcome.allocation.shares == (0.6, 0.4)
         assert (outcome.prompt_tokens, outcome.completion_tokens) == (11, 3)
         with pytest.raises(BackendError):
-            backend.propose(make_prompt())
+            backend.propose(make_prompt(), CURRENT)
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "decisions.json"
         path.write_text(json.dumps([{"shares": [0.55, 0.45]}]))
         backend = ScriptedBackend.from_file(path)
-        assert backend.propose(make_prompt()).allocation.shares == (0.55, 0.45)
+        assert backend.propose(make_prompt(), CURRENT).allocation.shares == (0.55, 0.45)
 
 
 class FakeResponse:
@@ -420,7 +417,7 @@ class TestRemoteBackend:
         session = FakeSession([FakeResponse('{"shares":[0.55,0.45]}')])
         backend = RemoteBackend("https://api.example/v1/chat", "some-model",
                                 session=session)
-        outcome = backend.propose(make_prompt())
+        outcome = backend.propose(make_prompt(), CURRENT)
         assert outcome.allocation.shares == (0.55, 0.45)
         assert (outcome.prompt_tokens, outcome.completion_tokens) == (10, 5)
         call = session.calls[0]
@@ -435,7 +432,7 @@ class TestRemoteBackend:
              FakeResponse('{"shares":[0.5,0.5]}')]
         )
         backend = RemoteBackend("https://api.example/v1/chat", "m", session=session)
-        outcome = backend.propose(make_prompt())
+        outcome = backend.propose(make_prompt(), CURRENT)
         assert outcome.allocation.shares == (0.5, 0.5)
         assert len(session.calls) == 2
         # token usage accumulates across the retry
@@ -445,7 +442,7 @@ class TestRemoteBackend:
         session = FakeSession([FakeResponse("nope"), FakeResponse("still nope")])
         backend = RemoteBackend("https://api.example/v1/chat", "m", session=session)
         with pytest.raises(ParseError):
-            backend.propose(make_prompt())
+            backend.propose(make_prompt(), CURRENT)
 
     def test_timeout_maps_to_backend_timeout(self):
         import requests
@@ -453,13 +450,13 @@ class TestRemoteBackend:
         session = FakeSession([requests.Timeout("too slow")])
         backend = RemoteBackend("https://api.example/v1/chat", "m", session=session)
         with pytest.raises(BackendTimeoutError):
-            backend.propose(make_prompt())
+            backend.propose(make_prompt(), CURRENT)
 
     def test_http_error(self):
         session = FakeSession([FakeResponse("oops", status=500)])
         backend = RemoteBackend("https://api.example/v1/chat", "m", session=session)
         with pytest.raises(BackendError):
-            backend.propose(make_prompt())
+            backend.propose(make_prompt(), CURRENT)
 
 
 class TestFailStatic:
@@ -486,7 +483,7 @@ class TestFailStatic:
     def test_scripted_shares_not_summing_to_one(self):
         entries = [{"shares": [0.9, 0.9]}] * 2
         with pytest.raises(ParseError):
-            ScriptedBackend(entries).propose(make_prompt())
+            ScriptedBackend(entries).propose(make_prompt(), CURRENT)
         self.run_cycles(ScriptedBackend(entries))
 
     @pytest.mark.parametrize(
@@ -498,7 +495,7 @@ class TestFailStatic:
     def test_scripted_bad_token_counts(self, tokens):
         entries = [{"shares": [0.7, 0.3], **tokens}] * 2
         with pytest.raises(ParseError):
-            ScriptedBackend(entries).propose(make_prompt())
+            ScriptedBackend(entries).propose(make_prompt(), CURRENT)
         self.run_cycles(ScriptedBackend(entries))
 
     @pytest.mark.parametrize(
@@ -518,7 +515,7 @@ class TestFailStatic:
                                  session=FakeSession(responses))
 
         with pytest.raises(error):
-            backend().propose(make_prompt())
+            backend().propose(make_prompt(), CURRENT)
         self.run_cycles(backend())
 
 

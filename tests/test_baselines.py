@@ -55,16 +55,6 @@ class TestEnumerateSplits:
             else:
                 assert r.latencies_ms[0] >= SPECS[0].sla_target
 
-    def test_throughput_floor_constrains(self):
-        radio, queue, channels = make_env()
-        rows = enumerate_splits(
-            [5.0, 15.0], channels, radio, queue, SPECS,
-            throughput_floors=[0.0, 12.0],
-        )
-        for r in rows:
-            if r.feasible:
-                assert r.throughputs_mbps[1] > 12.0
-
 
 class TestBruteForceOptimal:
     def test_matches_independent_enumeration(self):

@@ -202,6 +202,28 @@ class TestErrors:
         assert field in err["message"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_names_the_option(self, tmp_path, capsys, small_cfg,
+                                               trials):
+        rc = main(["scenario2", "--trials", trials, "--config", str(small_cfg),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert "trials" in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-5"])
+    def test_oracle_table_rejects_bad_offered_rate(self, tmp_path, capsys, small_cfg,
+                                                   rate):
+        rc = main(["oracle-table", "--rates", rate, "80", "--config", str(small_cfg),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert "offered_mbps" in err["message"]
+        assert not (tmp_path / "o").exists()
+
     def test_oracle_table_takes_no_seed(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["oracle-table", "--seed", "1", "--out", str(tmp_path / "o")])

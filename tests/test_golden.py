@@ -18,13 +18,19 @@ from pathlib import Path
 
 import numpy as np
 
-from sliceloop.agents import HeuristicOracleBackend, Predictor, heuristic_oracle_decide
+from sliceloop.agents import (
+    HeuristicOracleBackend,
+    Predictor,
+    build_meta_prompt,
+    heuristic_oracle_decide,
+)
 from sliceloop.baselines import brute_force_optimal, enumerate_splits
 from sliceloop.cli import main
-from sliceloop.core import RadioConfig, SliceKind, SliceSpec
+from sliceloop.core import AllocationRatio, KpmSample, RadioConfig, SliceKind, SliceKpm, SliceSpec
 from sliceloop.loop import Environment, run_experiment
 from sliceloop.radio import QueueConfig, SimState, StepProfile, UeChannelState, simulate_interval
-from sliceloop.store import ExperienceStore
+from sliceloop.sla import assess
+from sliceloop.store import ExperienceRecord, ExperienceStore
 
 SINR = 2.0 ** (2_200_000 / 180_000) - 1.0  # 2.2 Mbps per RB
 
@@ -80,11 +86,13 @@ def three_slice_digests() -> dict[str, str]:
         [30.0, 14.0, 9.0], [6, 8, 6], channels, radio, queue, SimState.fresh(3)
     ).state
     out = {}
-    for name, offered, state, floors in (
-        ("fresh", [12.0, 14.0, 9.0], None, None),
-        ("carried_floors", [12.0, 14.0, 9.0], carried, [0.0, 13.0, 0.0]),
+    # "carried_floors" once also declared throughput floors; no split is
+    # feasible with or without them, so its digests are the same.
+    for name, offered, state in (
+        ("fresh", [12.0, 14.0, 9.0], None),
+        ("carried_floors", [12.0, 14.0, 9.0], carried),
     ):
-        args = (offered, channels, radio, queue, specs, state, floors)
+        args = (offered, channels, radio, queue, specs, state)
         out[f"rows_{name}"] = _sha(repr(enumerate_splits(*args)))
         out[f"optimum_{name}"] = _sha(repr(brute_force_optimal(*args)))
     return out
@@ -108,8 +116,8 @@ def oracle_order_digests() -> dict[str, str]:
                 predictor = Predictor(offered, channels, radio, queue, specs,
                                       SimState.fresh(2))
                 for current in ([0.5, 0.5], [0.2, 0.8], [0.9, 0.1]):
-                    payload = {"current_shares": current}
-                    decisions.append(heuristic_oracle_decide(payload, predictor).shares)
+                    current = AllocationRatio(current)
+                    decisions.append(heuristic_oracle_decide(current, predictor).shares)
         order = "latency_first" if latency_first else "latency_second"
         out[f"decisions_{order}"] = _sha(repr(decisions))
 
@@ -150,6 +158,37 @@ def retrieval_digests() -> dict[str, str]:
     return out
 
 
+def prompt_digests() -> dict[str, str]:
+    """Meta-prompt text with the latency slice first and second, with no and
+    three retrieved records, and with the latency slice starved (rho clamped)."""
+    radio = RadioConfig(total_rbs=20)
+    current = AllocationRatio([0.35, 0.65])
+    records = [
+        ExperienceRecord(4, (14.25, 9.5), (0.45, 0.55), -0.0123456, ({}, {}), 4),
+        ExperienceRecord(9, (15.0, 8.75), (0.6, 0.4), -0.5, ({}, {}), 9),
+        ExperienceRecord(2, (13.3333, 10.0), (0.5, 0.5), -1.98765, ({}, {}), 2),
+    ]
+    latency = {
+        "served": SliceKpm(12.3456789, 13.9, 0.0071428, 14.0, 4862),
+        "starved": SliceKpm(0.0, 0.0, 1.0, 14.0, 0),
+    }
+    throughput = SliceKpm(1.25, 8.8765432, 0.0663, 9.5, 3086)
+    out = {}
+    for latency_first in (True, False):
+        if latency_first:
+            specs = [LATENCY, THROUGHPUT]
+        else:
+            specs = [replace(THROUGHPUT, slice_id=0), replace(LATENCY, slice_id=1)]
+        order = "latency_first" if latency_first else "latency_second"
+        for case, lat in latency.items():
+            kpm = KpmSample(3, [lat, throughput] if latency_first else [throughput, lat])
+            assessment = assess(kpm, specs, 0.7)
+            for retrieved in ([], records):
+                prompt = build_meta_prompt(assessment, kpm, current, retrieved, specs, radio)
+                out[f"{order}_{case}_{len(retrieved)}_records"] = _sha(prompt)
+    return out
+
+
 GOLDEN = {
     "tokens": {
         "config.json": "20463c0e43cb0379fd694c6d871ee1bffd33819d7f2cd3fbf2f486a08288d278",
@@ -186,6 +225,16 @@ GOLDEN = {
         "appended_5000": "1109ad85bde287def212970f81c3e493414a73f16ac276042ab627e0be4c1dfe",
         "appended_20000": "9fc54a7991ea4a7d5b249e731425ef838187fc10d0a7a70f059b4a7ee44f934b",
         "reloaded": "9fc54a7991ea4a7d5b249e731425ef838187fc10d0a7a70f059b4a7ee44f934b"
+    },
+    "prompt": {
+        "latency_first_served_0_records": "3a688352aad9dba4d075bd2a70ae5ca011ee1631897221a460b2a2efdd5e3c2e",
+        "latency_first_served_3_records": "6b9f70cbe98c6dbfc7bb0505988f5861228dd7184bd6880a8ceee039a4ae31c5",
+        "latency_first_starved_0_records": "d0051d4d644ad8ab447c8180baf1744cdc28a3aec1b03249fb63141a70ec181e",
+        "latency_first_starved_3_records": "9c1be002fe8e3fadf14ca056108d41aa2576413313fe18b215d444a15cf9ed03",
+        "latency_second_served_0_records": "25735ef8eeeab0aba00c34d7bdd713c4b2056c2ed07ef8c9645d8f181776cc6a",
+        "latency_second_served_3_records": "9b460b8bd186044d37f9d4d44d5facbbb779dc58257b9438a55dcff6751ca189",
+        "latency_second_starved_0_records": "ae1f01f13536a255cd167de271510195c6ea88e00022f8698b7538d5676a4d5c",
+        "latency_second_starved_3_records": "333516ce171e5b5629ef92ff3439fee2d25e6bb3719e63a05794220131067e77"
     }
 }
 
@@ -210,6 +259,10 @@ def test_oracle_decisions_in_both_slice_orders():
     assert oracle_order_digests() == GOLDEN["oracle_order"]
 
 
+def test_meta_prompt_text():
+    assert prompt_digests() == GOLDEN["prompt"]
+
+
 def test_retrieval_ids_while_appending_and_after_reload():
     assert retrieval_digests() == GOLDEN["retrieval"]
 
@@ -222,6 +275,7 @@ if __name__ == "__main__":
         "three_slice": three_slice_digests(),
         "oracle_order": oracle_order_digests(),
         "retrieval": retrieval_digests(),
+        "prompt": prompt_digests(),
     }
     json.dump(table, sys.stdout, indent=4)
     print()

@@ -47,7 +47,7 @@ class FixedDecisionBackend:
         self.shares = shares
         self.calls = 0
 
-    def propose(self, prompt, predictor=None):
+    def propose(self, prompt, current_allocation, predictor=None):
         self.calls += 1
         return DecisionOutcome(
             allocation=AllocationRatio(self.shares),
@@ -64,7 +64,7 @@ class AlwaysErrorBackend:
     def __init__(self):
         self.calls = 0
 
-    def propose(self, prompt, predictor=None):
+    def propose(self, prompt, current_allocation, predictor=None):
         self.calls += 1
         raise BackendError("simulated outage")
 

@@ -83,6 +83,25 @@ class TestRecord:
         with pytest.raises(ValueError):
             ExperienceRecord(0, (80.0, 80.0), (0.5, 0.5), 0.5, ({}, {}), 0)
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_non_finite_sigma_rejected(self, tmp_path, bad):
+        path = tmp_path / "store.jsonl"
+        store = ExperienceStore(2, path=path)
+        store.record(**make_record_args([80.0, 95.0], -0.25))
+        with pytest.raises(ValueError, match="resulting_sigma"):
+            store.record(**make_record_args([80.0, 95.0], bad))
+        assert len(store) == 1
+        assert len(path.read_text().splitlines()) == 1
+
+    def test_load_rejects_nan_sigma(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        ExperienceStore(2, path=path).record(**make_record_args([80.0, 95.0], -0.25))
+        line = path.read_text().replace('"sigma": -0.25', '"sigma": NaN')
+        assert "NaN" in line
+        path.write_text(line)
+        with pytest.raises(ValueError, match="resulting_sigma"):
+            ExperienceStore.load(path, 2)
+
     def test_dimension_mismatch(self):
         store = ExperienceStore(2)
         with pytest.raises(ValueError):
