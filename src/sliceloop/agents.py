@@ -45,7 +45,7 @@ from .radio import (
     QueueConfig,
     SimState,
     UeChannelState,
-    slice_kpm_table,
+    slice_kpm_tables,
 )
 from .sla import RiskAssessment, compliance_index, slice_risk
 
@@ -222,12 +222,13 @@ class Predictor:
     Slices share only the RB total, so a split's predicted KPMs and SLA
     risks are one entry per slice from that slice's response table: for
     every RB count it can hold, 1 to ``total_rbs - n + 1`` for n slices,
-    one interval's KPMs (one batched queue recursion,
-    ``radio.slice_kpm_table``), their ``sla.slice_risk`` and its term of
-    the violation excess.  The tables are computed on the first
-    ``predict`` or ``score``; each prediction is then a lookup, and each
-    score adds ``compliance_index`` and two sums.  The carried state is
-    never mutated.
+    one interval's KPMs, their ``sla.slice_risk`` and its term of the
+    violation excess.  One stacked queue recursion,
+    ``radio.slice_kpm_tables``, steps every slice's RB counts at once.
+    The tables are computed on the first ``predict`` or ``score``; each
+    prediction is then a lookup, and each score adds
+    ``compliance_index`` and two sums.  The carried state is never
+    mutated.
     """
 
     def __init__(
@@ -257,11 +258,8 @@ class Predictor:
     def _build_tables(self) -> None:
         n = len(self._state.queues)
         max_rbs = self.radio_cfg.total_rbs - n + 1
-        kpms = [
-            slice_kpm_table(self.offered_mbps[k], self.channels, self.radio_cfg,
-                            self.queue_cfg, self._state, k, max_rbs)
-            for k in range(n)
-        ]
+        kpms = slice_kpm_tables(self.offered_mbps, self.channels, self.radio_cfg,
+                                self.queue_cfg, self._state, max_rbs)
         rhos, excess = [], []
         for spec, row in zip(self.specs, kpms):
             risks = [slice_risk(spec, kpm) for kpm in row]

@@ -53,6 +53,9 @@ class SliceSpec:
     shape_b: float
 
     def __post_init__(self) -> None:
+        for name in ("sla_target", "weight", "shape_a", "shape_b"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sla_target <= 0:
             raise ValueError(f"sla_target must be > 0, got {self.sla_target}")
         if self.weight < 0:

@@ -13,10 +13,11 @@ granularity, so an unloaded slice reports one tick of transmission delay.
 
 ``simulate_interval`` advances the live queues with the scalar per-tick
 loop ``_advance_slice``, which also returns the carried FIFO.
-Predictions need no new state, only KPMs: ``slice_kpm_table`` steps the
-same recursion for every RB count of one slice at once
-(``_advance_slice_batch``), bit-identical to the scalar loop, so the
-KPMs of any candidate split are a lookup into one table per slice.
+Predictions need no new state, only KPMs: ``slice_kpm_tables`` steps
+the same recursion for every RB count of every slice at once, as the
+columns of one stacked tick loop (``_advance_slice_batch``),
+bit-identical to the scalar loop, so the KPMs of any candidate split
+are a lookup into one table per slice.
 """
 from __future__ import annotations
 
@@ -238,7 +239,8 @@ def _advance_slice(
     return new_state, acct, mean_latency_ticks, delivered
 
 
-# Ticks of admitted counts widened to int64 at a time after the loop.
+# Ticks widened to all columns at a time: arrivals in the loop, admitted
+# counts to int64 after it.
 _BLOCK_TICKS = 64
 
 
@@ -254,76 +256,92 @@ class SliceBatch:
 
 
 def _advance_slice_batch(
-    qs: SliceQueueState,
-    offered_bps: float,
+    queues: Sequence[SliceQueueState],
+    offered_bps: Sequence[float],
     service_bps: np.ndarray,
     n_ticks: int,
     tick_s: float,
     packet_bits: int,
     buffer_cap: int,
     start_tick: int,
-) -> SliceBatch:
-    """``_advance_slice`` for every service rate at once, without the new state.
+) -> list[SliceBatch]:
+    """``_advance_slice`` for every slice and service rate at once, without the new state.
 
-    Steps the same tick recursion with the same float operations in the
-    same order, vectorised across the rates, so every count and latency
-    equals the scalar loop's bit for bit.  Mean latency is the exact
-    integer sum of departure minus arrival ticks over the first
-    ``delivered`` packets in FIFO order, divided by ``delivered``; that
-    equals the scalar mean while the sums stay below 2**53.  Besides
-    length-M state, only the admitted counts per tick are kept, in the
-    smallest integer type that holds one tick's arrivals.
+    Row ``k`` of ``service_bps`` holds slice ``k``'s service rates; every
+    row has the same length M.  All slices step one tick recursion whose
+    columns are slice-major blocks of M, with the scalar loop's float
+    operations in its order, so every count and latency equals the
+    scalar loop's bit for bit.  Mean latency is the exact integer sum of
+    departure minus arrival ticks over the first ``delivered`` packets
+    in FIFO order, divided by ``delivered``; that equals the scalar mean
+    while the sums stay below 2**53.  Besides per-column state, only the
+    admitted counts per tick are kept, in the smallest integer type that
+    holds one tick's arrivals.  Returns one ``SliceBatch`` per slice.
     """
-    queued_before = len(qs.arrival_ticks)
-    if queued_before > buffer_cap:
+    n = len(queues)
+    c = np.asarray(service_bps, dtype=np.float64) * tick_s / packet_bits
+    if len(offered_bps) != n or len(c) != n:
+        raise InternalStateError("slice counts disagree across inputs")
+    queued_before = np.array([len(qs.arrival_ticks) for qs in queues], dtype=np.int64)
+    if queued_before.max() > buffer_cap:
         raise InternalStateError("queued backlog exceeds buffer capacity")
 
-    arrivals, offered, _ = _arrivals(qs, offered_bps, n_ticks, tick_s, packet_bits)
-    c = np.asarray(service_bps, dtype=np.float64) * tick_s / packet_bits
-    m = len(c)
+    per_slice = [_arrivals(qs, bps, n_ticks, tick_s, packet_bits)
+                 for qs, bps in zip(queues, offered_bps)]
+    arrivals = np.stack([a for a, _, _ in per_slice], axis=1)  # (n_ticks, n)
+    offered = np.array([o for _, o, _ in per_slice], dtype=np.int64)
+    m = c.shape[1]
+    width = n * m
 
     # Counts are whole numbers held in float64, exact far beyond any
     # buffer, so each tick is a handful of same-dtype ufunc calls.  Rows
     # of `books` are the queue length and the service credit; rows of
     # `step` are this tick's admissions and the per-tick service rate.
-    books = np.empty((2, m))
+    backlog = np.repeat(queued_before, m)
+    books = np.empty((2, width))
     q, credit = books
-    q.fill(queued_before)
-    credit.fill(qs.service_credit)
-    step = np.empty((2, m))
+    q[:] = backlog
+    credit[:] = np.repeat([qs.service_credit for qs in queues], m)
+    step = np.empty((2, width))
     adm = step[0]
-    step[1] = c
-    served = np.empty(m)
-    queue_sum = np.zeros(m)  # queue length after service, summed over ticks
-    cap = np.full(m, float(buffer_cap))
-    admitted = np.empty((n_ticks, m), dtype=np.min_scalar_type(int(arrivals.max())))
-    for t, a in enumerate(arrivals.astype(np.float64)):
-        np.subtract(cap, q, out=adm)
-        np.minimum(adm, a, out=adm)
-        books += step  # q += adm; credit += c
-        # int(credit) capped by q, as min(credit, q) truncated: q is whole
-        np.minimum(credit, q, out=served)
-        np.trunc(served, out=served)
-        q -= served
-        credit -= served
-        # credit = 0 where the queue is empty: otherwise q >= 1 > credit
-        np.minimum(credit, q, out=credit)
-        admitted[t] = adm
-        queue_sum += q
+    step[1] = c.ravel()
+    served = np.empty(width)
+    queue_sum = np.zeros(width)  # queue length after service, summed over ticks
+    cap = np.full(width, float(buffer_cap))
+    admitted = np.empty((n_ticks, width), dtype=np.min_scalar_type(int(arrivals.max())))
+    arrivals = arrivals.astype(np.float64)
+    for lo in range(0, n_ticks, _BLOCK_TICKS):
+        # This block's arrivals, each slice's widened to its M columns.
+        for t, a in enumerate(np.repeat(arrivals[lo:lo + _BLOCK_TICKS], m, axis=1), lo):
+            np.subtract(cap, q, out=adm)
+            np.minimum(adm, a, out=adm)
+            books += step  # q += adm; credit += c
+            # int(credit) capped by q, as min(credit, q) truncated: q is whole
+            np.minimum(credit, q, out=served)
+            np.trunc(served, out=served)
+            q -= served
+            credit -= served
+            # credit = 0 where the queue is empty: otherwise q >= 1 > credit
+            np.minimum(credit, q, out=credit)
+            admitted[t] = adm
+            queue_sum += q
 
     q = q.astype(np.int64)
     admitted_total = admitted.sum(axis=0, dtype=np.int64)
-    delivered = queued_before + admitted_total - q
+    delivered = backlog + admitted_total - q
     # The first `delivered` packets in FIFO order are the carried backlog,
     # then the first `new_delivered` admitted ones.  Tick offsets summed
     # over departures follow from the admissions and the queue lengths,
     # as s_t = adm_t + q_{t-1} - q_t:
     # sum(t * s_t) = sum(t * adm_t) + sum(q_t) - n_ticks * q_last.
-    new_delivered = np.maximum(delivered - queued_before, 0)
-    carried = np.concatenate(([0], np.cumsum(qs.arrival_ticks - start_tick)))
-    arrival_sum = carried[np.minimum(delivered, queued_before)]
-    new_tick_sum = np.zeros(m, dtype=np.int64)
-    before = np.zeros(m, dtype=np.int64)  # admitted before the block
+    new_delivered = np.maximum(delivered - backlog, 0)
+    arrival_sum = np.empty((n, m), dtype=np.int64)
+    for k, qs in enumerate(queues):
+        carried = np.concatenate(([0], np.cumsum(qs.arrival_ticks - start_tick)))
+        arrival_sum[k] = carried[np.minimum(delivered.reshape(n, m)[k], queued_before[k])]
+    arrival_sum = arrival_sum.reshape(width)
+    new_tick_sum = np.zeros(width, dtype=np.int64)
+    before = np.zeros(width, dtype=np.int64)  # admitted before the block
     for lo in range(0, n_ticks, _BLOCK_TICKS):
         block = admitted[lo:lo + _BLOCK_TICKS].astype(np.int64)
         ticks = np.arange(lo, lo + len(block))
@@ -334,15 +352,11 @@ def _advance_slice_batch(
         before = upto[-1]
     dep_tick_sum = new_tick_sum + queue_sum.astype(np.int64) - n_ticks * q
     latency_sum = dep_tick_sum - arrival_sum + delivered
-    mean_latency = np.zeros(m)
+    mean_latency = np.zeros(width)
     np.divide(latency_sum, delivered, out=mean_latency, where=delivered > 0)
-    return SliceBatch(
-        offered_packets=offered,
-        delivered_packets=delivered,
-        dropped_packets=offered - admitted_total,
-        queued_after=q,
-        mean_latency_ticks=mean_latency,
-    )
+    dropped = np.repeat(offered, m) - admitted_total
+    rows = zip(*(x.reshape(n, m) for x in (delivered, dropped, q, mean_latency)))
+    return [SliceBatch(int(o), *row) for o, row in zip(offered, rows)]
 
 
 def _interval_ticks(radio_cfg: RadioConfig, queue_cfg: QueueConfig) -> tuple[float, int, float]:
@@ -437,28 +451,32 @@ def simulate_interval(
     return IntervalResult(kpm=kpm, state=new_state, accounting=tuple(accounting))
 
 
-def slice_kpm_table(
-    offered_mbps: float,
+def slice_kpm_tables(
+    offered_mbps: Sequence[float],
     channels: Sequence[UeChannelState],
     radio_cfg: RadioConfig,
     queue_cfg: QueueConfig,
     state: SimState,
-    slice_id: int,
     max_rbs: int,
-) -> list[SliceKpm]:
-    """One slice's KPMs over the next interval for 1..max_rbs RBs.
+) -> list[list[SliceKpm]]:
+    """Every slice's KPMs over the next interval for 1..max_rbs RBs.
 
-    Entry ``i`` equals the KPMs ``simulate_interval`` reports for this
-    slice from ``state`` with ``i + 1`` RBs, whatever the other slices
-    hold, since slices share nothing but the RB total.  All RB counts
-    run in one batched queue recursion.
+    Entry ``[k][i]`` equals the KPMs ``simulate_interval`` reports for
+    slice ``k`` from ``state`` with ``i + 1`` RBs, whatever the other
+    slices hold, since slices share nothing but the RB total.  All slices
+    and RB counts run in one stacked queue recursion.  Raises
+    ``InternalStateError`` unless there is one offered rate per carried
+    queue.
     """
     tick_s, n_ticks, interval_s = _interval_ticks(radio_cfg, queue_cfg)
-    ue = _slice_ue(channels, slice_id)
-    service_bps = channel_capacity(ue, np.arange(1, max_rbs + 1), radio_cfg.rb_bandwidth_hz)
-    batch = _advance_slice_batch(
-        state.queues[slice_id],
-        offered_mbps * 1e6,
+    rbs = np.arange(1, max_rbs + 1)
+    service_bps = np.array([
+        channel_capacity(_slice_ue(channels, k), rbs, radio_cfg.rb_bandwidth_hz)
+        for k in range(len(state.queues))
+    ])
+    batches = _advance_slice_batch(
+        state.queues,
+        [mbps * 1e6 for mbps in offered_mbps],
         service_bps,
         n_ticks,
         tick_s,
@@ -467,11 +485,14 @@ def slice_kpm_table(
         state.tick,
     )
     return [
-        _slice_kpm(offered_mbps, batch.offered_packets, delivered, dropped, lat_ticks,
-                   queue_cfg, interval_s)
-        for delivered, dropped, lat_ticks in zip(
-            batch.delivered_packets.tolist(),
-            batch.dropped_packets.tolist(),
-            batch.mean_latency_ticks.tolist(),
-        )
+        [
+            _slice_kpm(mbps, batch.offered_packets, delivered, dropped, lat_ticks,
+                       queue_cfg, interval_s)
+            for delivered, dropped, lat_ticks in zip(
+                batch.delivered_packets.tolist(),
+                batch.dropped_packets.tolist(),
+                batch.mean_latency_ticks.tolist(),
+            )
+        ]
+        for mbps, batch in zip(offered_mbps, batches)
     ]

@@ -172,6 +172,16 @@ class TestErrors:
         assert "finite" in err["message"]
         assert not (tmp_path / "o").exists()
 
+    def test_non_finite_slice_weight_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "weight.json"
+        cfg.write_text(json.dumps({**SMALL, "s1_weight": float("nan")}))
+        rc = main(["scenario1", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert "weight" in err["message"]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("tick_ms", [2000.0, 0.7])
     def test_interval_not_whole_ticks_names_both_fields(self, tmp_path, capsys, tick_ms):
         cfg = tmp_path / "tick.json"

@@ -29,6 +29,14 @@ class TestSliceSpec:
         with pytest.raises(ValueError):
             SliceSpec(0, SliceKind.LATENCY, 10.0, -1.0, 10.0, 0.2)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["sla_target", "weight", "shape_a", "shape_b"])
+    def test_rejects_non_finite_field(self, field, value):
+        fields = dict(sla_target=10.0, weight=1.0, shape_a=10.0, shape_b=0.2)
+        fields[field] = value
+        with pytest.raises(ValueError, match=field):
+            SliceSpec(0, SliceKind.LATENCY, **fields)
+
 
 class TestRadioConfig:
     def test_threshold_bounds(self):

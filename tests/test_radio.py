@@ -19,6 +19,7 @@ from sliceloop.radio import (
     channel_capacity,
     generate_traffic,
     simulate_interval,
+    slice_kpm_tables,
 )
 
 
@@ -261,6 +262,30 @@ def carried_queues(draw):
     return cap, start, qs
 
 
+@st.composite
+def stacked_slices(draw):
+    """(buffer capacity, start tick, carried states, offered Mbps, service Mbps)
+    for 1-3 slices sharing one buffer capacity, each with its own backlog,
+    carries and rates, and the same number of service rates per slice."""
+    cap = draw(st.integers(1, 64))
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 6))
+    ages = [draw(st.lists(st.integers(0, 400), max_size=cap)) for _ in range(n)]
+    start = draw(st.integers(max(max(a, default=-1) for a in ages) + 1, 5000))
+    queues = [
+        SliceQueueState(
+            arrival_ticks=np.array(sorted(start - 1 - a for a in slice_ages), dtype=np.int64),
+            arrival_carry=draw(st.floats(0.0, 1.0, exclude_max=True)),
+            service_credit=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        )
+        for slice_ages in ages
+    ]
+    offered = draw(st.lists(st.floats(0.0, 40.0), min_size=n, max_size=n))
+    service = draw(st.lists(st.lists(st.floats(0.0, 40.0), min_size=m, max_size=m),
+                            min_size=n, max_size=n))
+    return cap, start, queues, offered, service
+
+
 class TestBatchedQueue:
     """``_advance_slice_batch`` against the scalar loop it vectorises."""
 
@@ -275,9 +300,9 @@ class TestBatchedQueue:
                                              service_mbps, n_ticks):
         cap, start, qs = carried
         tick_s, packet_bits = 0.001, 12_000
-        batch = _advance_slice_batch(qs, offered_mbps * 1e6,
-                                     np.array(service_mbps) * 1e6, n_ticks,
-                                     tick_s, packet_bits, cap, start)
+        batch = _advance_slice_batch([qs], [offered_mbps * 1e6],
+                                     np.array([service_mbps]) * 1e6, n_ticks,
+                                     tick_s, packet_bits, cap, start)[0]
         for i, mbps in enumerate(service_mbps):
             _, acct, latency, delivered = _advance_slice(
                 qs, offered_mbps * 1e6, mbps * 1e6, n_ticks, tick_s,
@@ -291,4 +316,35 @@ class TestBatchedQueue:
     def test_backlog_beyond_buffer_rejected(self):
         qs = SliceQueueState(arrival_ticks=np.zeros(5, dtype=np.int64))
         with pytest.raises(InternalStateError):
-            _advance_slice_batch(qs, 1e6, np.array([1e6]), 10, 0.001, 12_000, 4, 1)
+            _advance_slice_batch([qs], [1e6], np.array([[1e6]]), 10, 0.001, 12_000, 4, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(stacked=stacked_slices(), n_ticks=st.integers(1, 300))
+    def test_stacked_slices_match_scalar_loop_bit_for_bit(self, stacked, n_ticks):
+        cap, start, queues, offered_mbps, service_mbps = stacked
+        tick_s, packet_bits = 0.001, 12_000
+        batches = _advance_slice_batch(queues, [r * 1e6 for r in offered_mbps],
+                                       np.array(service_mbps) * 1e6, n_ticks,
+                                       tick_s, packet_bits, cap, start)
+        assert len(batches) == len(queues)
+        for qs, offered, rates, batch in zip(queues, offered_mbps, service_mbps, batches):
+            for i, mbps in enumerate(rates):
+                _, acct, latency, delivered = _advance_slice(
+                    qs, offered * 1e6, mbps * 1e6, n_ticks, tick_s,
+                    packet_bits, cap, start)
+                assert (batch.offered_packets, int(batch.delivered_packets[i]),
+                        int(batch.dropped_packets[i]), int(batch.queued_after[i])) == (
+                    acct.offered_packets, delivered, acct.dropped_packets,
+                    acct.queued_after)
+                assert float(batch.mean_latency_ticks[i]).hex() == latency.hex()
+                assert (batch.delivered_packets[i] + batch.dropped_packets[i]
+                        + batch.queued_after[i] - len(qs.arrival_ticks)
+                        == batch.offered_packets)
+
+    def test_slice_count_mismatch_rejected(self):
+        radio, queue, channels = make_env()
+        with pytest.raises(InternalStateError):
+            slice_kpm_tables([5.0], channels, radio, queue, SimState.fresh(2), 9)
+        with pytest.raises(InternalStateError):
+            _advance_slice_batch([SliceQueueState()] * 2, [1e6, 1e6], np.array([[1e6]]),
+                                 10, 0.001, 12_000, 4, 1)
