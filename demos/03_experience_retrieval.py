@@ -5,11 +5,15 @@ distance over the traffic-rate vector, then rank the shortlist by the
 compliance index achieved, so the agent sees the *best* decisions made
 under *similar* traffic — not merely the closest ones.
 
+The history is a JSONL file: reloading it gives a store that retrieves
+the same records.
+
 Run: python3 demos/03_experience_retrieval.py
 """
-from sliceloop import ExperienceStore
+import tempfile
+from pathlib import Path
 
-store = ExperienceStore(n_slices=2)
+from sliceloop import ExperienceStore
 
 history = [
     ([80.0, 80.0], (0.50, 0.50), -0.02),
@@ -19,22 +23,33 @@ history = [
     ([80.0, 125.0], (0.35, 0.65), -0.04),
     ([85.0, 120.0], (0.50, 0.50), -1.20),
 ]
-for rates, shares, sigma in history:
-    store.record(
-        arrival_rates_mbps=rates,
-        allocation_shares=shares,
-        resulting_sigma=sigma,
-        kpm_summary=[{}, {}],
-        created_at_interval=len(store.records),
-    )
-
 query = [121.0, 82.0]
+
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "history.jsonl"
+    store = ExperienceStore(n_slices=2, path=path)
+    for rates, shares, sigma in history:
+        store.record(
+            arrival_rates_mbps=rates,
+            allocation_shares=shares,
+            resulting_sigma=sigma,
+            kpm_summary=[{}, {}],
+            created_at_interval=len(store),
+        )
+    hits = store.retrieve(query, k=3)
+    reloaded = ExperienceStore.load(path, n_slices=2)
+    reloaded_ids = [rec.record_id for rec in reloaded.retrieve(query, k=3)]
+
 print(f"Query traffic: {query} Mbps")
 print()
 print("Top 3 retrieved experiences (best sigma among the nearest):")
-for rec in store.retrieve(query, k=3):
-    print(f"  rates {list(rec.arrival_rates_mbps)} "
+for rec in hits:
+    print(f"  record {rec.record_id}: rates {list(rec.arrival_rates_mbps)} "
           f"shares {list(rec.allocation_shares)} sigma {rec.resulting_sigma:+.2f}")
 print()
 print("Note record 1 (same traffic, bad sigma) ranks below record 2: "
       "distance shortlists, sigma decides.")
+ids = [rec.record_id for rec in hits]
+assert reloaded_ids == ids, (reloaded_ids, ids)
+print(f"Reloaded from {path.name} ({len(reloaded)} records): "
+      f"retrieves the same ids {reloaded_ids}.")

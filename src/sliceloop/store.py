@@ -1,15 +1,21 @@
 """Persistent experience store with distance-then-performance retrieval.
 
 Records are append-only JSON lines (one object per line, flushed per
-write) so the history is human-inspectable and survives crashes.
-Retrieval is an exact linear-time scan over a slice-major index: one row
-of arrival rates per slice and one array of sigmas, record ``i`` in
-column ``i``, built by ``load`` and extended by ``record`` into spare
-columns (the arrays double when full, so an append costs amortised
-O(1)).  Shortlist the ``3 * k`` records nearest to the query traffic
-vector by Euclidean distance, ties to the lower record id, then keep the
-``k`` with the best (least negative) historical sigma.  Final ordering
-is descending sigma, then ascending distance, then ascending record id.
+write) so the history is human-inspectable and survives crashes.  A
+line holds the record's id, which is its 0-based position in the file,
+its arrival rates, allocation shares, sigma, per-slice KPM summary and
+interval.  In memory the store keeps only the columns that retrieval and
+the prompt read: one row of arrival rates and one of shares per slice
+and one array of sigmas, record ``i`` in column ``i``.  The KPM summary
+and the interval are written but not kept.  ``load`` streams a history
+into the columns and ``record`` appends to spare ones; the arrays double
+when full, so an append costs amortised O(1).
+
+Retrieval is an exact linear-time scan over the rates.  Shortlist the
+``3 * k`` records nearest to the query traffic vector by Euclidean
+distance, ties to the lower record id, then keep the ``k`` with the best
+(least negative) historical sigma.  Final ordering is descending sigma,
+then ascending distance, then ascending record id.
 
 The squared differences are summed one slice at a time, in slice order,
 which is bit for bit what ``np.sum`` over a row of up to 7 slices
@@ -48,77 +54,45 @@ class ExperienceRecord:
     arrival_rates_mbps: Tuple[float, ...]
     allocation_shares: Tuple[float, ...]
     resulting_sigma: float
-    kpm_summary: Tuple[dict, ...]  # per slice: latency_ms, throughput_mbps, drop_ratio
-    created_at_interval: int
 
-    def __post_init__(self) -> None:
-        if not -math.inf < self.resulting_sigma <= 0:
-            raise ValueError(f"resulting_sigma must be finite and <= 0, got {self.resulting_sigma}")
-        if len(self.arrival_rates_mbps) != len(self.kpm_summary):
-            raise ValueError("arrival rates and KPM summary disagree on slice count")
 
-    def to_json_obj(self) -> dict:
-        return {
-            "id": self.record_id,
-            "rates": list(self.arrival_rates_mbps),
-            "shares": list(self.allocation_shares),
-            "sigma": self.resulting_sigma,
-            "kpm": list(self.kpm_summary),
-            "interval": self.created_at_interval,
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "ExperienceRecord":
-        return cls(
-            record_id=obj["id"],
-            arrival_rates_mbps=tuple(obj["rates"]),
-            allocation_shares=tuple(obj["shares"]),
-            resulting_sigma=obj["sigma"],
-            kpm_summary=tuple(obj["kpm"]),
-            created_at_interval=obj["interval"],
-        )
+def _grown(column: np.ndarray, n: int, capacity: int) -> np.ndarray:
+    """``column`` with its first ``n`` entries on the last axis kept and room for ``capacity``."""
+    out = np.empty(column.shape[:-1] + (capacity,))
+    out[..., :n] = column[..., :n]
+    return out
 
 
 class ExperienceStore:
-    """Single-writer store of ExperienceRecords over one slice topology."""
+    """Single-writer store of experience records over one slice topology."""
 
     def __init__(self, n_slices: int, path: Optional[Path] = None) -> None:
         self.n_slices = n_slices
         self.path = Path(path) if path is not None else None
-        self._records: list[ExperienceRecord] = []
-        # Column i < len(self) holds record i's arrival rates, one row per
-        # slice, and _sigmas[i] its sigma: the retrieval index.  Columns
-        # past that are spare capacity for `record`.
-        self._rates = np.empty((n_slices, 0), dtype=np.float64)
-        self._sigmas = np.empty(0, dtype=np.float64)
+        self._n = 0
+        # Columns past len(self) are spare capacity for `record`.
+        self._rates = np.empty((n_slices, 0))
+        self._shares = np.empty((n_slices, 0))
+        self._sigmas = np.empty(0)
 
     def __len__(self) -> int:
-        return len(self._records)
-
-    @property
-    def records(self) -> list[ExperienceRecord]:
-        return list(self._records)
+        return self._n
 
     @classmethod
     def load(cls, path: Path, n_slices: int) -> "ExperienceStore":
         """Read a JSONL history; later records are appended to the same file."""
-        with open(path) as fh:
-            records = [
-                ExperienceRecord.from_json_obj(json.loads(line))
-                for line in fh
-                if line.strip()
-            ]
-        if any(len(r.arrival_rates_mbps) != n_slices for r in records):
-            raise ValueError(f"{path}: every rate vector must have {n_slices} entries")
-        rates = np.array(
-            [r.arrival_rates_mbps for r in records], dtype=np.float64
-        ).reshape(len(records), n_slices)
-        if not np.isfinite(rates).all():
-            raise ValueError(f"{path}: every arrival rate must be finite")
         store = cls(n_slices, path=path)
-        store._records = records
-        store._rates = np.ascontiguousarray(rates.T)
-        store._sigmas = np.array([r.resulting_sigma for r in records], dtype=np.float64)
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                obj = json.loads(line)
+                try:
+                    if obj["id"] != store._n:
+                        raise ValueError(f"id must be the record position {store._n}, got {obj['id']!r}")
+                    store._append(obj["rates"], obj["shares"], obj["sigma"], len(obj["kpm"]))
+                except ValueError as exc:
+                    raise ValueError(f"{path}, line {lineno}: {exc}") from None
         return store
 
     def record(
@@ -130,39 +104,49 @@ class ExperienceStore:
         created_at_interval: int,
     ) -> int:
         """Append a record, assign the next sequential id, persist it."""
-        if len(arrival_rates_mbps) != self.n_slices:
-            raise ValueError("arrival rate vector length must equal slice count")
-        rec = ExperienceRecord(
-            record_id=len(self._records),
-            arrival_rates_mbps=tuple(float(r) for r in arrival_rates_mbps),
-            allocation_shares=tuple(float(s) for s in allocation_shares),
-            resulting_sigma=float(resulting_sigma),
-            kpm_summary=tuple(dict(k) for k in kpm_summary),
-            created_at_interval=int(created_at_interval),
-        )
-        if not all(math.isfinite(r) for r in rec.arrival_rates_mbps):
-            raise ValueError(f"arrival rates must be finite, got {rec.arrival_rates_mbps}")
-        n = len(self._records)
-        if n == len(self._sigmas):
-            capacity = max(2 * n, 16)
-            rates = np.empty((self.n_slices, capacity), dtype=np.float64)
-            rates[:, :n] = self._rates
-            sigmas = np.empty(capacity, dtype=np.float64)
-            sigmas[:n] = self._sigmas
-            self._rates, self._sigmas = rates, sigmas
-        self._rates[:, n] = rec.arrival_rates_mbps
-        self._sigmas[n] = rec.resulting_sigma
-        self._records.append(rec)
+        obj = {
+            "id": self._n,
+            "rates": [float(r) for r in arrival_rates_mbps],
+            "shares": [float(s) for s in allocation_shares],
+            "sigma": float(resulting_sigma),
+            "kpm": [dict(k) for k in kpm_summary],
+            "interval": int(created_at_interval),
+        }
+        self._append(obj["rates"], obj["shares"], obj["sigma"], len(obj["kpm"]))
         if self.path is not None:
             try:
                 with open(self.path, "a") as fh:
-                    fh.write(json.dumps(rec.to_json_obj()) + "\n")
+                    fh.write(json.dumps(obj) + "\n")
                     fh.flush()
             except OSError as exc:
                 # Keep the in-memory copy so the loop can continue.
                 log.warning("experience store write failed: %s", exc)
                 raise StorageError(str(exc)) from exc
-        return rec.record_id
+        return obj["id"]
+
+    def _append(self, rates: Sequence[float], shares: Sequence[float], sigma: float, n_kpm: int) -> None:
+        """Check one record against the slice count and add it as the next column."""
+        n_slices = self.n_slices
+        if len(rates) != n_slices:
+            raise ValueError(f"every rate vector must have {n_slices} entries, got {len(rates)}")
+        if not all(map(math.isfinite, rates)):
+            raise ValueError(f"arrival rates must be finite, got {list(rates)}")
+        if len(shares) != n_slices or not all(map(math.isfinite, shares)):
+            raise ValueError(f"allocation_shares must be {n_slices} finite values, got {list(shares)}")
+        if not -math.inf < sigma <= 0:
+            raise ValueError(f"resulting_sigma must be finite and <= 0, got {sigma}")
+        if n_kpm != n_slices:
+            raise ValueError("arrival rates and KPM summary disagree on slice count")
+        n = self._n
+        if n == len(self._sigmas):
+            capacity = max(2 * n, 16)
+            self._rates = _grown(self._rates, n, capacity)
+            self._shares = _grown(self._shares, n, capacity)
+            self._sigmas = _grown(self._sigmas, n, capacity)
+        self._rates[:, n] = rates
+        self._shares[:, n] = shares
+        self._sigmas[n] = sigma
+        self._n = n + 1
 
     def retrieve(self, query_rates: Sequence[float], k: int) -> list[ExperienceRecord]:
         """Two-stage nearest/best lookup, deterministic for any store state."""
@@ -173,7 +157,7 @@ class ExperienceStore:
         q = np.asarray(query_rates, dtype=np.float64)
         if not np.isfinite(q).all():
             raise ValueError(f"query rates must be finite, got {list(query_rates)}")
-        n = len(self._records)
+        n = self._n
         if n == 0:
             return []
         dist = self._distances(q)
@@ -188,11 +172,19 @@ class ExperienceStore:
         # Rank: best sigma first, then nearest, then lowest id.  The ids
         # are unique, so the shortlist's own order does not matter.
         order = np.lexsort((shortlist, dist[shortlist], -self._sigmas[shortlist]))[:k]
-        return [self._records[shortlist[i]] for i in order]
+        return [
+            ExperienceRecord(
+                int(i),
+                tuple(self._rates[:, i].tolist()),
+                tuple(self._shares[:, i].tolist()),
+                float(self._sigmas[i]),
+            )
+            for i in shortlist[order]
+        ]
 
     def _distances(self, q: np.ndarray) -> np.ndarray:
         """Euclidean distance from ``q`` to every record, summed in slice order."""
-        n = len(self._records)
+        n = self._n
         dist = np.zeros(n)
         d = np.empty(n)
         for row, q_k in zip(self._rates, q):

@@ -108,15 +108,14 @@ def test_criterion_4_token_gating():
                f"calls == {sum(violations)} violation cycles)", ok)
 
 
-def _brute_force_retrieve(records, query, k, multiplier=3):
-    """Full-scan reference for the documented two-stage retrieval rule."""
-    def dist(rec):
-        return math.sqrt(
-            sum((a - b) ** 2 for a, b in zip(rec.arrival_rates_mbps, query))
-        )
+def _brute_force_retrieve(rates, sigmas, query, k, multiplier=3):
+    """Full-scan reference for the documented two-stage retrieval rule over
+    the recorded rates and sigmas, record ``i`` at index ``i``; returns ids."""
+    def dist(i):
+        return math.sqrt(sum((a - b) ** 2 for a, b in zip(rates[i], query)))
 
-    shortlist = sorted(records, key=lambda r: (dist(r), r.record_id))[: multiplier * k]
-    ranked = sorted(shortlist, key=lambda r: (-r.resulting_sigma, dist(r), r.record_id))
+    shortlist = sorted(range(len(rates)), key=lambda i: (dist(i), i))[: multiplier * k]
+    ranked = sorted(shortlist, key=lambda i: (-sigmas[i], dist(i), i))
     return ranked[:k]
 
 
@@ -146,7 +145,7 @@ def test_criterion_5_retrieval_equivalence():
         query = list(rng.uniform(40.0, 160.0, size=2))
         k = int(rng.integers(1, 6))
         got = [r.record_id for r in store.retrieve(query, k)]
-        want = [r.record_id for r in _brute_force_retrieve(store.records, query, k)]
+        want = _brute_force_retrieve(rates.tolist(), sigmas.tolist(), query, k)
         if got != want:
             ok = False
             break

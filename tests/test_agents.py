@@ -94,10 +94,7 @@ class TestBuildMetaPrompt:
         assert "No historical examples" in text
 
     def test_examples_rendered(self):
-        rec = ExperienceRecord(
-            0, (118.0, 82.0), (0.6, 0.4), -0.25,
-            ({"latency_ms": 2.0}, {"latency_ms": 1.0}), 7,
-        )
+        rec = ExperienceRecord(0, (118.0, 82.0), (0.6, 0.4), -0.25)
         text = make_prompt(retrieved=[rec])
         assert "118.000" in text and "0.600" in text
 

@@ -164,9 +164,9 @@ def prompt_digests() -> dict[str, str]:
     radio = RadioConfig(total_rbs=20)
     current = AllocationRatio([0.35, 0.65])
     records = [
-        ExperienceRecord(4, (14.25, 9.5), (0.45, 0.55), -0.0123456, ({}, {}), 4),
-        ExperienceRecord(9, (15.0, 8.75), (0.6, 0.4), -0.5, ({}, {}), 9),
-        ExperienceRecord(2, (13.3333, 10.0), (0.5, 0.5), -1.98765, ({}, {}), 2),
+        ExperienceRecord(4, (14.25, 9.5), (0.45, 0.55), -0.0123456),
+        ExperienceRecord(9, (15.0, 8.75), (0.6, 0.4), -0.5),
+        ExperienceRecord(2, (13.3333, 10.0), (0.5, 0.5), -1.98765),
     ]
     latency = {
         "served": SliceKpm(12.3456789, 13.9, 0.0071428, 14.0, 4862),

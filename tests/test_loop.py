@@ -85,7 +85,7 @@ class TestFixedPolicy:
     def test_experience_recorded_every_cycle(self):
         store = ExperienceStore(2)
         run_experiment(make_env(), 10, backend=None, store=store)
-        assert len(store.records) == 10
+        assert len(store) == 10
 
 
 class TestGate:
@@ -183,16 +183,20 @@ class TestOracleClosedLoop:
     def test_store_grows_one_record_per_cycle(self):
         store = ExperienceStore(2)
         run_experiment(make_env(), 12, backend=HeuristicOracleBackend(), store=store)
-        assert len(store.records) == 12
+        assert len(store) == 12
 
-    def test_new_allocation_recorded_on_violation_cycle(self):
-        store = ExperienceStore(2)
+    def test_new_allocation_recorded_on_violation_cycle(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        store = ExperienceStore(2, path=path)
         backend = FixedDecisionBackend(shares=(0.8, 0.2))
         log = run_experiment(make_env(), 12, backend=backend, store=store)
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(lines) == len(log.cycles)
         for c in log.cycles:
-            rec = store.records[c.interval_index]
+            rec = lines[c.interval_index]
+            assert rec["id"] == c.interval_index
             if c.reallocated:
-                assert rec.allocation_shares == (0.8, 0.2)
+                assert rec["shares"] == [0.8, 0.2]
 
     def test_timeline_rows_shape(self):
         log = run_experiment(make_env(), 5, backend=None)

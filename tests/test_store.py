@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +14,10 @@ from sliceloop.store import ExperienceRecord, ExperienceStore
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
-def make_record_args(rates, sigma, shares=(0.5, 0.5)):
+def make_record_args(rates, sigma, shares=None):
     return {
         "arrival_rates_mbps": rates,
-        "allocation_shares": shares,
+        "allocation_shares": [1.0 / len(rates)] * len(rates) if shares is None else shares,
         "resulting_sigma": sigma,
         "kpm_summary": [
             {"latency_ms": 1.0, "throughput_mbps": r, "drop_ratio": 0.0} for r in rates
@@ -25,31 +26,52 @@ def make_record_args(rates, sigma, shares=(0.5, 0.5)):
     }
 
 
-def brute_force_retrieve(records, query, k, multiplier=3):
-    """Independent full-scan implementation of the documented two-stage rule."""
-    def dist(rec):
-        return math.sqrt(sum((a - b) ** 2 for a, b in zip(rec.arrival_rates_mbps, query)))
+def brute_force_retrieve(history, query, k, multiplier=3):
+    """Independent full-scan implementation of the documented two-stage rule.
 
-    by_distance = sorted(records, key=lambda r: (dist(r), r.record_id))
+    ``history`` holds the recorded ``(rates, sigma)`` pairs in record
+    order, so record ``i`` is ``history[i]``; returns record ids.
+    """
+    def dist(i):
+        return math.sqrt(sum((a - b) ** 2 for a, b in zip(history[i][0], query)))
+
+    by_distance = sorted(range(len(history)), key=lambda i: (dist(i), i))
     shortlist = by_distance[: multiplier * k]
-    ranked = sorted(shortlist, key=lambda r: (-r.resulting_sigma, dist(r), r.record_id))
+    ranked = sorted(shortlist, key=lambda i: (-history[i][1], dist(i), i))
     return ranked[:k]
 
 
-def argsort_retrieve_ids(store, query, k):
-    """The full stable-argsort retrieval that the partition shortlist replaced."""
-    records = store.records
-    n = len(records)
+def argsort_retrieve_ids(history, query, k):
+    """The full stable-argsort retrieval that the partition shortlist replaced,
+    over the recorded ``(rates, sigma)`` pairs in record order."""
+    n = len(history)
     if n == 0:
         return []
-    rates = np.array([r.arrival_rates_mbps for r in records], dtype=np.float64)
+    rates = np.array([r for r, _ in history], dtype=np.float64)
     q = np.asarray(query, dtype=np.float64)
     dist = np.sqrt(((rates - q) ** 2).sum(axis=1))
     m = min(3 * k, n)
     shortlist = np.argsort(dist, kind="stable")[:m]
-    sigmas = np.array([records[i].resulting_sigma for i in shortlist])
+    sigmas = np.array([history[i][1] for i in shortlist], dtype=np.float64)
     order = np.lexsort((shortlist, dist[shortlist], -sigmas))[:k]
     return [int(shortlist[i]) for i in order]
+
+
+def every_record(store):
+    """All of a store's records, by id, as ``retrieve`` builds them."""
+    hits = store.retrieve([0.0] * store.n_slices, max(len(store), 1))
+    return sorted(hits, key=lambda r: r.record_id)
+
+
+def write_lines(path, objs):
+    with open(path, "a") as fh:
+        for obj in objs:
+            fh.write(json.dumps(obj) + "\n")
+
+
+def line_obj(record_id, rates=(80.0, 95.0), shares=(0.5, 0.5), sigma=-0.25, kpm=({}, {})):
+    return {"id": record_id, "rates": list(rates), "shares": list(shares),
+            "sigma": sigma, "kpm": list(kpm), "interval": record_id}
 
 
 GRID_RATES = st.sampled_from([80.0, 85.0, 90.0, 95.0, 100.0])
@@ -80,8 +102,10 @@ class TestRecord:
         assert store.record(**make_record_args([90.0, 80.0], -0.2)) == 1
 
     def test_positive_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            ExperienceRecord(0, (80.0, 80.0), (0.5, 0.5), 0.5, ({}, {}), 0)
+        store = ExperienceStore(2)
+        with pytest.raises(ValueError, match="resulting_sigma"):
+            store.record(**make_record_args([80.0, 80.0], 0.5))
+        assert len(store) == 0
 
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     def test_non_finite_sigma_rejected(self, tmp_path, bad):
@@ -113,7 +137,11 @@ class TestRecord:
         store.record(**make_record_args([80.0, 95.0], -0.25))
         store.record(**make_record_args([120.0, 85.0], -0.75, shares=(0.6, 0.4)))
         reloaded = ExperienceStore.load(path, 2)
-        assert reloaded.records == store.records
+        assert len(reloaded) == len(store) == 2
+        assert every_record(reloaded) == every_record(store) == [
+            ExperienceRecord(0, (80.0, 95.0), (0.5, 0.5), -0.25),
+            ExperienceRecord(1, (120.0, 85.0), (0.6, 0.4), -0.75),
+        ]
 
     def test_load_rejects_rates_of_another_slice_count(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -137,12 +165,87 @@ class TestRecord:
     def test_load_rejects_non_finite_rates_naming_the_file(self, tmp_path, bad):
         path = tmp_path / "store.jsonl"
         ExperienceStore(2, path=path).record(**make_record_args([80.0, 95.0], -0.25))
-        obj = ExperienceRecord(1, (bad, 1.0), (0.5, 0.5), -0.25, ({}, {}), 0).to_json_obj()
-        with open(path, "a") as fh:
-            fh.write(json.dumps(obj) + "\n")
+        write_lines(path, [line_obj(1, rates=(bad, 1.0))])
         with pytest.raises(ValueError, match="finite") as exc:
             ExperienceStore.load(path, 2)
         assert str(path) in str(exc.value)
+
+    def test_jsonl_bytes_are_stable(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        store = ExperienceStore(2, path=path)
+        store.record([80, 95], (0.5, 0.5), -0.25, [
+            {"latency_ms": 1.0, "throughput_mbps": 80, "drop_ratio": 0.0},
+            {"latency_ms": 1.0, "throughput_mbps": 95, "drop_ratio": 0.0},
+        ], 0)
+        store.record([120.5, 85.25], (0.6, 0.4), -0.75, [
+            {"latency_ms": 2.5, "throughput_mbps": 110.125, "drop_ratio": 0.01},
+            {"latency_ms": 7.0, "throughput_mbps": 85.0, "drop_ratio": 0.0},
+        ], 3)
+        assert path.read_bytes() == (
+            b'{"id": 0, "rates": [80.0, 95.0], "shares": [0.5, 0.5], "sigma": -0.25, '
+            b'"kpm": [{"latency_ms": 1.0, "throughput_mbps": 80, "drop_ratio": 0.0}, '
+            b'{"latency_ms": 1.0, "throughput_mbps": 95, "drop_ratio": 0.0}], "interval": 0}\n'
+            b'{"id": 1, "rates": [120.5, 85.25], "shares": [0.6, 0.4], "sigma": -0.75, '
+            b'"kpm": [{"latency_ms": 2.5, "throughput_mbps": 110.125, "drop_ratio": 0.01}, '
+            b'{"latency_ms": 7.0, "throughput_mbps": 85.0, "drop_ratio": 0.0}], "interval": 3}\n'
+        )
+
+    @pytest.mark.parametrize("ids, bad_line", [([0, 0], 2), ([0, 2, 1], 2), ([7, 7, 3], 1)])
+    def test_load_rejects_ids_that_are_not_positions(self, tmp_path, ids, bad_line):
+        path = tmp_path / "store.jsonl"
+        write_lines(path, [line_obj(i) for i in ids])
+        with pytest.raises(ValueError, match=f"line {bad_line}: id") as exc:
+            ExperienceStore.load(path, 2)
+        assert str(path) in str(exc.value)
+
+    def test_load_counts_blank_lines_in_the_line_number(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        write_lines(path, [line_obj(0)])
+        with open(path, "a") as fh:
+            fh.write("\n")
+        write_lines(path, [line_obj(1), line_obj(1)])
+        with pytest.raises(ValueError, match="line 4: id"):
+            ExperienceStore.load(path, 2)
+
+    @pytest.mark.parametrize("shares", [(0.5, 0.5), (1.0,), (0.25, 0.25, 0.25, 0.25),
+                                        (0.5, math.nan, 0.5), (0.5, math.inf, 0.5)])
+    def test_record_rejects_shares_that_do_not_fit_the_slices(self, tmp_path, shares):
+        path = tmp_path / "store.jsonl"
+        store = ExperienceStore(3, path=path)
+        with pytest.raises(ValueError, match="allocation_shares"):
+            store.record(**make_record_args([80.0, 95.0, 70.0], -0.25, shares=shares))
+        assert len(store) == 0
+        assert not path.exists()
+
+    @pytest.mark.parametrize("shares", [(1.0,), (0.5, 0.25, 0.25), (0.5, math.nan)])
+    def test_load_rejects_shares_that_do_not_fit_the_slices(self, tmp_path, shares):
+        path = tmp_path / "store.jsonl"
+        write_lines(path, [line_obj(0), line_obj(1, shares=shares)])
+        with pytest.raises(ValueError, match="line 2: allocation_shares"):
+            ExperienceStore.load(path, 2)
+
+    def test_load_rejects_a_kpm_summary_of_another_slice_count(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        write_lines(path, [line_obj(0, kpm=({},))])
+        with pytest.raises(ValueError, match="KPM summary"):
+            ExperienceStore.load(path, 2)
+
+    def test_loaded_history_retains_only_its_columns(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        rng = np.random.default_rng(3)
+        writer = ExperienceStore(2, path=path)
+        for i in range(10_000):
+            writer.record(**make_record_args(list(rng.uniform(50.0, 150.0, size=2)),
+                                             -float(rng.uniform(0.0, 2.0))))
+        del writer
+        tracemalloc.start()
+        try:
+            store = ExperienceStore.load(path, 2)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(store) == 10_000
+        assert retained < 2_000_000
 
     def test_jsonl_field_names_are_stable(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -191,15 +294,18 @@ class TestRetrieve:
         rng = np.random.default_rng(11)
         for trial in range(30):
             store = ExperienceStore(2)
+            history = []
             n = int(rng.integers(0, 60))
             for _ in range(n):
-                rates = rng.choice(np.arange(80.0, 130.0, 5.0), size=2)
-                store.record(**make_record_args(list(rates), -float(rng.uniform(0, 2))))
+                rates = list(rng.choice(np.arange(80.0, 130.0, 5.0), size=2))
+                sigma = -float(rng.uniform(0, 2))
+                store.record(**make_record_args(rates, sigma))
+                history.append((rates, sigma))
             query = rng.uniform(70, 140, size=2)
             k = int(rng.integers(1, 6))
             got = store.retrieve(list(query), k)
-            want = brute_force_retrieve(store.records, list(query), k)
-            assert [r.record_id for r in got] == [r.record_id for r in want]
+            want = brute_force_retrieve(history, list(query), k)
+            assert [r.record_id for r in got] == want
 
     def test_retrieve_after_reload_identical(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -215,9 +321,8 @@ class TestRetrieve:
         ]
 
     def test_interleaved_load_record_retrieve_match_a_rebuilt_store(self, tmp_path):
-        # Appends fill spare rows of the rates index, which grows by
-        # doubling and restarts at the exact size on load; every retrieve
-        # must see exactly the records so far.
+        # Appends fill spare columns, which grow by doubling from wherever
+        # load left them; every retrieve must see exactly the records so far.
         path = tmp_path / "store.jsonl"
         rng = np.random.default_rng(17)
         grid = np.arange(80.0, 130.0, 5.0)
@@ -239,7 +344,7 @@ class TestRetrieve:
                         r.record_id for r in rebuilt.retrieve(query, k)
                     ]
             store = ExperienceStore.load(path, 2)
-            assert store.records == rebuilt.records
+            assert every_record(store) == every_record(rebuilt)
 
     @settings(max_examples=150, deadline=None)
     @given(case=retrieval_cases())
@@ -250,10 +355,12 @@ class TestRetrieve:
     def test_matches_stable_argsort_reference(self, case):
         n_slices, recorded, after_load, queries = case
 
+        history = []
+
         def check(store):
             for query, k in queries:
                 got = [r.record_id for r in store.retrieve(query, k)]
-                assert got == argsort_retrieve_ids(store, query, k)
+                assert got == argsort_retrieve_ids(history, query, k)
 
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "store.jsonl"
@@ -262,11 +369,13 @@ class TestRetrieve:
             check(store)
             for rates, sigma in recorded:
                 store.record(**make_record_args(rates, sigma))
+                history.append((rates, sigma))
                 check(store)
             store = ExperienceStore.load(path, n_slices)
             check(store)
             for rates, sigma in after_load:
                 store.record(**make_record_args(rates, sigma))
+                history.append((rates, sigma))
                 check(store)
 
     @pytest.mark.parametrize("n_slices", range(1, 8))
