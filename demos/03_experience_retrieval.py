@@ -16,13 +16,23 @@ from pathlib import Path
 from sliceloop import ExperienceStore
 
 history = [
-    ([80.0, 80.0], (0.50, 0.50), -0.02),
+    # Other traffic, with the best outcomes in the store.
+    ([80.0, 80.0], (0.50, 0.50), -0.01),
+    ([60.0, 60.0], (0.50, 0.50), -0.005),
+    ([80.0, 125.0], (0.35, 0.65), -0.02),
+    ([160.0, 40.0], (0.80, 0.20), -0.015),
+    # Traffic like the query's: these fill the 3 * k = 9 shortlist.
     ([120.0, 80.0], (0.50, 0.50), -1.90),   # stayed at 50-50: bad outcome
     ([120.0, 80.0], (0.62, 0.38), -0.03),   # shifted to the latency slice
     ([118.0, 85.0], (0.60, 0.40), -0.05),
-    ([80.0, 125.0], (0.35, 0.65), -0.04),
-    ([85.0, 120.0], (0.50, 0.50), -1.20),
+    ([124.0, 78.0], (0.64, 0.36), -0.04),
+    ([115.0, 84.0], (0.55, 0.45), -0.60),
+    ([122.0, 86.0], (0.50, 0.50), -1.40),
+    ([126.0, 80.0], (0.66, 0.34), -0.06),
+    ([119.0, 79.0], (0.58, 0.42), -0.20),
+    ([123.0, 83.0], (0.60, 0.40), -0.08),
 ]
+FAR = {0, 1, 2, 3}
 query = [121.0, 82.0]
 
 with tempfile.TemporaryDirectory() as tmp:
@@ -47,9 +57,11 @@ for rec in hits:
     print(f"  record {rec.record_id}: rates {list(rec.arrival_rates_mbps)} "
           f"shares {list(rec.allocation_shares)} sigma {rec.resulting_sigma:+.2f}")
 print()
-print("Note record 1 (same traffic, bad sigma) ranks below record 2: "
-      "distance shortlists, sigma decides.")
 ids = [rec.record_id for rec in hits]
+assert not FAR & set(ids), ids
+print(f"Records {sorted(FAR)} have the best sigmas in the store but other traffic,")
+print("so the shortlist leaves them out; record 4 (same traffic, bad sigma)")
+print("ranks below record 5: distance shortlists, sigma decides.")
 assert reloaded_ids == ids, (reloaded_ids, ids)
 print(f"Reloaded from {path.name} ({len(reloaded)} records): "
       f"retrieves the same ids {reloaded_ids}.")

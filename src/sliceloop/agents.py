@@ -17,9 +17,11 @@ one-interval lookahead that only the oracle reads:
 ``Predictor`` is the package's one evaluator of a hypothetical RB split:
 it looks the split up in per-slice response tables, which hold each
 slice's next-interval KPMs from the carried queue state and their SLA
-risk for every RB count, and sums the split's score from them.  The
-oracle here and the exhaustive optimizer in ``baselines`` are its two
-consumers; the live loop assesses measured KPMs with ``sla.assess``.
+risk for every RB count, and sums the split's score from them, one
+split at a time (``score``) or a whole array of splits at once
+(``score_splits``).  The oracle here scores one at a time and the
+exhaustive optimizer in ``baselines`` scores the array; the live loop
+assesses measured KPMs with ``sla.assess``.
 """
 from __future__ import annotations
 
@@ -28,6 +30,8 @@ import math
 import os
 from dataclasses import dataclass
 from typing import Optional, Protocol, Sequence
+
+import numpy as np
 
 from .core import (
     SUM_TOLERANCE,
@@ -225,10 +229,11 @@ class Predictor:
     one interval's KPMs, their ``sla.slice_risk`` and its term of the
     violation excess.  One stacked queue recursion,
     ``radio.slice_kpm_tables``, steps every slice's RB counts at once.
-    The tables are computed on the first ``predict`` or ``score``; each
-    prediction is then a lookup, and each score adds
-    ``compliance_index`` and two sums.  The carried state is never
-    mutated.
+    The tables are computed on first use; each prediction is then a
+    lookup, and each score adds ``compliance_index`` and two sums.
+    ``score_splits`` scores a whole array of splits at once: numpy
+    gathers from the tables and the same sums, slice by slice.  The
+    carried state is never mutated.
     """
 
     def __init__(
@@ -279,9 +284,13 @@ class Predictor:
             raise InternalStateError("RB counts must sum to the configured pool")
         if min(rb_counts) < 1:
             raise ValueError("every slice needs at least one RB")
+        return KpmSample(0, [row[c - 1] for row, c in zip(self.kpm_tables(), rb_counts)])
+
+    def kpm_tables(self) -> list[list[SliceKpm]]:
+        """Per slice, its predicted KPMs for 1 .. ``total_rbs - n + 1`` RBs."""
         if self._kpms is None:
             self._build_tables()
-        return KpmSample(0, [row[c - 1] for row, c in zip(self._kpms, rb_counts)])
+        return self._kpms
 
     def score(self, rb_counts: Sequence[int]) -> SplitScore:
         """Predicted KPMs, sigma, violation excess and throughput.
@@ -296,8 +305,35 @@ class Predictor:
         excess = 0.0
         for row, c in zip(self._excess, rb_counts):
             excess += row[c - 1]
-        thr = sum(kpm.slices[k].mean_throughput_mbps for k in self._throughput_slices)
+        thr = sum((kpm.slices[k].mean_throughput_mbps for k in self._throughput_slices), 0.0)
         return SplitScore(kpm, sigma, excess, thr)
+
+    def score_splits(self, splits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``score``'s sigma and throughput for each row of an ``(S, n)`` array of RB counts.
+
+        Bit for bit ``score(row).sigma`` and ``score(row).throughput_mbps``:
+        each slice's term is gathered from its table and the terms are
+        added slice by slice, left to right, as ``sum`` adds them there
+        (``np.sum`` over the slices would add pairwise).
+        """
+        n = len(self._state.queues)
+        if (splits.ndim != 2 or splits.shape[1] != n or len(self.offered_mbps) != n
+                or len(self.specs) != n):
+            raise InternalStateError("slice counts disagree across inputs")
+        if (splits.sum(axis=1) != self.radio_cfg.total_rbs).any():
+            raise InternalStateError("RB counts must sum to the configured pool")
+        if (splits < 1).any():
+            raise ValueError("every slice needs at least one RB")
+        kpms = self.kpm_tables()
+        index = splits.T - 1
+        risk = np.zeros(len(splits))
+        for w, rhos, i in zip(self._weights, self._rhos, index):
+            rho = np.array(rhos)[i]
+            risk += w * rho * rho
+        thr = np.zeros(len(splits))
+        for k in self._throughput_slices:
+            thr += np.array([s.mean_throughput_mbps for s in kpms[k]])[index[k]]
+        return -risk, thr
 
 
 def heuristic_oracle_decide(

@@ -8,15 +8,25 @@ latency slice that delivers nothing of its offered load meets no bound.
 If nothing is feasible it falls back to the split with the best
 predicted compliance index.  Exponential in the slice count, so capped
 at three slices; at desk scale exactness is the point.
+
+The table is built in one vectorised pass: the splits are one ``(S, n)``
+array, ``Predictor.score_splits`` scores all of them, and each row's
+KPMs and latency feasibility are gathered from per-slice, per-RB-count
+tables.  The optimum is picked in two linear passes, the best value
+first, then the tie-break among the rows that reach it exactly.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
+from operator import attrgetter
 from typing import Optional, Sequence, Tuple
 
+import numpy as np
+
 from .agents import Predictor
-from .core import AllocationRatio, RadioConfig, SliceKind, SliceSpec, rb_splits
+from .core import AllocationRatio, RadioConfig, SliceKind, SliceSpec
 from .radio import QueueConfig, SimState, UeChannelState
 from .sla import starved
 
@@ -64,30 +74,56 @@ def enumerate_splits(
     if state is None:
         state = SimState.fresh(n)
     predictor = Predictor(offered_mbps, channels, radio_cfg, queue_cfg, specs, state)
+    splits = _split_array(radio_cfg.total_rbs, n)
+    if not len(splits):
+        # Fewer RBs than slices: no split, so nothing to predict.
+        return []
+    sigma, objective = predictor.score_splits(splits)
 
-    rows = []
-    for counts in rb_splits(radio_cfg.total_rbs, n):
-        score = predictor.score(counts)
-        kpm = score.kpm
-        feasible = True
-        for spec, s in zip(specs, kpm.slices):
+    feasible = np.ones(len(splits), dtype=bool)
+    latencies, throughputs, drops = [], [], []
+    for spec, table, i in zip(specs, predictor.kpm_tables(), splits.T - 1):
+        # Object arrays keep the tables' own floats, which the rows share.
+        latencies.append(_gather([s.mean_latency_ms for s in table], i))
+        throughputs.append(_gather([s.mean_throughput_mbps for s in table], i))
+        drops.append(_gather([s.drop_ratio for s in table], i))
+        if spec.kind is SliceKind.LATENCY:
             # A starved slice reports 0 ms: it delivered nothing.
-            if spec.kind is SliceKind.LATENCY and (
-                    starved(s.delivered_count, s.offered_load_mbps)
-                    or not s.mean_latency_ms < spec.sla_target):
-                feasible = False
-        rows.append(
-            EnumerationRow(
-                rb_counts=counts,
-                latencies_ms=tuple(s.mean_latency_ms for s in kpm.slices),
-                throughputs_mbps=tuple(s.mean_throughput_mbps for s in kpm.slices),
-                drop_ratios=tuple(s.drop_ratio for s in kpm.slices),
-                sigma=score.sigma,
-                objective=score.throughput_mbps,
-                feasible=feasible,
-            )
+            feasible &= np.array([
+                not starved(s.delivered_count, s.offered_load_mbps)
+                and s.mean_latency_ms < spec.sla_target
+                for s in table
+            ])[i]
+    return [
+        EnumerationRow(*fields)
+        for fields in zip(
+            zip(*splits.T.tolist()),
+            zip(*latencies),
+            zip(*throughputs),
+            zip(*drops),
+            sigma.tolist(),
+            objective.tolist(),
+            feasible.tolist(),
         )
-    return rows
+    ]
+
+
+def _split_array(total_rbs: int, n: int) -> np.ndarray:
+    """Every split ``core.rb_splits(total_rbs, n)`` yields, in its order, as rows.
+
+    A split is fixed by its running totals, ``n - 1`` cut points strictly
+    between 0 and ``total_rbs``, and ``combinations`` yields those in the
+    lexicographic order that ``rb_splits`` gives the counts.
+    """
+    cuts = np.array(list(combinations(range(1, total_rbs), n - 1)), dtype=np.intp)
+    edges = np.pad(cuts.reshape(-1, n - 1), ((0, 0), (1, 1)),
+                   constant_values=(0, total_rbs))
+    return np.diff(edges, axis=1)
+
+
+def _gather(values: list, index: np.ndarray) -> list:
+    """``[values[i] for i in index]``, the same objects, by one numpy gather."""
+    return np.array(values, dtype=object)[index].tolist()
 
 
 def _latency_rb_total(counts: Sequence[int], specs: Sequence[SliceSpec]) -> int:
@@ -107,25 +143,20 @@ def brute_force_optimal(
     """Exact per-interval optimum by enumeration.
 
     Ties break toward the fewest RBs on latency slices, then the lowest
-    slice-0 count; the result is invariant to enumeration order.
+    slice-0 count, then the first split in ``core.rb_splits`` order.
     """
     rows = enumerate_splits(offered_mbps, channels, radio_cfg, queue_cfg, specs, state)
     feasible_rows = [r for r in rows if r.feasible]
-    if feasible_rows:
-        pool = feasible_rows
-        key = lambda r: (
-            -r.objective,
-            _latency_rb_total(r.rb_counts, specs),
-            r.rb_counts[0],
-        )
-    else:
-        pool = rows
-        key = lambda r: (
-            -r.sigma,
-            _latency_rb_total(r.rb_counts, specs),
-            r.rb_counts[0],
-        )
-    best = min(pool, key=key)
+    pool = feasible_rows or rows
+    value = attrgetter("objective" if feasible_rows else "sigma")
+    # The best value, then the tie-break among the rows that reach it
+    # exactly.  min keeps the first of equal keys, so the winner is the
+    # one min over (-value, latency RBs, slice-0 count) would pick.
+    best_value = max(map(value, pool))
+    best = min(
+        (r for r in pool if value(r) == best_value),
+        key=lambda r: (_latency_rb_total(r.rb_counts, specs), r.rb_counts[0]),
+    )
     total = radio_cfg.total_rbs
     return OptimizerResult(
         allocation=AllocationRatio([c / total for c in best.rb_counts]),

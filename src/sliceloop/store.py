@@ -86,12 +86,15 @@ class ExperienceStore:
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
-                obj = json.loads(line)
                 try:
+                    obj = json.loads(line)
                     if obj["id"] != store._n:
                         raise ValueError(f"id must be the record position {store._n}, got {obj['id']!r}")
                     store._append(obj["rates"], obj["shares"], obj["sigma"], len(obj["kpm"]))
-                except ValueError as exc:
+                except KeyError as exc:
+                    raise ValueError(f"{path}, line {lineno}: no {exc} field") from None
+                except (ValueError, TypeError) as exc:
+                    # A truncated line is a JSONDecodeError, a ValueError.
                     raise ValueError(f"{path}, line {lineno}: {exc}") from None
         return store
 

@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -269,6 +270,26 @@ class TestPredictor:
             predictor.predict([0, 10])
         with pytest.raises(InternalStateError):
             predictor.predict([5, 6])
+
+    def test_score_splits_checks_its_splits_like_predict(self):
+        predictor = make_predictor()
+        with pytest.raises(ValueError):
+            predictor.score_splits(np.array([[5, 5], [0, 10]]))
+        with pytest.raises(InternalStateError):
+            predictor.score_splits(np.array([[5, 5], [5, 6]]))
+        with pytest.raises(InternalStateError):
+            predictor.score_splits(np.array([[3, 3, 4]]))
+        with pytest.raises(InternalStateError):
+            predictor.score_splits(np.array([5, 5]))
+
+    def test_throughput_of_no_throughput_slice_is_a_float(self):
+        radio, queue = RadioConfig(total_rbs=10), QueueConfig()
+        channels = [UeChannelState(k, k, SINR) for k in range(2)]
+        specs = [SPECS[0], replace(SPECS[0], slice_id=1)]
+        predictor = Predictor([5.0, 5.0], channels, radio, queue, specs, SimState.fresh(2))
+        assert repr(predictor.score([5, 5]).throughput_mbps) == "0.0"
+        _, thr = predictor.score_splits(np.array([[5, 5]]))
+        assert thr.tolist() == [0.0]
 
     @pytest.mark.parametrize("ue_slices", [[0], [0, 1, 1]], ids=["no_ue", "two_ues"])
     def test_slice_without_exactly_one_ue_rejected(self, ue_slices):

@@ -1,15 +1,23 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sliceloop.baselines as baselines
+from sliceloop.agents import Predictor
 from sliceloop.baselines import (
+    EnumerationRow,
+    OptimizerResult,
     UnsupportedScaleError,
     brute_force_optimal,
     enumerate_splits,
 )
-from sliceloop.core import RadioConfig, SliceKind, SliceSpec
-from sliceloop.radio import QueueConfig, SimState, UeChannelState
+from sliceloop.core import AllocationRatio, RadioConfig, SliceKind, SliceSpec, rb_splits
+from sliceloop.radio import QueueConfig, SimState, UeChannelState, simulate_interval
+from sliceloop.sla import starved
 
 SINR = 2.0 ** (2_200_000 / 180_000) - 1.0  # 2.2 Mbps per RB
 
@@ -146,3 +154,166 @@ class TestBruteForceOptimal:
         )
         assert fresh.feasible
         assert not loaded.feasible
+
+
+def reference_rows(offered, channels, radio, queue, specs, state):
+    """The table split by split: one ``Predictor.score`` call per split."""
+    predictor = Predictor(offered, channels, radio, queue, specs, state)
+    rows = []
+    for counts in rb_splits(radio.total_rbs, len(specs)):
+        score = predictor.score(counts)
+        slices = score.kpm.slices
+        feasible = all(
+            spec.kind is SliceKind.THROUGHPUT
+            or (not starved(s.delivered_count, s.offered_load_mbps)
+                and s.mean_latency_ms < spec.sla_target)
+            for spec, s in zip(specs, slices)
+        )
+        rows.append(EnumerationRow(
+            rb_counts=counts,
+            latencies_ms=tuple(s.mean_latency_ms for s in slices),
+            throughputs_mbps=tuple(s.mean_throughput_mbps for s in slices),
+            drop_ratios=tuple(s.drop_ratio for s in slices),
+            sigma=score.sigma,
+            objective=score.throughput_mbps,
+            feasible=feasible,
+        ))
+    return rows
+
+
+def reference_optimum(rows, specs, total_rbs):
+    """One ``min`` over (-value, latency RBs, slice-0 count)."""
+    feasible = [r for r in rows if r.feasible]
+    pool, value = (feasible, "objective") if feasible else (rows, "sigma")
+    best = min(pool, key=lambda r: (
+        -getattr(r, value),
+        sum(c for c, spec in zip(r.rb_counts, specs) if spec.kind is SliceKind.LATENCY),
+        r.rb_counts[0],
+    ))
+    return OptimizerResult(
+        allocation=AllocationRatio([c / total_rbs for c in best.rb_counts]),
+        rb_counts=best.rb_counts,
+        feasible=bool(feasible),
+        objective=best.objective,
+        sigma=best.sigma,
+    )
+
+
+LAT, THR = SPECS
+
+
+def optimizer_args(specs, sinrs, offered, total_rbs, interval_s=1.0, carried=False):
+    n = len(specs)
+    radio = RadioConfig(total_rbs=total_rbs, monitoring_interval_s=interval_s)
+    queue = QueueConfig()
+    channels = [UeChannelState(k, k, x) for k, x in enumerate(sinrs)]
+    state = SimState.fresh(n)
+    if carried:
+        # Two overloaded intervals leave backlogs, arrival carries and credit.
+        counts = [total_rbs - n + 1] + [1] * (n - 1)
+        for _ in range(2):
+            state = simulate_interval([30.31, 25.13, 20.77][:n], counts, channels,
+                                      radio, queue, state).state
+    return list(offered), channels, radio, queue, list(specs), state
+
+
+def assert_matches_reference(args):
+    rows = enumerate_splits(*args)
+    want = reference_rows(*args)
+    assert [repr(r) for r in rows] == [repr(r) for r in want]
+    specs, total_rbs = args[4], args[2].total_rbs
+    assert repr(brute_force_optimal(*args)) == repr(reference_optimum(want, specs, total_rbs))
+    return rows
+
+
+@st.composite
+def optimizer_cases(draw):
+    n = draw(st.sampled_from([2, 3]))
+    # Weights that are not powers of two round differently in w * r * r
+    # and w * (r * r).
+    weights = st.sampled_from([1.0, 2.0, 0.3, 1.7])
+    specs = [
+        replace(LAT, slice_id=k, weight=draw(weights),
+                sla_target=draw(st.sampled_from([2.0, 10.0, 40.0])))
+        if draw(st.booleans())
+        else replace(THR, slice_id=k, weight=draw(weights),
+                     sla_target=draw(st.sampled_from([5.0, 1000.0])))
+        for k in range(n)
+    ]
+    sinrs = draw(st.lists(st.sampled_from([SINR, 0.01]), min_size=n, max_size=n))
+    rates = st.sampled_from([0.0, 4.0, 11.0]) | st.floats(0.0, 30.0)
+    offered = draw(st.lists(rates, min_size=n, max_size=n))
+    if n == 3 and draw(st.booleans()):
+        # Twin slices: every split and its swap score the same, forcing ties.
+        specs[2], sinrs[2], offered[2] = replace(specs[1], slice_id=2), sinrs[1], offered[1]
+    return (specs, sinrs, offered, draw(st.integers(n, 13)),
+            draw(st.sampled_from([0.1, 1.0])), draw(st.booleans()))
+
+
+class TestBatchEqualsScalarWalk:
+    @settings(max_examples=60, deadline=None)
+    @given(case=optimizer_cases())
+    def test_rows_and_optimum_match_the_score_walk(self, case):
+        assert_matches_reference(optimizer_args(*case))
+
+    def test_infeasible_fallback(self):
+        rows = assert_matches_reference(optimizer_args([LAT, THR], [SINR, SINR], [30.0, 4.0], 10))
+        assert not any(r.feasible for r in rows)
+
+    @pytest.mark.parametrize("carried", [False, True], ids=["fresh", "carried"])
+    def test_twin_throughput_slices_tie(self, carried):
+        specs = [LAT, THR, replace(THR, slice_id=2)]
+        args = optimizer_args(specs, [SINR] * 3, [5.0, 12.0, 12.0], 12, carried=carried)
+        rows = assert_matches_reference(args)
+        pool = [r for r in rows if r.feasible] or rows
+        value = [r.objective if r.feasible else r.sigma for r in pool]
+        assert value.count(max(value)) > 1
+
+    def test_starved_latency_slice(self):
+        rows = assert_matches_reference(
+            optimizer_args([THR, LAT], [SINR, 0.01], [10.0, 5.0], 10))
+        assert any(r.latencies_ms[1] == 0.0 and not r.feasible for r in rows)
+
+    def test_zero_offered_load(self):
+        specs = [THR, LAT, replace(THR, slice_id=2)]
+        rows = assert_matches_reference(optimizer_args(specs, [SINR] * 3, [0.0] * 3, 9))
+        assert all(r.feasible and r.objective == 0.0 for r in rows)
+
+    def test_latency_slice_last(self):
+        specs = [replace(THR, slice_id=0), replace(THR, slice_id=1), replace(LAT, slice_id=2)]
+        assert_matches_reference(
+            optimizer_args(specs, [SINR] * 3, [8.0, 6.0, 9.0], 12, carried=True))
+
+    def test_pool_smaller_than_the_slice_count_has_no_splits(self):
+        specs = [LAT, THR, replace(THR, slice_id=2)]
+        assert enumerate_splits(*optimizer_args(specs, [SINR] * 3, [1.0] * 3, 2)) == []
+
+    @pytest.mark.parametrize("n_slices", [2, 3])
+    def test_objective_of_latency_slices_only_is_a_float(self, n_slices):
+        specs = [replace(LAT, slice_id=k) for k in range(n_slices)]
+        args = optimizer_args(specs, [SINR] * n_slices, [4.0] * n_slices, 10)
+        rows = assert_matches_reference(args)
+        assert all(repr(r.objective) == "0.0" for r in rows)
+        assert "objective=0.0," in repr(brute_force_optimal(*args))
+
+    def test_split_array_is_rb_splits_in_order(self):
+        for total, n in ((2, 2), (10, 2), (3, 3), (12, 3), (2, 3)):
+            got = [tuple(row) for row in baselines._split_array(total, n).tolist()]
+            assert got == list(rb_splits(total, n))
+
+    def test_optimizer_reads_rows_through_the_module_level_enumerate_splits(
+            self, monkeypatch):
+        # Callers that wrap baselines.enumerate_splits see every row scored.
+        calls = []
+
+        def fake(*args, **kwargs):
+            calls.append(args)
+            row = EnumerationRow((2, 8), (1.0, 0.0), (4.0, 5.0), (0.0, 0.0),
+                                 -0.5, 5.0, True)
+            return [replace(row, rb_counts=(3, 7), objective=4.0), row]
+
+        monkeypatch.setattr(baselines, "enumerate_splits", fake)
+        radio, queue, channels = make_env()
+        got = brute_force_optimal([5.0, 5.0], channels, radio, queue, SPECS)
+        assert len(calls) == 1
+        assert got.rb_counts == (2, 8) and got.objective == 5.0

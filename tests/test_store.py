@@ -230,6 +230,32 @@ class TestRecord:
         with pytest.raises(ValueError, match="KPM summary"):
             ExperienceStore.load(path, 2)
 
+    def test_load_names_a_truncated_last_line(self, tmp_path):
+        # A crash mid-write leaves the last line cut short.
+        path = tmp_path / "store.jsonl"
+        write_lines(path, [line_obj(0)])
+        with open(path, "a") as fh:
+            fh.write(json.dumps(line_obj(1))[:30])
+        with pytest.raises(ValueError, match="line 2: Expecting") as exc:
+            ExperienceStore.load(path, 2)
+        assert str(path) in str(exc.value)
+
+    def test_load_names_a_line_without_a_field(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        incomplete = line_obj(1)
+        del incomplete["shares"]
+        write_lines(path, [line_obj(0), incomplete])
+        with pytest.raises(ValueError, match="line 2: no 'shares' field") as exc:
+            ExperienceStore.load(path, 2)
+        assert str(path) in str(exc.value)
+
+    def test_load_names_a_line_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        write_lines(path, [line_obj(0), [1, 2]])
+        with pytest.raises(ValueError, match="line 2: ") as exc:
+            ExperienceStore.load(path, 2)
+        assert str(path) in str(exc.value)
+
     def test_loaded_history_retains_only_its_columns(self, tmp_path):
         path = tmp_path / "store.jsonl"
         rng = np.random.default_rng(3)
