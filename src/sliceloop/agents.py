@@ -92,7 +92,7 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecisionOutcome:
     allocation: AllocationRatio
     prompt_tokens: int

@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .agents import Predictor
-from .core import AllocationRatio, RadioConfig, SliceKind, SliceSpec
+from .core import AllocationRatio, RadioConfig, SliceKind, SliceSpec, check_pool
 from .radio import QueueConfig, SimState, UeChannelState
 from .sla import starved
 
@@ -144,7 +144,10 @@ def brute_force_optimal(
 
     Ties break toward the fewest RBs on latency slices, then the lowest
     slice-0 count, then the first split in ``core.rb_splits`` order.
+    Raises ``InfeasibleAllocationError`` when the pool has fewer RBs than
+    there are slices.
     """
+    check_pool(radio_cfg.total_rbs, len(specs))
     rows = enumerate_splits(offered_mbps, channels, radio_cfg, queue_cfg, specs, state)
     feasible_rows = [r for r in rows if r.feasible]
     pool = feasible_rows or rows

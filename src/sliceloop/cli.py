@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from .baselines import enumerate_splits
+from .core import check_pool
 from .harness import (
     HarnessConfig,
     run_scenario1,
@@ -114,12 +115,14 @@ def main(argv: list[str] | None = None) -> int:
                 extra_csvs={"fig5_tokens.csv": (fields, rows)},
             )
         elif args.command == "oracle-table":
+            specs = config.specs()
+            check_pool(config.total_rbs, len(specs))
             rows = enumerate_splits(
                 list(args.rates),
                 config.channels(),
                 config.radio_cfg(),
                 config.queue_cfg(),
-                config.specs(),
+                specs,
             )
             out_rows = [
                 {

@@ -28,6 +28,14 @@ def check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
+def check_pool(total_rbs: int, n_slices: int) -> None:
+    """Raise InfeasibleAllocationError unless the pool holds one RB per slice."""
+    if total_rbs < n_slices:
+        raise InfeasibleAllocationError(
+            f"total_rbs ({total_rbs}) cannot cover {n_slices} slices at one RB each"
+        )
+
+
 def check_counts(config, *names: str) -> None:
     """``check_count`` of each named field of config."""
     for name in names:
@@ -90,7 +98,7 @@ class RadioConfig:
             raise ValueError("violation_threshold must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AllocationRatio:
     """Per-slice fractional share of the RB pool.
 
@@ -115,7 +123,7 @@ class AllocationRatio:
         return len(self.shares)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SliceKpm:
     """One slice's measured KPMs over a monitoring interval.
 
@@ -140,7 +148,7 @@ class SliceKpm:
             raise ValueError("cannot deliver more than offered")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KpmSample:
     """Measured KPMs for every slice over one monitoring interval."""
 
@@ -164,10 +172,7 @@ def ratio_to_rb_counts(ratio: AllocationRatio, total_rbs: int) -> list[int]:
     best-endowed slices.  The result always sums to ``total_rbs``.
     """
     n = len(ratio)
-    if total_rbs < n:
-        raise InfeasibleAllocationError(
-            f"{total_rbs} RBs cannot cover {n} slices at one RB each"
-        )
+    check_pool(total_rbs, n)
     quotas = [s * total_rbs for s in ratio.shares]
     counts = [math.floor(q) for q in quotas]
     remainders = [q - math.floor(q) for q in quotas]

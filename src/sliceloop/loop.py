@@ -44,7 +44,7 @@ class LoopState:
     cooldown_remaining: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleReport:
     interval_index: int
     kpm: KpmSample

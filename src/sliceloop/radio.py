@@ -12,12 +12,18 @@ buffer are dropped.  Latency is enqueue-to-dequeue time at tick
 granularity, so an unloaded slice reports one tick of transmission delay.
 
 ``simulate_interval`` advances the live queues with the scalar per-tick
-loop ``_advance_slice``, which also returns the carried FIFO.
+loop ``_advance_slice``, which also returns the carried FIFO.  The tick
+recursion is a discrete Lindley recursion: once the queue is empty and
+no later tick brings more packets than one tick serves, every later
+tick serves exactly its own arrivals, so the loop fills in the rest of
+such a drained stretch at once.
 Predictions need no new state, only KPMs: ``slice_kpm_tables`` steps
 the same recursion for every RB count of every slice at once, as the
 columns of one stacked tick loop (``_advance_slice_batch``),
 bit-identical to the scalar loop, so the KPMs of any candidate split
-are a lookup into one table per slice.
+are a lookup into one table per slice.  Both loops take mean latency
+from one formula, ``_fifo_latency``: an exact integer sum of departure
+minus arrival ticks over the delivered packets, in O(ticks).
 """
 from __future__ import annotations
 
@@ -138,7 +144,7 @@ class SimState:
         return cls(tick=0, queues=[SliceQueueState() for _ in range(n_slices)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SliceAccounting:
     """Exact packet-level books for one slice over one interval."""
 
@@ -149,7 +155,7 @@ class SliceAccounting:
     queued_after: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntervalResult:
     kpm: KpmSample
     state: SimState
@@ -183,6 +189,11 @@ def _advance_slice(
     Returns (new state, accounting, mean latency in ticks, delivered).
     Within a tick, arrivals join the queue first and service follows, so
     a packet served in its arrival tick experiences one tick of latency.
+
+    Once the queue is empty and no later tick brings more packets than
+    one tick serves, every later tick serves exactly its own arrivals:
+    nothing is dropped, nothing is carried and the credit stays 0.0, so
+    the rest of the interval is filled in at once.
     """
     queued_before = len(qs.arrival_ticks)
     if queued_before > buffer_cap:
@@ -190,17 +201,23 @@ def _advance_slice(
 
     arrivals, offered, carry_out = _arrivals(qs, offered_bps, n_ticks, tick_s, packet_bits)
     c = service_bps * tick_s / packet_bits  # service, packets per tick
+    # The most packets any tick from the end back brings: from tick
+    # `drained_from` on, no tick brings more than one tick serves.
+    suffix_max = np.maximum.accumulate(arrivals[::-1])
+    drained_from = int(np.count_nonzero(suffix_max > min(int(c), buffer_cap)))
 
     q = queued_before
     credit = qs.service_credit
     admitted = np.zeros(n_ticks, dtype=np.int64)
-    served = np.zeros(n_ticks, dtype=np.int64)
-    dropped = 0
+    queue_sum = 0  # queue length after service, summed over ticks
     for t in range(n_ticks):
+        if q == 0 and t >= drained_from:
+            admitted[t:] = arrivals[t:]
+            credit = 0.0
+            break
         a = int(arrivals[t])
         room = buffer_cap - q
         adm = a if a <= room else room
-        dropped += a - adm
         q += adm
         credit += c
         s = int(credit)
@@ -211,37 +228,90 @@ def _advance_slice(
         if q == 0:
             credit = 0.0
         admitted[t] = adm
-        served[t] = s
+        queue_sum += q
 
-    new_arrivals = np.repeat(start_tick + np.arange(n_ticks, dtype=np.int64), admitted)
-    all_arrivals = np.concatenate([qs.arrival_ticks, new_arrivals])
-    cum_served = np.cumsum(served)
-    delivered = int(cum_served[-1])
-    if delivered > 0:
-        dep_idx = np.searchsorted(cum_served, np.arange(delivered), side="right")
-        latency_ticks = (start_tick + dep_idx) - all_arrivals[:delivered] + 1
-        mean_latency_ticks = float(latency_ticks.mean())
-    else:
-        mean_latency_ticks = 0.0
-
+    delivered, latency = _fifo_latency([qs], admitted[:, None], np.array([queue_sum]),
+                                       np.array([q]), start_tick)
+    delivered = int(delivered[0])
+    carried = np.empty(0, dtype=np.int64)
+    if q:
+        # The undelivered packets: what is left of the carried backlog,
+        # then the last admitted ones, copied out of the interval's.
+        new_arrivals = np.repeat(start_tick + np.arange(n_ticks, dtype=np.int64), admitted)
+        carried = np.concatenate([qs.arrival_ticks[delivered:],
+                                  new_arrivals[max(delivered - queued_before, 0):]])
     new_state = SliceQueueState(
-        arrival_ticks=all_arrivals[delivered:],
+        arrival_ticks=carried,
         arrival_carry=carry_out,
         service_credit=credit,
     )
     acct = SliceAccounting(
         offered_packets=offered,
         delivered_packets=delivered,
-        dropped_packets=dropped,
+        dropped_packets=offered + queued_before - delivered - q,
         queued_before=queued_before,
-        queued_after=int(q),
+        queued_after=q,
     )
-    return new_state, acct, mean_latency_ticks, delivered
+    return new_state, acct, float(latency[0]), delivered
 
 
-# Ticks widened to all columns at a time: arrivals in the loop, admitted
-# counts to int64 after it.
+# Ticks widened to all columns at a time: arrivals in the stacked tick
+# loop, admitted counts to int64 for latency.  Latency takes more ticks
+# at a time while a block stays within _BLOCK_CELLS tick-column cells.
 _BLOCK_TICKS = 64
+_BLOCK_CELLS = 1 << 13
+
+
+def _fifo_latency(
+    queues: Sequence[SliceQueueState],
+    admitted: np.ndarray,
+    queue_sum: np.ndarray,
+    q: np.ndarray,
+    start_tick: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Delivered packets and their mean latency in ticks, per column.
+
+    ``admitted`` holds the admissions per tick (rows) of every column,
+    slice-major blocks of equal width, one per carried queue;
+    ``queue_sum`` is each column's queue length after service summed
+    over the ticks and ``q`` its last.  The delivered packets are the
+    first ``delivered`` in FIFO order: the carried backlog, then the
+    first admitted ones.  Mean latency is the exact integer sum of
+    departure minus arrival ticks, plus one, over them, divided by
+    ``delivered`` (0.0 when nothing was delivered): one rounding, which
+    equals the mean of the per-packet latencies while the sums stay
+    below 2**53.
+    """
+    n_ticks, width = admitted.shape
+    m = width // len(queues)
+    queued_before = np.array([len(qs.arrival_ticks) for qs in queues], dtype=np.int64)
+    backlog = np.repeat(queued_before, m)
+    delivered = backlog + admitted.sum(axis=0, dtype=np.int64) - q
+    new_delivered = np.maximum(delivered - backlog, 0)
+    arrival_sum = np.empty((len(queues), m), dtype=np.int64)
+    for k, qs in enumerate(queues):
+        carried = np.concatenate(([0], np.cumsum(qs.arrival_ticks - start_tick)))
+        arrival_sum[k] = carried[np.minimum(delivered.reshape(-1, m)[k], queued_before[k])]
+    arrival_sum = arrival_sum.reshape(width)
+    # Tick offsets summed over departures follow from the admissions and
+    # the queue lengths, as s_t = adm_t + q_{t-1} - q_t:
+    # sum(t * s_t) = sum(t * adm_t) + sum(q_t) - n_ticks * q_last.
+    new_tick_sum = np.zeros(width, dtype=np.int64)
+    before = np.zeros(width, dtype=np.int64)  # admitted before the block
+    block_ticks = max(_BLOCK_TICKS, _BLOCK_CELLS // width)
+    for lo in range(0, n_ticks, block_ticks):
+        block = admitted[lo:lo + block_ticks].astype(np.int64, copy=False)
+        ticks = np.arange(lo, lo + len(block))
+        upto = np.cumsum(block, axis=0) + before
+        first = np.clip(new_delivered - upto + block, 0, block)
+        new_tick_sum += ticks @ block
+        arrival_sum += ticks @ first
+        before = upto[-1]
+    dep_tick_sum = new_tick_sum + queue_sum - n_ticks * q
+    latency_sum = dep_tick_sum - arrival_sum + delivered
+    mean_latency = np.zeros(width)
+    np.divide(latency_sum, delivered, out=mean_latency, where=delivered > 0)
+    return delivered, mean_latency
 
 
 @dataclass(frozen=True)
@@ -270,13 +340,11 @@ def _advance_slice_batch(
     Row ``k`` of ``service_bps`` holds slice ``k``'s service rates; every
     row has the same length M.  All slices step one tick recursion whose
     columns are slice-major blocks of M, with the scalar loop's float
-    operations in its order, so every count and latency equals the
-    scalar loop's bit for bit.  Mean latency is the exact integer sum of
-    departure minus arrival ticks over the first ``delivered`` packets
-    in FIFO order, divided by ``delivered``; that equals the scalar mean
-    while the sums stay below 2**53.  Besides per-column state, only the
-    admitted counts per tick are kept, in the smallest integer type that
-    holds one tick's arrivals.  Returns one ``SliceBatch`` per slice.
+    operations in its order, so every count equals the scalar loop's bit
+    for bit, and latency comes from the same ``_fifo_latency``.  Besides
+    per-column state, only the admitted counts per tick are kept, in the
+    smallest integer type that holds one tick's arrivals.  Returns one
+    ``SliceBatch`` per slice.
     """
     n = len(queues)
     c = np.asarray(service_bps, dtype=np.float64) * tick_s / packet_bits
@@ -327,34 +395,9 @@ def _advance_slice_batch(
             queue_sum += q
 
     q = q.astype(np.int64)
-    admitted_total = admitted.sum(axis=0, dtype=np.int64)
-    delivered = backlog + admitted_total - q
-    # The first `delivered` packets in FIFO order are the carried backlog,
-    # then the first `new_delivered` admitted ones.  Tick offsets summed
-    # over departures follow from the admissions and the queue lengths,
-    # as s_t = adm_t + q_{t-1} - q_t:
-    # sum(t * s_t) = sum(t * adm_t) + sum(q_t) - n_ticks * q_last.
-    new_delivered = np.maximum(delivered - backlog, 0)
-    arrival_sum = np.empty((n, m), dtype=np.int64)
-    for k, qs in enumerate(queues):
-        carried = np.concatenate(([0], np.cumsum(qs.arrival_ticks - start_tick)))
-        arrival_sum[k] = carried[np.minimum(delivered.reshape(n, m)[k], queued_before[k])]
-    arrival_sum = arrival_sum.reshape(width)
-    new_tick_sum = np.zeros(width, dtype=np.int64)
-    before = np.zeros(width, dtype=np.int64)  # admitted before the block
-    for lo in range(0, n_ticks, _BLOCK_TICKS):
-        block = admitted[lo:lo + _BLOCK_TICKS].astype(np.int64)
-        ticks = np.arange(lo, lo + len(block))
-        upto = np.cumsum(block, axis=0) + before
-        first = np.clip(new_delivered - upto + block, 0, block)
-        new_tick_sum += ticks @ block
-        arrival_sum += ticks @ first
-        before = upto[-1]
-    dep_tick_sum = new_tick_sum + queue_sum.astype(np.int64) - n_ticks * q
-    latency_sum = dep_tick_sum - arrival_sum + delivered
-    mean_latency = np.zeros(width)
-    np.divide(latency_sum, delivered, out=mean_latency, where=delivered > 0)
-    dropped = np.repeat(offered, m) - admitted_total
+    delivered, mean_latency = _fifo_latency(queues, admitted, queue_sum.astype(np.int64),
+                                            q, start_tick)
+    dropped = np.repeat(offered, m) + backlog - delivered - q
     rows = zip(*(x.reshape(n, m) for x in (delivered, dropped, q, mean_latency)))
     return [SliceBatch(int(o), *row) for o, row in zip(offered, rows)]
 

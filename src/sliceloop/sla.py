@@ -35,13 +35,13 @@ _RHO_MIN = sys.float_info.min
 _EXP_ARG_MAX = 709.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SliceRisk:
     epsilon: float
     rho: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RiskAssessment:
     """Per-interval risk picture: epsilon/rho per slice, sigma, gate verdict."""
 

@@ -288,6 +288,11 @@ class TestBatchEqualsScalarWalk:
         specs = [LAT, THR, replace(THR, slice_id=2)]
         assert enumerate_splits(*optimizer_args(specs, [SINR] * 3, [1.0] * 3, 2)) == []
 
+    def test_optimizer_rejects_pool_smaller_than_the_slice_count(self):
+        specs = [LAT, THR, replace(THR, slice_id=2)]
+        with pytest.raises(ValueError, match=r"total_rbs \(2\) cannot cover 3 slices"):
+            brute_force_optimal(*optimizer_args(specs, [SINR] * 3, [1.0] * 3, 2))
+
     @pytest.mark.parametrize("n_slices", [2, 3])
     def test_objective_of_latency_slices_only_is_a_float(self, n_slices):
         specs = [replace(LAT, slice_id=k) for k in range(n_slices)]

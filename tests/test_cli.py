@@ -234,6 +234,17 @@ class TestErrors:
         assert "offered_mbps" in err["message"]
         assert not (tmp_path / "o").exists()
 
+    def test_oracle_table_rejects_pool_smaller_than_the_slice_count(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"total_rbs": 1}))
+        rc = main(["oracle-table", "--rates", "5", "5", "--config", str(cfg),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "InfeasibleAllocationError"
+        assert "total_rbs (1)" in err["message"] and "2 slices" in err["message"]
+        assert not (tmp_path / "o").exists()
+
     def test_oracle_table_takes_no_seed(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["oracle-table", "--seed", "1", "--out", str(tmp_path / "o")])

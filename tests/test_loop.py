@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -211,3 +212,27 @@ class TestOracleClosedLoop:
         b = run_experiment(make_env(), 10, backend=HeuristicOracleBackend())
         assert [c.rb_counts for c in a.cycles] == [c.rb_counts for c in b.cycles]
         assert a.cumulative_tokens == b.cumulative_tokens
+
+
+def dataclass_graph(obj):
+    """Every dataclass instance reachable from obj through fields and tuples."""
+    if isinstance(obj, tuple):
+        for item in obj:
+            yield from dataclass_graph(item)
+    elif dataclasses.is_dataclass(obj):
+        yield obj
+        for f in dataclasses.fields(obj):
+            yield from dataclass_graph(getattr(obj, f.name))
+
+
+class TestCycleReportMemory:
+    def test_report_graph_holds_no_instance_dict(self):
+        # Runs keep every cycle's report, so each object in it is slotted.
+        log = run_experiment(make_env(), 10, backend=HeuristicOracleBackend())
+        report = next(c for c in log.cycles if c.decision is not None)
+        graph = list(dataclass_graph(report))
+        kinds = {type(obj).__name__ for obj in graph}
+        assert {"CycleReport", "KpmSample", "SliceKpm", "RiskAssessment", "SliceRisk",
+                "SliceAccounting", "DecisionOutcome", "AllocationRatio"} <= kinds
+        for obj in graph:
+            assert not hasattr(obj, "__dict__"), type(obj).__name__

@@ -10,11 +10,13 @@ from sliceloop.radio import (
     InternalStateError,
     QueueConfig,
     SimState,
+    SliceAccounting,
     SliceQueueState,
     StepProfile,
     UeChannelState,
     _advance_slice,
     _advance_slice_batch,
+    _arrivals,
     _interval_ticks,
     channel_capacity,
     generate_traffic,
@@ -348,3 +350,91 @@ class TestBatchedQueue:
         with pytest.raises(InternalStateError):
             _advance_slice_batch([SliceQueueState()] * 2, [1e6, 1e6], np.array([[1e6]]),
                                  10, 0.001, 12_000, 4, 1)
+
+
+def reference_advance_slice(qs, offered_bps, service_bps, n_ticks, tick_s,
+                            packet_bits, buffer_cap, start_tick):
+    """``_advance_slice`` as a plain per-tick loop over the whole interval,
+    with every delivered packet's latency found by ``searchsorted``."""
+    queued_before = len(qs.arrival_ticks)
+    arrivals, offered, carry_out = _arrivals(qs, offered_bps, n_ticks, tick_s, packet_bits)
+    c = service_bps * tick_s / packet_bits
+    q = queued_before
+    credit = qs.service_credit
+    admitted = np.zeros(n_ticks, dtype=np.int64)
+    served = np.zeros(n_ticks, dtype=np.int64)
+    dropped = 0
+    for t in range(n_ticks):
+        a = int(arrivals[t])
+        room = buffer_cap - q
+        adm = a if a <= room else room
+        dropped += a - adm
+        q += adm
+        credit += c
+        s = int(credit)
+        if s > q:
+            s = q
+        q -= s
+        credit -= s
+        if q == 0:
+            credit = 0.0
+        admitted[t] = adm
+        served[t] = s
+
+    new_arrivals = np.repeat(start_tick + np.arange(n_ticks, dtype=np.int64), admitted)
+    all_arrivals = np.concatenate([qs.arrival_ticks, new_arrivals])
+    cum_served = np.cumsum(served)
+    delivered = int(cum_served[-1])
+    if delivered > 0:
+        dep_idx = np.searchsorted(cum_served, np.arange(delivered), side="right")
+        latency_ticks = (start_tick + dep_idx) - all_arrivals[:delivered] + 1
+        mean_latency_ticks = float(latency_ticks.mean())
+    else:
+        mean_latency_ticks = 0.0
+    new_state = SliceQueueState(all_arrivals[delivered:], carry_out, credit)
+    acct = SliceAccounting(offered, delivered, dropped, queued_before, q)
+    return new_state, acct, mean_latency_ticks, delivered
+
+
+@st.composite
+def live_slices(draw):
+    """``_advance_slice`` arguments whose queue drains from tick 0, from
+    mid-interval or never: any carried backlog, carry and credit, and a
+    per-tick service ``c`` at, just below or just above the most packets
+    any tick brings, or anywhere up to twice that."""
+    cap, start, qs = draw(carried_queues())
+    offered_bps = draw(st.floats(0.0, 40.0)) * 1e6
+    n_ticks = draw(st.integers(1, 300))
+    tick_s, packet_bits = 0.001, 12_000
+    most = int(_arrivals(qs, offered_bps, n_ticks, tick_s, packet_bits)[0].max())
+    c = draw(st.one_of(
+        st.sampled_from([most, math.nextafter(most, 0.0), math.nextafter(most, math.inf),
+                         most - 1e-9, most + 1e-9, most - 0.5, most + 0.5]),
+        st.floats(0.0, 2.0 * most + 1.0),
+    ))
+    service_bps = max(c, 0.0) * packet_bits / tick_s
+    return qs, offered_bps, service_bps, n_ticks, tick_s, packet_bits, cap, start
+
+
+class TestLiveQueue:
+    """``_advance_slice`` against the plain per-tick loop it shortcuts."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(args=live_slices())
+    def test_matches_reference_loop_bit_for_bit(self, args):
+        got_state, got_acct, got_latency, got_delivered = _advance_slice(*args)
+        ref_state, ref_acct, ref_latency, ref_delivered = reference_advance_slice(*args)
+        assert (got_acct, got_delivered) == (ref_acct, ref_delivered)
+        assert got_latency.hex() == ref_latency.hex()
+        assert np.array_equal(got_state.arrival_ticks, ref_state.arrival_ticks)
+        assert got_state.arrival_ticks.dtype == np.int64
+        assert got_state.arrival_carry.hex() == ref_state.arrival_carry.hex()
+        assert got_state.service_credit.hex() == ref_state.service_credit.hex()
+
+    def test_carried_fifo_owns_only_its_backlog(self):
+        # A loaded interval leaves a backlog; the carried FIFO must not be
+        # a view of the whole interval's packets.
+        qs, acct, _, _ = _advance_slice(SliceQueueState(), 30e6, 11e6, 1000, 0.001,
+                                        12_000, 256, 0)
+        assert len(qs.arrival_ticks) == acct.queued_after > 0
+        assert qs.arrival_ticks.base is None
