@@ -17,11 +17,11 @@ one-interval lookahead that only the oracle reads:
 ``Predictor`` is the package's one evaluator of a hypothetical RB split:
 it looks the split up in per-slice response tables, which hold each
 slice's next-interval KPMs from the carried queue state and their SLA
-risk for every RB count, and sums the split's score from them, one
-split at a time (``score``) or a whole array of splits at once
-(``score_splits``).  The oracle here scores one at a time and the
-exhaustive optimizer in ``baselines`` scores the array; the live loop
-assesses measured KPMs with ``sla.assess``.
+risk for every RB count, and ``score_splits`` sums the score of a whole
+array of splits at once (``score`` is its one-split case).  The oracle
+here and the exhaustive optimizer in ``baselines`` each score every
+split of ``core.rb_splits`` in one call; the live loop assesses measured
+KPMs with ``sla.assess``.
 """
 from __future__ import annotations
 
@@ -82,10 +82,11 @@ def count_tokens(text: str) -> int:
 
 def _token_counts(report: dict, prompt_default: int) -> Optional[tuple[int, int]]:
     """(prompt, completion) tokens a backend reports, or None unless both are
-    nonnegative ints.  A missing completion count is 0."""
+    nonnegative ints (not bools).  A missing completion count is 0."""
     tokens = (report.get("prompt_tokens", prompt_default),
               report.get("completion_tokens", 0))
-    return tokens if all(isinstance(t, int) and t >= 0 for t in tokens) else None
+    valid = all(isinstance(t, int) and not isinstance(t, bool) and t >= 0 for t in tokens)
+    return tokens if valid else None
 
 
 def _fmt(x: float) -> str:
@@ -230,10 +231,9 @@ class Predictor:
     violation excess.  One stacked queue recursion,
     ``radio.slice_kpm_tables``, steps every slice's RB counts at once.
     The tables are computed on first use; each prediction is then a
-    lookup, and each score adds ``compliance_index`` and two sums.
-    ``score_splits`` scores a whole array of splits at once: numpy
-    gathers from the tables and the same sums, slice by slice.  The
-    carried state is never mutated.
+    lookup, and ``score_splits`` scores a whole array of splits by numpy
+    gathers from the tables and sums slice by slice.  The carried state
+    is never mutated.
     """
 
     def __init__(
@@ -255,22 +255,21 @@ class Predictor:
         self._throughput_slices = [
             k for k, spec in enumerate(self.specs) if spec.kind is SliceKind.THROUGHPUT
         ]
-        # Response tables: per slice, indexed by RB count - 1.
+        # Response tables: one row per slice, indexed by RB count - 1.
         self._kpms: Optional[list[list[SliceKpm]]] = None
-        self._rhos: list[list[float]] = []
-        self._excess: list[list[float]] = []
+        self._rhos = self._excess = self._thr = np.empty((0, 0))
 
     def _build_tables(self) -> None:
         n = len(self._state.queues)
         max_rbs = self.radio_cfg.total_rbs - n + 1
         kpms = slice_kpm_tables(self.offered_mbps, self.channels, self.radio_cfg,
                                 self.queue_cfg, self._state, max_rbs)
-        rhos, excess = [], []
-        for spec, row in zip(self.specs, kpms):
-            risks = [slice_risk(spec, kpm) for kpm in row]
-            rhos.append([r.rho for r in risks])
-            excess.append([_excess(spec, r.epsilon) for r in risks])
-        self._kpms, self._rhos, self._excess = kpms, rhos, excess
+        risks = [[slice_risk(spec, kpm) for kpm in row] for spec, row in zip(self.specs, kpms)]
+        self._rhos = np.array([[r.rho for r in row] for row in risks])
+        self._excess = np.array([[_excess(spec, r.epsilon) for r in row]
+                                 for spec, row in zip(self.specs, risks)])
+        self._thr = np.array([[s.mean_throughput_mbps for s in row] for row in kpms])
+        self._kpms = kpms
 
     def predict(self, rb_counts: Sequence[int]) -> KpmSample:
         """Predicted KpmSample for the next interval under rb_counts.
@@ -293,28 +292,18 @@ class Predictor:
         return self._kpms
 
     def score(self, rb_counts: Sequence[int]) -> SplitScore:
-        """Predicted KPMs, sigma, violation excess and throughput.
+        """Predicted KPMs, and ``score_splits`` of the one split rb_counts."""
+        return SplitScore(self.predict(rb_counts),
+                          *(float(x[0]) for x in self.score_splits(np.array([rb_counts]))))
 
-        Equal field for field to scoring ``predict(rb_counts)`` with
-        ``sla.assess``, the excess counting a starved latency slice as 1e6.
-        """
-        kpm = self.predict(rb_counts)
-        sigma = compliance_index(
-            [row[c - 1] for row, c in zip(self._rhos, rb_counts)], self._weights
-        )
-        excess = 0.0
-        for row, c in zip(self._excess, rb_counts):
-            excess += row[c - 1]
-        thr = sum((kpm.slices[k].mean_throughput_mbps for k in self._throughput_slices), 0.0)
-        return SplitScore(kpm, sigma, excess, thr)
+    def score_splits(self, splits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sigma, violation excess and throughput of each row of an ``(S, n)`` array of RB counts.
 
-    def score_splits(self, splits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``score``'s sigma and throughput for each row of an ``(S, n)`` array of RB counts.
-
-        Bit for bit ``score(row).sigma`` and ``score(row).throughput_mbps``:
-        each slice's term is gathered from its table and the terms are
-        added slice by slice, left to right, as ``sum`` adds them there
-        (``np.sum`` over the slices would add pairwise).
+        Each equals scoring ``predict(row)`` with ``sla.assess``, the excess
+        counting a starved latency slice as 1e6: each slice's term is
+        gathered from its table and the terms are added slice by slice,
+        left to right, as ``sla.compliance_index`` adds them (``np.sum``
+        over the slices would add pairwise).
         """
         n = len(self._state.queues)
         if (splits.ndim != 2 or splits.shape[1] != n or len(self.offered_mbps) != n
@@ -324,16 +313,13 @@ class Predictor:
             raise InternalStateError("RB counts must sum to the configured pool")
         if (splits < 1).any():
             raise ValueError("every slice needs at least one RB")
-        kpms = self.kpm_tables()
+        self.kpm_tables()  # builds the tables on first use
         index = splits.T - 1
-        risk = np.zeros(len(splits))
-        for w, rhos, i in zip(self._weights, self._rhos, index):
-            rho = np.array(rhos)[i]
-            risk += w * rho * rho
-        thr = np.zeros(len(splits))
-        for k in self._throughput_slices:
-            thr += np.array([s.mean_throughput_mbps for s in kpms[k]])[index[k]]
-        return -risk, thr
+        rhos, excess, thr = (np.take_along_axis(table, index, axis=1)
+                             for table in (self._rhos, self._excess, self._thr))
+        zeros = np.zeros(len(splits))
+        return (compliance_index(rhos, self._weights), sum(excess, zeros),
+                sum(thr[self._throughput_slices], zeros))
 
 
 def heuristic_oracle_decide(
@@ -343,7 +329,8 @@ def heuristic_oracle_decide(
     """Grid search over the latency slice's share, scored by predicted sigma.
 
     Candidates are every split with at least one RB per slice, so every
-    latency-slice count from 1 to total - 1 (the current count included).
+    latency-slice count from 1 to total - 1 (the current count included),
+    all scored in one ``Predictor.score_splits`` call.
     Ties on predicted sigma go to the candidate with the smallest
     violation excess (which grades candidates apart when deep violations
     saturate the sigmoid), then to the higher predicted throughput for
@@ -364,14 +351,18 @@ def heuristic_oracle_decide(
     )
     total = predictor.radio_cfg.total_rbs
     current_lat = ratio_to_rb_counts(current_allocation, total)[latency_idx]
+    splits = rb_splits(total, 2)
+    # round() of Python floats: np.round differs on some halfway cases,
+    # and the rounding decides ties.
+    scores = zip(*(x.tolist() for x in predictor.score_splits(splits)),
+                 splits[:, latency_idx].tolist())
 
-    def key(counts):
-        s = predictor.score(counts)
-        lat = counts[latency_idx]
-        return (round(s.sigma, 6), -round(s.excess, 3), round(s.throughput_mbps, 1),
+    def key(score):
+        sigma, excess, thr, lat = score
+        return (round(sigma, 6), -round(excess, 3), round(thr, 1),
                 -abs(lat - current_lat), -lat)
 
-    chosen = max(rb_splits(total, 2), key=key)[latency_idx]
+    chosen = max(scores, key=key)[3]
     shares = [0.0, 0.0]
     shares[latency_idx] = chosen / total
     shares[1 - latency_idx] = 1.0 - chosen / total

@@ -9,8 +9,9 @@ If nothing is feasible it falls back to the split with the best
 predicted compliance index.  Exponential in the slice count, so capped
 at three slices; at desk scale exactness is the point.
 
-The table is built in one vectorised pass: the splits are one ``(S, n)``
-array, ``Predictor.score_splits`` scores all of them, and each row's
+The table is built in one vectorised pass: the splits are the ``(S, n)``
+array of ``core.rb_splits``, ``Predictor.score_splits`` scores all of
+them, the same call the oracle in ``agents`` makes, and each row's
 KPMs and latency feasibility are gathered from per-slice, per-RB-count
 tables.  The optimum is picked in two linear passes, the best value
 first, then the tie-break among the rows that reach it exactly.
@@ -19,14 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from operator import attrgetter
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .agents import Predictor
-from .core import AllocationRatio, RadioConfig, SliceKind, SliceSpec, check_pool
+from .core import AllocationRatio, RadioConfig, SliceKind, SliceSpec, check_pool, rb_splits
 from .radio import QueueConfig, SimState, UeChannelState
 from .sla import starved
 
@@ -74,11 +74,11 @@ def enumerate_splits(
     if state is None:
         state = SimState.fresh(n)
     predictor = Predictor(offered_mbps, channels, radio_cfg, queue_cfg, specs, state)
-    splits = _split_array(radio_cfg.total_rbs, n)
+    splits = rb_splits(radio_cfg.total_rbs, n)
     if not len(splits):
         # Fewer RBs than slices: no split, so nothing to predict.
         return []
-    sigma, objective = predictor.score_splits(splits)
+    sigma, _, objective = predictor.score_splits(splits)
 
     feasible = np.ones(len(splits), dtype=bool)
     latencies, throughputs, drops = [], [], []
@@ -106,19 +106,6 @@ def enumerate_splits(
             feasible.tolist(),
         )
     ]
-
-
-def _split_array(total_rbs: int, n: int) -> np.ndarray:
-    """Every split ``core.rb_splits(total_rbs, n)`` yields, in its order, as rows.
-
-    A split is fixed by its running totals, ``n - 1`` cut points strictly
-    between 0 and ``total_rbs``, and ``combinations`` yields those in the
-    lexicographic order that ``rb_splits`` gives the counts.
-    """
-    cuts = np.array(list(combinations(range(1, total_rbs), n - 1)), dtype=np.intp)
-    edges = np.pad(cuts.reshape(-1, n - 1), ((0, 0), (1, 1)),
-                   constant_values=(0, total_rbs))
-    return np.diff(edges, axis=1)
 
 
 def _gather(values: list, index: np.ndarray) -> list:

@@ -8,7 +8,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence, Tuple
+
+import numpy as np
 
 SUM_TOLERANCE = 1e-9
 
@@ -88,12 +91,11 @@ class RadioConfig:
 
     def __post_init__(self) -> None:
         check_counts(self, "total_rbs")
-        if self.rb_bandwidth_hz <= 0:
-            raise ValueError("rb_bandwidth_hz must be positive")
-        if not 0 < self.monitoring_interval_s < math.inf:
-            raise ValueError("monitoring_interval_s must be positive and finite")
-        if self.wait_period_s < 0:
-            raise ValueError("wait_period_s must be nonnegative")
+        for name in ("rb_bandwidth_hz", "monitoring_interval_s"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 0 <= self.wait_period_s < math.inf:
+            raise ValueError(f"wait_period_s must be finite and >= 0, got {self.wait_period_s}")
         if not 0.0 < self.violation_threshold < 1.0:
             raise ValueError("violation_threshold must lie in (0, 1)")
 
@@ -190,14 +192,15 @@ def ratio_to_rb_counts(ratio: AllocationRatio, total_rbs: int) -> list[int]:
     return counts
 
 
-def rb_splits(total_rbs: int, parts: int):
+def rb_splits(total_rbs: int, parts: int) -> np.ndarray:
     """Every split of ``total_rbs`` into ``parts`` integer counts >= 1.
 
-    Yields tuples in lexicographic order, so slice 0's count ascends.
+    Returns the splits as the rows of an ``(S, parts)`` int array in
+    lexicographic order, so slice 0's count ascends.  A split is fixed by
+    its running totals, ``parts - 1`` cut points strictly between 0 and
+    ``total_rbs``, and ``combinations`` yields those in the same order.
     """
-    if parts == 1:
-        yield (total_rbs,)
-        return
-    for i in range(1, total_rbs - parts + 2):
-        for rest in rb_splits(total_rbs - i, parts - 1):
-            yield (i,) + rest
+    cuts = np.array(list(combinations(range(1, total_rbs), parts - 1)), dtype=np.intp)
+    edges = np.pad(cuts.reshape(len(cuts), parts - 1), ((0, 0), (1, 1)),
+                   constant_values=(0, total_rbs))
+    return np.diff(edges, axis=1)

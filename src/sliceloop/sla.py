@@ -14,10 +14,11 @@ Conventions worth knowing:
 * A latency slice that delivered nothing while traffic was offered is
   total starvation and scores maximal risk rather than "no data".
 
-``slice_risk`` is the one per-slice formula: ``assess`` applies it to
-each slice of one interval's KPMs, and ``agents.Predictor`` tables it for
-every RB count a slice can hold, so that scoring a candidate split is
-lookups plus ``compliance_index``.
+``slice_risk`` is the one per-slice formula and ``compliance_index`` the
+one sigma formula: ``assess`` applies both to one interval's KPMs, and
+``agents.Predictor`` tables ``slice_risk`` for every RB count a slice can
+hold, then calls ``compliance_index`` once with an array of risks per
+slice to score a whole array of candidate splits.
 """
 from __future__ import annotations
 
@@ -93,11 +94,16 @@ def risk_factor(epsilon: float, spec: SliceSpec) -> float:
     return min(max(rho, _RHO_MIN), _RHO_MAX)
 
 
-def compliance_index(rhos: Sequence[float], weights: Sequence[float]) -> float:
-    """Negative weighted sum of squared risks; 0 only with zero risk everywhere."""
+def compliance_index(rhos: Sequence, weights: Sequence[float]):
+    """Negative weighted sum of squared risks; 0 only with zero risk everywhere.
+
+    One risk per slice, each a float or an array (one entry per candidate
+    split, say); the terms are added slice by slice, left to right, so an
+    array's every entry is the scalar call on that entry's risks.
+    """
     if len(rhos) != len(weights):
         raise ValueError(f"{len(rhos)} risks vs {len(weights)} weights")
-    return -float(sum(w * r * r for r, w in zip(rhos, weights)))
+    return -sum((w * r * r for r, w in zip(rhos, weights)), 0.0)
 
 
 def starved(delivered: int, offered_mbps: float) -> bool:

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sliceloop.agents import (
@@ -17,7 +17,6 @@ from sliceloop.agents import (
     Predictor,
     RemoteBackend,
     ScriptedBackend,
-    SplitScore,
     build_meta_prompt,
     count_tokens,
     heuristic_oracle_decide,
@@ -31,7 +30,6 @@ from sliceloop.core import (
     SliceKpm,
     SliceSpec,
     ratio_to_rb_counts,
-    rb_splits,
 )
 from sliceloop.loop import Environment, run_experiment
 from sliceloop.radio import (
@@ -44,6 +42,7 @@ from sliceloop.radio import (
 )
 from sliceloop.sla import assess
 from sliceloop.store import ExperienceRecord
+from split_reference import reference_splits
 
 SINR = 2.0 ** (2_200_000 / 180_000) - 1.0  # 2.2 Mbps per RB
 
@@ -197,7 +196,7 @@ class TestPredictor:
                        for q in state.queues)
         offered = [26.31, 9.7, 14.0][:n_slices]
         predictor = Predictor(offered, channels, radio, queue, specs, state)
-        for counts in rb_splits(20, n_slices):
+        for counts in reference_splits(20, n_slices):
             expected = simulate_interval(offered, counts, channels, radio, queue, state)
             assert repr(predictor.predict(counts)) == repr(expected.kpm)
 
@@ -254,7 +253,7 @@ class TestPredictor:
         for specs, sinrs, offered in cases:
             channels = [UeChannelState(k, k, x) for k, x in enumerate(sinrs)]
             predictor = Predictor(offered, channels, radio, queue, specs, state)
-            for counts in rb_splits(20, n_slices):
+            for counts in reference_splits(20, n_slices):
                 got = predictor.score(counts)
                 want = self.reference_score(predictor, counts)
                 assert [float.hex(x) for x in (got.sigma, got.excess, got.throughput_mbps)] \
@@ -288,7 +287,7 @@ class TestPredictor:
         specs = [SPECS[0], replace(SPECS[0], slice_id=1)]
         predictor = Predictor([5.0, 5.0], channels, radio, queue, specs, SimState.fresh(2))
         assert repr(predictor.score([5, 5]).throughput_mbps) == "0.0"
-        _, thr = predictor.score_splits(np.array([[5, 5]]))
+        _, _, thr = predictor.score_splits(np.array([[5, 5]]))
         assert thr.tolist() == [0.0]
 
     @pytest.mark.parametrize("ue_slices", [[0], [0, 1, 1]], ids=["no_ue", "two_ues"])
@@ -300,6 +299,28 @@ class TestPredictor:
         predictor = Predictor([5.0, 5.0], channels, radio, queue, SPECS, SimState.fresh(2))
         with pytest.raises(InternalStateError, match="slice 1"):
             predictor.predict([5, 5])
+
+
+def reference_oracle(current_allocation, predictor):
+    """The oracle split by split: ``max`` over the recursive enumeration,
+    keyed on one ``Predictor.score`` call per split."""
+    latency_idx = next(
+        k for k, s in enumerate(predictor.specs) if s.kind is SliceKind.LATENCY
+    )
+    total = predictor.radio_cfg.total_rbs
+    current_lat = ratio_to_rb_counts(current_allocation, total)[latency_idx]
+
+    def key(counts):
+        s = predictor.score(counts)
+        lat = counts[latency_idx]
+        return (round(s.sigma, 6), -round(s.excess, 3), round(s.throughput_mbps, 1),
+                -abs(lat - current_lat), -lat)
+
+    chosen = max(reference_splits(total, 2), key=key)[latency_idx]
+    shares = [0.0, 0.0]
+    shares[latency_idx] = chosen / total
+    shares[1 - latency_idx] = 1.0 - chosen / total
+    return AllocationRatio(shares)
 
 
 class TestHeuristicOracle:
@@ -355,14 +376,51 @@ class TestHeuristicOracle:
         class FlatPredictor:
             radio_cfg = RadioConfig(total_rbs=10)
 
-            def score(self, counts):
-                sigma = -1.0 if counts[latency_idx] == 5 else 0.0
-                return SplitScore(make_kpm(), sigma, 0.0, 0.0)
+            def score_splits(self, splits):
+                sigma = np.where(splits[:, latency_idx] == 5, -1.0, 0.0)
+                zeros = np.zeros(len(splits))
+                return sigma, zeros, zeros
 
         predictor = FlatPredictor()
         predictor.specs = specs
         got = heuristic_oracle_decide(CURRENT, predictor)
         assert got.shares[latency_idx] == pytest.approx(0.4)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        latency_idx=st.sampled_from([0, 1]),
+        carried=st.booleans(),
+        starved=st.booleans(),
+        total_rbs=st.integers(2, 24),
+        offered=st.tuples(*[st.sampled_from([0.0, 1.0, 2.2, 5.0, 11.0, 16.0, 26.31])] * 2),
+        current=st.floats(0.0, 1.0),
+    )
+    @example(latency_idx=0, carried=False, starved=False, total_rbs=20,
+             offered=(1.0, 1.0), current=0.5)  # a plateau: every split ties on score
+    @example(latency_idx=1, carried=True, starved=True, total_rbs=20,
+             offered=(16.0, 5.0), current=0.3)
+    def test_matches_the_per_split_reference(self, latency_idx, carried, starved,
+                                             total_rbs, offered, current):
+        specs = SPECS if latency_idx == 0 else [
+            replace(SPECS[1], slice_id=0), replace(SPECS[0], slice_id=1)
+        ]
+        radio, queue = RadioConfig(total_rbs=total_rbs), QueueConfig()
+        state = SimState.fresh(2)
+        if carried:
+            # Two overloaded intervals leave both slices a backlog and credit.
+            channels = [UeChannelState(k, k, SINR) for k in range(2)]
+            half = [total_rbs // 2, total_rbs - total_rbs // 2]
+            for _ in range(2):
+                state = simulate_interval([30.31, 25.13], half, channels, radio, queue,
+                                          state).state
+        sinrs = [SINR, SINR]
+        if starved:
+            sinrs[latency_idx] = 0.0  # the latency slice delivers nothing
+        channels = [UeChannelState(k, k, x) for k, x in enumerate(sinrs)]
+        predictor = Predictor(list(offered), channels, radio, queue, specs, state)
+        allocation = AllocationRatio([current, 1.0 - current])
+        got = heuristic_oracle_decide(allocation, predictor)
+        assert got.shares == reference_oracle(allocation, predictor).shares
 
     def test_backend_wraps_decision_with_tokens(self):
         backend = HeuristicOracleBackend()
@@ -507,8 +565,8 @@ class TestFailStatic:
     @pytest.mark.parametrize(
         "tokens",
         [{"prompt_tokens": -1}, {"completion_tokens": "5"}, {"prompt_tokens": 2.5},
-         {"completion_tokens": None}],
-        ids=["negative", "string", "float", "null"],
+         {"completion_tokens": None}, {"prompt_tokens": True, "completion_tokens": False}],
+        ids=["negative", "string", "float", "null", "bool"],
     )
     def test_scripted_bad_token_counts(self, tokens):
         entries = [{"shares": [0.7, 0.3], **tokens}] * 2
@@ -523,8 +581,10 @@ class TestFailStatic:
             ({"error": {"message": "overloaded"}}, BackendError),
             ({"choices": []}, BackendError),
             ({"choices": [{"message": {"content": None}}]}, ParseError),
+            ({"choices": [{"message": {"content": '{"shares": [0.5, 0.5]}'}}],
+              "usage": {"prompt_tokens": True, "completion_tokens": 5}}, BackendError),
         ],
-        ids=["not_json", "no_choices", "empty_choices", "null_content"],
+        ids=["not_json", "no_choices", "empty_choices", "null_content", "bool_usage"],
     )
     def test_remote_malformed_body(self, body, error):
         def backend():

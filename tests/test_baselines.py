@@ -15,9 +15,10 @@ from sliceloop.baselines import (
     brute_force_optimal,
     enumerate_splits,
 )
-from sliceloop.core import AllocationRatio, RadioConfig, SliceKind, SliceSpec, rb_splits
+from sliceloop.core import AllocationRatio, RadioConfig, SliceKind, SliceSpec
 from sliceloop.radio import QueueConfig, SimState, UeChannelState, simulate_interval
 from sliceloop.sla import starved
+from split_reference import reference_splits
 
 SINR = 2.0 ** (2_200_000 / 180_000) - 1.0  # 2.2 Mbps per RB
 
@@ -160,7 +161,7 @@ def reference_rows(offered, channels, radio, queue, specs, state):
     """The table split by split: one ``Predictor.score`` call per split."""
     predictor = Predictor(offered, channels, radio, queue, specs, state)
     rows = []
-    for counts in rb_splits(radio.total_rbs, len(specs)):
+    for counts in reference_splits(radio.total_rbs, len(specs)):
         score = predictor.score(counts)
         slices = score.kpm.slices
         feasible = all(
@@ -300,11 +301,6 @@ class TestBatchEqualsScalarWalk:
         rows = assert_matches_reference(args)
         assert all(repr(r.objective) == "0.0" for r in rows)
         assert "objective=0.0," in repr(brute_force_optimal(*args))
-
-    def test_split_array_is_rb_splits_in_order(self):
-        for total, n in ((2, 2), (10, 2), (3, 3), (12, 3), (2, 3)):
-            got = [tuple(row) for row in baselines._split_array(total, n).tolist()]
-            assert got == list(rb_splits(total, n))
 
     def test_optimizer_reads_rows_through_the_module_level_enumerate_splits(
             self, monkeypatch):

@@ -182,6 +182,20 @@ class TestErrors:
         assert "weight" in err["message"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("wait_period_s", float("nan")), ("wait_period_s", float("inf")),
+        ("rb_bandwidth_hz", float("inf")),
+    ])
+    def test_non_finite_radio_field_names_the_field(self, tmp_path, capsys, field, value):
+        cfg = tmp_path / "radio.json"
+        cfg.write_text(json.dumps({**SMALL, field: value}))
+        rc = main(["scenario1", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert field in err["message"]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("tick_ms", [2000.0, 0.7])
     def test_interval_not_whole_ticks_names_both_fields(self, tmp_path, capsys, tick_ms):
         cfg = tmp_path / "tick.json"

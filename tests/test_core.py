@@ -13,7 +13,9 @@ from sliceloop.core import (
     SliceKpm,
     SliceSpec,
     ratio_to_rb_counts,
+    rb_splits,
 )
+from split_reference import reference_splits
 
 
 class TestSliceSpec:
@@ -48,6 +50,19 @@ class TestRadioConfig:
     def test_defaults_valid(self):
         cfg = RadioConfig()
         assert cfg.total_rbs == 106
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["rb_bandwidth_hz", "wait_period_s"])
+    def test_rejects_non_finite_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RadioConfig(**{field: value})
+
+
+def test_rb_splits_rows_are_the_recursive_enumeration_in_order():
+    for total, n in ((2, 2), (10, 2), (3, 3), (12, 3), (2, 3), (7, 4), (5, 1)):
+        got = rb_splits(total, n)
+        assert got.shape == (len(list(reference_splits(total, n))), n)
+        assert [tuple(row) for row in got.tolist()] == list(reference_splits(total, n))
 
 
 class TestAllocationRatio:

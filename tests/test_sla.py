@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -138,6 +139,20 @@ class TestComplianceIndex:
         assert sigma <= 0.0
         rev = compliance_index(rhos[::-1], weights[::-1])
         assert sigma == pytest.approx(rev, abs=1e-12)
+
+    @given(
+        slices=st.integers(1, 6).flatmap(lambda splits: st.lists(
+            st.tuples(st.lists(st.floats(0, 1), min_size=splits, max_size=splits),
+                      st.floats(0, 5)),
+            min_size=1, max_size=5,
+        ))
+    )
+    def test_arrays_equal_the_scalar_call_per_entry(self, slices):
+        rhos = [r for r, _ in slices]
+        weights = [w for _, w in slices]
+        got = compliance_index([np.array(r) for r in rhos], weights)
+        want = [compliance_index(column, weights) for column in zip(*rhos)]
+        assert [float.hex(x) for x in got.tolist()] == [float.hex(x) for x in want]
 
     @given(
         rhos=st.lists(st.floats(0, 1), min_size=1, max_size=5),
