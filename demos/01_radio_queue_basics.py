@@ -36,7 +36,7 @@ for offered in (5.0, 11.0, 22.0):
     res = simulate_interval(
         [offered, 0.0], [5, 5], channels, radio, queue, SimState.fresh(2)
     )
-    s = res.kpm.slices[0]
+    s = res.kpm[0]
     print(
         f"offered {offered:5.1f} Mbps -> latency {s.mean_latency_ms:7.1f} ms, "
         f"throughput {s.mean_throughput_mbps:5.1f} Mbps, "

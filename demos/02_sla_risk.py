@@ -7,7 +7,6 @@ aggregate into the compliance index sigma that gates the decision agent.
 Run: python3 demos/02_sla_risk.py
 """
 from sliceloop import (
-    KpmSample,
     SliceKind,
     SliceKpm,
     SliceSpec,
@@ -34,15 +33,12 @@ print(f"risks {rhos}, weights {weights} -> sigma "
       f"{compliance_index(rhos, weights):.4f}")
 
 print()
-print("=== Gate decision on a full KPM sample (theta = 0.7) ===")
+print("=== Gate decision on one interval's KPMs, one per slice (theta = 0.7) ===")
 for label, latency in (("healthy", 2.0), ("violating", 25.0)):
-    sample = KpmSample(
-        0,
-        [
-            SliceKpm(latency, 80.0, 0.0, 80.0, 1000),
-            SliceKpm(1.0, 80.0, 0.0, 80.0, 1000),
-        ],
+    kpms = (
+        SliceKpm(latency, 80.0, 0.0, 80.0, 1000),
+        SliceKpm(1.0, 80.0, 0.0, 80.0, 1000),
     )
-    a = assess(sample, [lat_slice, thr_slice], theta=0.7)
+    a = assess(kpms, [lat_slice, thr_slice], theta=0.7)
     print(f"{label:>9}: max risk {max(s.rho for s in a.slices):.4f}, "
           f"sigma {a.sigma:+.4f}, gate fires: {a.violation_detected}")

@@ -39,7 +39,7 @@ print(f"{'t':>2} {'offered':>12} {'RBs':>7} {'S1 lat ms':>9} "
 for c in log.cycles:
     decision = (f"{c.decision.allocation.shares}" if c.decision else "-")
     print(f"{c.interval_index:>2} {str(list(c.offered_mbps)):>12} "
-          f"{str(list(c.rb_counts)):>7} {c.kpm.slices[0].mean_latency_ms:>9.1f} "
+          f"{str(list(c.rb_counts)):>7} {c.kpm[0].mean_latency_ms:>9.1f} "
           f"{str(c.assessment.violation_detected):>9} {str(c.gate_open):>5} "
           f"{decision:>12}")
 

@@ -4,7 +4,6 @@ RAN simulator, with exact-search and fixed-ratio baselines."""
 from .core import (
     AllocationRatio,
     InfeasibleAllocationError,
-    KpmSample,
     RadioConfig,
     SliceKind,
     SliceKpm,

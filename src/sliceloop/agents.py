@@ -36,7 +36,6 @@ import numpy as np
 from .core import (
     SUM_TOLERANCE,
     AllocationRatio,
-    KpmSample,
     RadioConfig,
     SliceKind,
     SliceKpm,
@@ -80,13 +79,17 @@ def count_tokens(text: str) -> int:
     return math.ceil(len(text.encode("utf-8")) / 4)
 
 
+def valid_token_counts(*counts) -> bool:
+    """True when every count is a nonnegative int (not a bool)."""
+    return all(isinstance(t, int) and not isinstance(t, bool) and t >= 0 for t in counts)
+
+
 def _token_counts(report: dict, prompt_default: int) -> Optional[tuple[int, int]]:
     """(prompt, completion) tokens a backend reports, or None unless both are
-    nonnegative ints (not bools).  A missing completion count is 0."""
+    valid.  A missing completion count is 0."""
     tokens = (report.get("prompt_tokens", prompt_default),
               report.get("completion_tokens", 0))
-    valid = all(isinstance(t, int) and not isinstance(t, bool) and t >= 0 for t in tokens)
-    return tokens if valid else None
+    return tokens if valid_token_counts(*tokens) else None
 
 
 def _fmt(x: float) -> str:
@@ -108,7 +111,7 @@ class DecisionOutcome:
 
 def build_meta_prompt(
     assessment: RiskAssessment,
-    kpm: KpmSample,
+    kpm: Sequence[SliceKpm],
     current_allocation: AllocationRatio,
     retrieved: Sequence,
     specs: Sequence[SliceSpec],
@@ -121,7 +124,7 @@ def build_meta_prompt(
         f"{len(specs)} slices.",
         "Slice status this interval:",
     ]
-    for spec, s, risk in zip(specs, kpm.slices, assessment.slices):
+    for spec, s, risk in zip(specs, kpm, assessment.slices):
         if spec.kind is SliceKind.LATENCY:
             target = f"latency SLA {_fmt(spec.sla_target)} ms"
             meas = f"measured latency {_fmt(s.mean_latency_ms)} ms"
@@ -208,7 +211,7 @@ class SplitScore:
     flatten sigma.  ``throughput_mbps`` totals the throughput slices.
     """
 
-    kpm: KpmSample
+    kpm: tuple[SliceKpm, ...]
     sigma: float
     excess: float
     throughput_mbps: float
@@ -259,20 +262,8 @@ class Predictor:
         self._kpms: Optional[list[list[SliceKpm]]] = None
         self._rhos = self._excess = self._thr = np.empty((0, 0))
 
-    def _build_tables(self) -> None:
-        n = len(self._state.queues)
-        max_rbs = self.radio_cfg.total_rbs - n + 1
-        kpms = slice_kpm_tables(self.offered_mbps, self.channels, self.radio_cfg,
-                                self.queue_cfg, self._state, max_rbs)
-        risks = [[slice_risk(spec, kpm) for kpm in row] for spec, row in zip(self.specs, kpms)]
-        self._rhos = np.array([[r.rho for r in row] for row in risks])
-        self._excess = np.array([[_excess(spec, r.epsilon) for r in row]
-                                 for spec, row in zip(self.specs, risks)])
-        self._thr = np.array([[s.mean_throughput_mbps for s in row] for row in kpms])
-        self._kpms = kpms
-
-    def predict(self, rb_counts: Sequence[int]) -> KpmSample:
-        """Predicted KpmSample for the next interval under rb_counts.
+    def predict(self, rb_counts: Sequence[int]) -> tuple[SliceKpm, ...]:
+        """Predicted KPMs per slice for the next interval under rb_counts.
 
         Equal to ``simulate_interval(...).kpm`` from the carried state.
         """
@@ -283,12 +274,21 @@ class Predictor:
             raise InternalStateError("RB counts must sum to the configured pool")
         if min(rb_counts) < 1:
             raise ValueError("every slice needs at least one RB")
-        return KpmSample(0, [row[c - 1] for row, c in zip(self.kpm_tables(), rb_counts)])
+        return tuple(row[c - 1] for row, c in zip(self.kpm_tables(), rb_counts))
 
     def kpm_tables(self) -> list[list[SliceKpm]]:
         """Per slice, its predicted KPMs for 1 .. ``total_rbs - n + 1`` RBs."""
         if self._kpms is None:
-            self._build_tables()
+            n = len(self._state.queues)
+            max_rbs = self.radio_cfg.total_rbs - n + 1
+            kpms = slice_kpm_tables(self.offered_mbps, self.channels, self.radio_cfg,
+                                    self.queue_cfg, self._state, max_rbs)
+            risks = [[slice_risk(spec, kpm) for kpm in row] for spec, row in zip(self.specs, kpms)]
+            self._rhos = np.array([[r.rho for r in row] for row in risks])
+            self._excess = np.array([[_excess(spec, r.epsilon) for r in row]
+                                     for spec, row in zip(self.specs, risks)])
+            self._thr = np.array([[s.mean_throughput_mbps for s in row] for row in kpms])
+            self._kpms = kpms
         return self._kpms
 
     def score(self, rb_counts: Sequence[int]) -> SplitScore:

@@ -1,7 +1,9 @@
 """Shared domain types for the slice resource-control loop.
 
 Everything here is an immutable value object; construction validates the
-invariants once and the rest of the package can rely on them.
+invariants once and the rest of the package can rely on them.  One
+interval's measurement is a tuple of ``SliceKpm``, one per slice; the
+interval it covers is recorded once, on ``loop.CycleReport``.
 """
 from __future__ import annotations
 
@@ -148,20 +150,6 @@ class SliceKpm:
             raise ValueError(f"drop_ratio {self.drop_ratio} outside [0, 1]")
         if self.mean_throughput_mbps > self.offered_load_mbps + SUM_TOLERANCE:
             raise ValueError("cannot deliver more than offered")
-
-
-@dataclass(frozen=True, slots=True)
-class KpmSample:
-    """Measured KPMs for every slice over one monitoring interval."""
-
-    interval_index: int
-    slices: Tuple[SliceKpm, ...]
-
-    def __init__(self, interval_index: int, slices: Sequence[SliceKpm]) -> None:
-        object.__setattr__(self, "interval_index", int(interval_index))
-        object.__setattr__(self, "slices", tuple(slices))
-        if not self.slices:
-            raise ValueError("KpmSample needs at least one slice record")
 
 
 def ratio_to_rb_counts(ratio: AllocationRatio, total_rbs: int) -> list[int]:

@@ -90,21 +90,15 @@ class HarnessConfig:
                     f"{name} must have one entry per slice ({n_slices}), got {count}"
                 )
 
+    def _build(self, cls):
+        """cls built from this config's fields of the same names."""
+        return cls(**{f.name: getattr(self, f.name) for f in dataclasses.fields(cls)})
+
     def radio_cfg(self) -> RadioConfig:
-        return RadioConfig(
-            total_rbs=self.total_rbs,
-            rb_bandwidth_hz=self.rb_bandwidth_hz,
-            monitoring_interval_s=self.monitoring_interval_s,
-            wait_period_s=self.wait_period_s,
-            violation_threshold=self.violation_threshold,
-        )
+        return self._build(RadioConfig)
 
     def queue_cfg(self) -> QueueConfig:
-        return QueueConfig(
-            packet_size_bytes=self.packet_size_bytes,
-            buffer_capacity_packets=self.buffer_capacity_packets,
-            tick_duration_ms=self.tick_duration_ms,
-        )
+        return self._build(QueueConfig)
 
     def specs(self) -> list[SliceSpec]:
         return [
@@ -201,10 +195,10 @@ def run_scenario1(
                 "offered_mbps": list(cycles[0].offered_mbps),
                 "reallocations": sum(1 for c in cycles if c.reallocated),
                 "settled_s1_latency_ms": float(
-                    np.mean([c.kpm.slices[0].mean_latency_ms for c in settled])
+                    np.mean([c.kpm[0].mean_latency_ms for c in settled])
                 ),
                 "settled_s2_drop_ratio": float(
-                    np.mean([c.kpm.slices[1].drop_ratio for c in settled])
+                    np.mean([c.kpm[1].drop_ratio for c in settled])
                 ),
             }
         )
@@ -270,8 +264,8 @@ def run_scenario2(
             log = run_experiment(
                 env, config.scenario2_cycles, backend, initial_allocation=initial
             )
-            lat = [c.kpm.slices[0].mean_latency_ms for c in log.cycles]
-            drop = [c.kpm.slices[1].drop_ratio for c in log.cycles]
+            lat = [c.kpm[0].mean_latency_ms for c in log.cycles]
+            drop = [c.kpm[1].drop_ratio for c in log.cycles]
             results[name]["s1_latency_ms"].extend(lat)
             results[name]["s2_drop_ratio"].extend(drop)
             results[name]["trial_max_s2_drop"].append(max(drop))

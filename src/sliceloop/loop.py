@@ -4,10 +4,13 @@ Each cycle covers exactly one monitoring interval.  The wait period after
 a reallocation is simulated time: the next ``ceil(wait / interval)``
 cycles still run the simulator and record experiences, but the gate is
 held closed, mirroring a controller that sleeps while the network
-settles.  On any backend failure the previous allocation stays in force
+settles.  On any backend failure, whether ``propose`` raises any
+``Exception`` or returns an outcome without one share per slice and
+nonnegative int token counts, the previous allocation stays in force
 (fail-static) so failures show up in the metrics instead of being
 masked by a fallback policy.  A failed write to the experience store
 likewise ends up on the cycle report; the record stays in memory.
+Each interval's index is stored once, on its ``CycleReport``.
 """
 from __future__ import annotations
 
@@ -16,13 +19,14 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional
 
-from .core import AllocationRatio, KpmSample, RadioConfig, SliceSpec, ratio_to_rb_counts
+from .core import AllocationRatio, RadioConfig, SliceKpm, SliceSpec, ratio_to_rb_counts
 from .agents import (
     Backend,
     BackendError,
     DecisionOutcome,
     Predictor,
     build_meta_prompt,
+    valid_token_counts,
 )
 from .radio import (
     QueueConfig,
@@ -47,15 +51,18 @@ class LoopState:
 @dataclass(frozen=True, slots=True)
 class CycleReport:
     interval_index: int
-    kpm: KpmSample
+    kpm: tuple[SliceKpm, ...]
     assessment: RiskAssessment
     rb_counts: tuple[int, ...]
-    offered_mbps: tuple[float, ...]
     gate_open: bool
     decision: Optional[DecisionOutcome]
     backend_error: Optional[str]
     accounting: tuple
     storage_error: Optional[str] = None
+
+    @property
+    def offered_mbps(self) -> tuple[float, ...]:
+        return tuple(s.offered_load_mbps for s in self.kpm)
 
     @property
     def token_delta(self) -> int:
@@ -78,21 +85,24 @@ class Environment:
     profile: StepProfile
     retrieve_k: int = 3
 
-    def cooldown_cycles(self) -> int:
-        return math.ceil(
-            self.radio_cfg.wait_period_s / self.radio_cfg.monitoring_interval_s
-        )
 
-
-def _kpm_summary(kpm: KpmSample) -> list[dict]:
+def _kpm_summary(kpm: tuple[SliceKpm, ...]) -> list[dict]:
     return [
         {
             "latency_ms": s.mean_latency_ms,
             "throughput_mbps": s.mean_throughput_mbps,
             "drop_ratio": s.drop_ratio,
         }
-        for s in kpm.slices
+        for s in kpm
     ]
+
+
+def _check_outcome(outcome: DecisionOutcome, n_slices: int) -> None:
+    """Raise BackendError unless outcome has n_slices shares and valid token counts."""
+    shares, tokens = outcome.allocation, (outcome.prompt_tokens, outcome.completion_tokens)
+    if not (isinstance(shares, AllocationRatio) and len(shares) == n_slices
+            and valid_token_counts(*tokens)):
+        raise BackendError(f"bad outcome for {n_slices} slices: {shares!r}, tokens {tokens!r}")
 
 
 def run_cycle(
@@ -120,7 +130,6 @@ def run_cycle(
         env.radio_cfg,
         env.queue_cfg,
         state.sim_state,
-        interval_index=idx,
     )
     assessment = assess(result.kpm, env.specs, env.radio_cfg.violation_threshold)
 
@@ -151,11 +160,16 @@ def run_cycle(
         )
         try:
             decision = backend.propose(prompt, state.current_allocation, predictor)
+            _check_outcome(decision, len(env.specs))
+        except Exception as exc:
+            decision = None
+            backend_error = (str(exc) if isinstance(exc, BackendError)
+                             else f"{type(exc).__name__}: {exc}")
+        else:
             applied_allocation = decision.allocation
             if gate_enabled:
-                new_cooldown = env.cooldown_cycles()
-        except BackendError as exc:
-            backend_error = str(exc)
+                radio = env.radio_cfg
+                new_cooldown = math.ceil(radio.wait_period_s / radio.monitoring_interval_s)
 
     storage_error: Optional[str] = None
     try:
@@ -180,7 +194,6 @@ def run_cycle(
         kpm=result.kpm,
         assessment=assessment,
         rb_counts=tuple(rb_counts),
-        offered_mbps=tuple(offered),
         gate_open=gate_open,
         decision=decision,
         backend_error=backend_error,
@@ -219,7 +232,7 @@ class ExperimentLog:
         """Flat per-(interval, slice) rows matching the KPM CSV schema."""
         rows = []
         for c in self.cycles:
-            for k, s in enumerate(c.kpm.slices):
+            for k, s in enumerate(c.kpm):
                 rows.append(
                     {
                         "interval": c.interval_index,

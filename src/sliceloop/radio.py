@@ -33,7 +33,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .core import KpmSample, RadioConfig, SliceKpm, check_counts
+from .core import RadioConfig, SliceKpm, check_counts
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ class SliceAccounting:
 
 @dataclass(frozen=True, slots=True)
 class IntervalResult:
-    kpm: KpmSample
+    kpm: Tuple[SliceKpm, ...]
     state: SimState
     accounting: Tuple[SliceAccounting, ...]
 
@@ -451,12 +451,13 @@ def simulate_interval(
     radio_cfg: RadioConfig,
     queue_cfg: QueueConfig,
     state: SimState,
-    interval_index: int = 0,
 ) -> IntervalResult:
     """Advance every slice's queue over one monitoring interval.
 
     The carried ``state`` is not mutated; a new state is returned.  The
-    accounting tuple preserves exact packet conservation per slice:
+    result holds one ``SliceKpm`` per slice and no interval index: the
+    caller knows which interval it ran.  The accounting tuple preserves
+    exact packet conservation per slice:
     delivered + dropped + (queued_after - queued_before) == offered.
     """
     n_slices = len(rb_counts)
@@ -489,9 +490,8 @@ def simulate_interval(
         new_queues.append(new_qs)
         accounting.append(acct)
 
-    kpm = KpmSample(interval_index=interval_index, slices=slice_kpms)
     new_state = SimState(tick=state.tick + n_ticks, queues=new_queues)
-    return IntervalResult(kpm=kpm, state=new_state, accounting=tuple(accounting))
+    return IntervalResult(tuple(slice_kpms), new_state, tuple(accounting))
 
 
 def slice_kpm_tables(

@@ -15,7 +15,8 @@ Conventions worth knowing:
   total starvation and scores maximal risk rather than "no data".
 
 ``slice_risk`` is the one per-slice formula and ``compliance_index`` the
-one sigma formula: ``assess`` applies both to one interval's KPMs, and
+one sigma formula: ``assess`` applies both to one interval's KPMs (the
+interval index lives on ``loop.CycleReport``, not on the assessment), and
 ``agents.Predictor`` tables ``slice_risk`` for every RB count a slice can
 hold, then calls ``compliance_index`` once with an array of risks per
 slice to score a whole array of candidate splits.
@@ -27,7 +28,7 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from .core import KpmSample, SliceKind, SliceKpm, SliceSpec
+from .core import SliceKind, SliceKpm, SliceSpec
 
 _RHO_MAX = 1.0 - sys.float_info.epsilon
 _RHO_MIN = sys.float_info.min
@@ -44,42 +45,11 @@ class SliceRisk:
 
 @dataclass(frozen=True, slots=True)
 class RiskAssessment:
-    """Per-interval risk picture: epsilon/rho per slice, sigma, gate verdict."""
+    """One interval's risk picture: epsilon/rho per slice, sigma, gate verdict."""
 
-    interval_index: int
     slices: Tuple[SliceRisk, ...]
     sigma: float
     violation_detected: bool
-
-    def to_dict(self) -> dict:
-        """Versioned strict-JSON form (the A1-like message body).
-
-        A starved slice's infinite epsilon is written as ``null``.
-        """
-        return {
-            "version": 1,
-            "interval": self.interval_index,
-            "slices": [
-                {"epsilon": None if s.epsilon == math.inf else s.epsilon, "rho": s.rho}
-                for s in self.slices
-            ],
-            "sigma": self.sigma,
-            "violation_detected": self.violation_detected,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RiskAssessment":
-        if data.get("version") != 1:
-            raise ValueError(f"unsupported assessment version {data.get('version')}")
-        return cls(
-            interval_index=data["interval"],
-            slices=tuple(
-                SliceRisk(math.inf if s["epsilon"] is None else s["epsilon"], s["rho"])
-                for s in data["slices"]
-            ),
-            sigma=data["sigma"],
-            violation_detected=data["violation_detected"],
-        )
 
 
 def violation_level(measured: float, spec: SliceSpec) -> float:
@@ -131,19 +101,13 @@ def slice_risk(spec: SliceSpec, kpm: SliceKpm) -> SliceRisk:
 
 
 def assess(
-    sample: KpmSample, specs: Sequence[SliceSpec], theta: float
+    kpms: Sequence[SliceKpm], specs: Sequence[SliceSpec], theta: float
 ) -> RiskAssessment:
-    """Score one interval's KPMs and decide whether the gate fires."""
+    """Score one interval's KPMs, one per slice, and decide whether the gate fires."""
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must lie in (0, 1)")
-    if len(sample.slices) != len(specs):
-        raise ValueError("sample slice count does not match specs")
-    risks = [slice_risk(spec, kpm) for spec, kpm in zip(specs, sample.slices)]
+    if len(kpms) != len(specs):
+        raise ValueError("KPM slice count does not match specs")
+    risks = tuple(slice_risk(spec, kpm) for spec, kpm in zip(specs, kpms))
     sigma = compliance_index([r.rho for r in risks], [s.weight for s in specs])
-    detected = max(r.rho for r in risks) > theta
-    return RiskAssessment(
-        interval_index=sample.interval_index,
-        slices=tuple(risks),
-        sigma=sigma,
-        violation_detected=detected,
-    )
+    return RiskAssessment(risks, sigma, max(r.rho for r in risks) > theta)

@@ -161,12 +161,12 @@ def _predicted_objective(offered, counts, channels, radio, queue, specs):
         offered, counts, channels, radio, queue, SimState.fresh(2)
     ).kpm
     objective = sum(
-        kpm.slices[i].mean_throughput_mbps
+        kpm[i].mean_throughput_mbps
         for i, s in enumerate(specs)
         if s.kind is SliceKind.THROUGHPUT
     )
     feasible = all(
-        kpm.slices[i].mean_latency_ms < s.sla_target
+        kpm[i].mean_latency_ms < s.sla_target
         for i, s in enumerate(specs)
         if s.kind is SliceKind.LATENCY
     )
@@ -190,11 +190,11 @@ def test_criterion_6_optimizer_oracle():
             offered, [i, 10 - i], channels, radio, queue, SimState.fresh(2)
         ).kpm
         a = assess(kpm, SPECS, radio.violation_threshold)
-        feasible = kpm.slices[0].mean_latency_ms < SPECS[0].sla_target
+        feasible = kpm[0].mean_latency_ms < SPECS[0].sla_target
         table.append(
             {
                 "counts": (i, 10 - i),
-                "objective": kpm.slices[1].mean_throughput_mbps,
+                "objective": kpm[1].mean_throughput_mbps,
                 "sigma": a.sigma,
                 "feasible": feasible,
             }
@@ -262,7 +262,7 @@ def test_criterion_7_conservation():
                 ok = False
             capacity_mbps = counts[k] * 2.2
             if (empty_before and rates[k] <= capacity_mbps
-                    and res.kpm.slices[k].drop_ratio != 0.0):
+                    and res.kpm[k].drop_ratio != 0.0):
                 ok = False
         state = res.state
     _report(7, "exact conservation on 1000 random intervals; no drops "

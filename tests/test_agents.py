@@ -24,7 +24,6 @@ from sliceloop.agents import (
 )
 from sliceloop.core import (
     AllocationRatio,
-    KpmSample,
     RadioConfig,
     SliceKind,
     SliceKpm,
@@ -53,12 +52,9 @@ SPECS = [
 
 
 def make_kpm(lat=25.0, thr=80.0, drop=0.0, off=(120.0, 80.0)):
-    return KpmSample(
-        0,
-        [
-            SliceKpm(lat, min(off[0], 100.0), 0.1, off[0], 500),
-            SliceKpm(1.0, min(thr, off[1]), drop, off[1], 500),
-        ],
+    return (
+        SliceKpm(lat, min(off[0], 100.0), 0.1, off[0], 500),
+        SliceKpm(1.0, min(thr, off[1]), drop, off[1], 500),
     )
 
 
@@ -211,7 +207,7 @@ class TestPredictor:
                 excess += max(0.0, 1e6 if math.isinf(risk.epsilon) else risk.epsilon)
             else:
                 excess += max(0.0, -risk.epsilon)
-        thr = sum(s.mean_throughput_mbps for s, spec in zip(kpm.slices, predictor.specs)
+        thr = sum(s.mean_throughput_mbps for s, spec in zip(kpm, predictor.specs)
                   if spec.kind is SliceKind.THROUGHPUT)
         return a.sigma, excess, thr
 
@@ -260,7 +256,7 @@ class TestPredictor:
                     == [float.hex(x) for x in want]
                 assert got.kpm == predictor.predict(counts)
                 branches.update(self.risk_branch(spec, s)
-                                for spec, s in zip(specs, got.kpm.slices))
+                                for spec, s in zip(specs, got.kpm))
         assert branches == {"starved", "latency", "floor", "idle", "capped"}
 
     def test_split_off_the_pool_rejected(self):
@@ -335,7 +331,7 @@ class TestHeuristicOracle:
         got = heuristic_oracle_decide(CURRENT, predictor)
         assert got.shares[0] > 0.5
         kpm = predictor.predict([round(got.shares[0] * 10), round(got.shares[1] * 10)])
-        assert kpm.slices[0].mean_latency_ms < 10.0
+        assert kpm[0].mean_latency_ms < 10.0
 
     def test_hand_enumerated_selection_small_grid(self):
         # independent enumeration of all 9 candidate splits
@@ -637,6 +633,35 @@ class FaultSession:
         return FakeResponse(arg)  # "content": a wire-valid reply with junk text
 
 
+def unchecked_outcome(shares, prompt_tokens, completion_tokens):
+    """A DecisionOutcome with token counts its own constructor would refuse."""
+    outcome = DecisionOutcome(AllocationRatio(shares), 0, 0, "planned", "")
+    object.__setattr__(outcome, "prompt_tokens", prompt_tokens)
+    object.__setattr__(outcome, "completion_tokens", completion_tokens)
+    return outcome
+
+
+class PlannedBackend:
+    """Each cycle's plan: a remote exchange over a ``FaultSession``, or else
+    an unusable outcome returned or an exception raised directly."""
+
+    label = "planned"
+
+    def __init__(self, plans):
+        self.plans = list(plans)
+        wire = [plan for plan in plans if plan[0] not in ("outcome", "error")]
+        self.remote = RemoteBackend("https://api.example/v1/chat", "m",
+                                    session=FaultSession(wire))
+
+    def propose(self, prompt, current_allocation, predictor=None):
+        kind, arg = self.plans.pop(0)
+        if kind == "outcome":
+            return unchecked_outcome(*arg)
+        if kind == "error":
+            raise arg
+        return self.remote.propose(prompt, current_allocation, predictor)
+
+
 def fault_plans():
     import requests
 
@@ -661,31 +686,54 @@ def fault_plans():
                 requests.Timeout("read timed out"),
                 requests.ConnectionError("connection refused"),
             ])),
+            # A wrong-length allocation, or bool or negative token counts.
+            st.tuples(st.just("outcome"), st.sampled_from([
+                ([0.2, 0.3, 0.5], 1, 1), ([1.0], 1, 1), ([0.3, 0.7], True, 1),
+                ([0.3, 0.7], 1, False), ([0.3, 0.7], -1, 1), ([0.3, 0.7], 1, -2),
+            ])),
+            st.tuples(st.just("error"), st.sampled_from([
+                ValueError("allocation_shares must be 2 finite values"),
+                KeyError("shares"), ZeroDivisionError("division by zero"),
+                BackendError("planned outage"),
+            ])),
         ),
         min_size=1, max_size=6,
     )
 
 
 class TestRemoteFaultMatrix:
+    """Any backend fault keeps the allocation and is reported, never ends the run."""
+
     @settings(max_examples=60, deadline=None)
     @given(plans=fault_plans())
+    @example(plans=[("outcome", ([0.2, 0.3, 0.5], 1, 1)), ("error", ValueError("boom"))])
     def test_every_fault_keeps_the_allocation_and_is_reported(self, plans):
-        session = FaultSession(plans)
-        backend = RemoteBackend("https://api.example/v1/chat", "m", session=session)
+        backend = PlannedBackend(plans)
         log = run_experiment(TestFailStatic.env(), len(plans), backend,
                              gate_enabled=False)
-        assert len(log.cycles) == len(plans) and not session.plans
+        assert len(log.cycles) == len(plans)
+        assert not backend.plans and not backend.remote.session.plans
         shares = (0.5, 0.5)
         for (kind, arg), report in zip(plans, log.cycles):
             assert report.rb_counts == tuple(
                 ratio_to_rb_counts(AllocationRatio(shares), 10))
+            assert sum(report.rb_counts) == 10
+            assert all(a.delivered_packets + a.dropped_packets + a.queued_after
+                       - a.queued_before == a.offered_packets for a in report.accounting)
+            assert report.reallocated == (kind == "ok")
             if kind == "ok":
                 assert report.backend_error is None
                 shares = report.decision.allocation.shares
                 assert shares == tuple(arg)
-            else:
-                assert report.backend_error and report.decision is None
-                assert report.token_delta == 0
+                continue
+            assert report.backend_error and report.decision is None
+            assert report.token_delta == 0
+            if kind == "outcome":
+                assert report.backend_error.startswith("bad outcome for 2 slices")
+            elif kind == "error" and not isinstance(arg, BackendError):
+                assert report.backend_error == f"{type(arg).__name__}: {arg}"
+            elif kind == "error":
+                assert report.backend_error == str(arg)
         assert log.final_state.current_allocation.shares == shares
 
 

@@ -163,7 +163,7 @@ def reference_rows(offered, channels, radio, queue, specs, state):
     rows = []
     for counts in reference_splits(radio.total_rbs, len(specs)):
         score = predictor.score(counts)
-        slices = score.kpm.slices
+        slices = score.kpm
         feasible = all(
             spec.kind is SliceKind.THROUGHPUT
             or (not starved(s.delivered_count, s.offered_load_mbps)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from sliceloop.core import (
     AllocationRatio,
     InfeasibleAllocationError,
-    KpmSample,
     RadioConfig,
     SliceKind,
     SliceKpm,

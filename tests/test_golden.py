@@ -26,7 +26,7 @@ from sliceloop.agents import (
 )
 from sliceloop.baselines import brute_force_optimal, enumerate_splits
 from sliceloop.cli import main
-from sliceloop.core import AllocationRatio, KpmSample, RadioConfig, SliceKind, SliceKpm, SliceSpec
+from sliceloop.core import AllocationRatio, RadioConfig, SliceKind, SliceKpm, SliceSpec
 from sliceloop.loop import Environment, run_experiment
 from sliceloop.radio import QueueConfig, SimState, StepProfile, UeChannelState, simulate_interval
 from sliceloop.sla import assess
@@ -181,7 +181,7 @@ def prompt_digests() -> dict[str, str]:
             specs = [replace(THROUGHPUT, slice_id=0), replace(LATENCY, slice_id=1)]
         order = "latency_first" if latency_first else "latency_second"
         for case, lat in latency.items():
-            kpm = KpmSample(3, [lat, throughput] if latency_first else [throughput, lat])
+            kpm = (lat, throughput) if latency_first else (throughput, lat)
             assessment = assess(kpm, specs, 0.7)
             for retrieved in ([], records):
                 prompt = build_meta_prompt(assessment, kpm, current, retrieved, specs, radio)

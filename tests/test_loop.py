@@ -178,7 +178,7 @@ class TestOracleClosedLoop:
         assert log.reallocation_count >= 1
         # after settling, the latency slice meets its bound again
         last = log.cycles[-1]
-        assert last.kpm.slices[0].mean_latency_ms < 10.0
+        assert last.kpm[0].mean_latency_ms < 10.0
         assert not last.assessment.violation_detected
 
     def test_store_grows_one_record_per_cycle(self):
@@ -232,7 +232,7 @@ class TestCycleReportMemory:
         report = next(c for c in log.cycles if c.decision is not None)
         graph = list(dataclass_graph(report))
         kinds = {type(obj).__name__ for obj in graph}
-        assert {"CycleReport", "KpmSample", "SliceKpm", "RiskAssessment", "SliceRisk",
+        assert {"CycleReport", "SliceKpm", "RiskAssessment", "SliceRisk",
                 "SliceAccounting", "DecisionOutcome", "AllocationRatio"} <= kinds
         for obj in graph:
             assert not hasattr(obj, "__dict__"), type(obj).__name__

@@ -130,7 +130,7 @@ class TestSimulateInterval:
         radio, queue, channels = make_env()
         res = simulate_interval([0.0, 0.0], [5, 5], channels, radio, queue,
                                 SimState.fresh(2))
-        for s in res.kpm.slices:
+        for s in res.kpm:
             assert s.mean_latency_ms == 0.0
             assert s.mean_throughput_mbps == 0.0
             assert s.drop_ratio == 0.0
@@ -141,7 +141,7 @@ class TestSimulateInterval:
         radio, queue, channels = make_env()
         res = simulate_interval([11.0, 11.0], [5, 5], channels, radio, queue,
                                 SimState.fresh(2))
-        for s in res.kpm.slices:
+        for s in res.kpm:
             assert s.drop_ratio == 0.0
             assert s.mean_throughput_mbps == pytest.approx(11.0, rel=0.01)
 
@@ -149,7 +149,7 @@ class TestSimulateInterval:
         radio, queue, channels = make_env(monitoring_s=10.0)
         res = simulate_interval([22.0, 0.0], [5, 5], channels, radio, queue,
                                 SimState.fresh(2))
-        assert res.kpm.slices[0].drop_ratio == pytest.approx(0.5, abs=0.05)
+        assert res.kpm[0].drop_ratio == pytest.approx(0.5, abs=0.05)
         off, dlv, drp, q = independent_scalar_queue(
             22e6, 11e6, 10_000, queue.packet_bits, queue.buffer_capacity_packets
         )
@@ -193,7 +193,7 @@ class TestSimulateInterval:
         for rb0 in range(4, 17):
             res = simulate_interval([25.0, 0.0], [rb0, 20 - rb0], channels,
                                     radio, queue, SimState.fresh(2))
-            latencies.append(res.kpm.slices[0].mean_latency_ms)
+            latencies.append(res.kpm[0].mean_latency_ms)
         assert all(a >= b for a, b in zip(latencies, latencies[1:]))
 
     def test_determinism(self):
@@ -245,7 +245,7 @@ class TestSimulateInterval:
         # now drain the backlog with generous capacity and little traffic
         res2 = simulate_interval([1.0, 0.0], [9, 1], channels, radio, queue,
                                  res.state)
-        s = res2.kpm.slices[0]
+        s = res2.kpm[0]
         assert s.mean_throughput_mbps <= s.offered_load_mbps
         assert res2.accounting[0].delivered_packets > res2.accounting[0].offered_packets
 

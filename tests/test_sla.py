@@ -1,4 +1,3 @@
-import json
 import math
 import os
 import subprocess
@@ -11,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sliceloop
-from sliceloop.core import KpmSample, SliceKind, SliceKpm, SliceSpec
+from sliceloop.core import SliceKind, SliceKpm, SliceSpec
 from sliceloop.sla import (
-    RiskAssessment,
     assess,
     compliance_index,
     risk_factor,
@@ -42,14 +40,11 @@ def expit():
     return pytest.importorskip("scipy.special").expit
 
 
-def sample(interval, lat_ms, lat_thr, lat_off, thr_ms, thr_thr, thr_off,
+def sample(lat_ms, lat_thr, lat_off, thr_ms, thr_thr, thr_off,
            lat_count=100, thr_count=100):
-    return KpmSample(
-        interval,
-        [
-            SliceKpm(lat_ms, lat_thr, 0.0, lat_off, lat_count),
-            SliceKpm(thr_ms, thr_thr, 0.0, thr_off, thr_count),
-        ],
+    return (
+        SliceKpm(lat_ms, lat_thr, 0.0, lat_off, lat_count),
+        SliceKpm(thr_ms, thr_thr, 0.0, thr_off, thr_count),
     )
 
 
@@ -167,26 +162,26 @@ class TestComplianceIndex:
 
 class TestAssess:
     def test_comfortable_no_violation(self):
-        kpm = sample(0, 2.0, 90.0, 90.0, 0.0, 90.0, 90.0)
+        kpm = sample(2.0, 90.0, 90.0, 0.0, 90.0, 90.0)
         a = assess(kpm, [LAT, THR], 0.7)
         assert not a.violation_detected
 
     def test_doubled_latency_detects(self):
-        kpm = sample(3, 20.0, 100.0, 120.0, 0.0, 80.0, 80.0)
+        kpm = sample(20.0, 100.0, 120.0, 0.0, 80.0, 80.0)
         a = assess(kpm, [LAT, THR], 0.7)
         assert a.slices[0].rho == pytest.approx(1.0 / (1.0 + math.exp(-8.0)), abs=1e-12)
         assert a.violation_detected
-        assert a.interval_index == 3
 
     def test_starved_latency_slice_is_maximal_risk(self):
-        kpm = KpmSample(0, [SliceKpm(0.0, 0.0, 1.0, 50.0, 0), SliceKpm(1.0, 50.0, 0.0, 50.0, 10)])
+        kpm = (SliceKpm(0.0, 0.0, 1.0, 50.0, 0), SliceKpm(1.0, 50.0, 0.0, 50.0, 10))
         a = assess(kpm, [LAT, THR], 0.7)
+        assert a.slices[0].epsilon == math.inf
         assert a.slices[0].rho > 0.999
         assert a.slices[0].rho < 1.0
         assert a.violation_detected
 
     def test_idle_latency_slice_is_low_risk(self):
-        kpm = KpmSample(0, [SliceKpm(0.0, 0.0, 0.0, 0.0, 0), SliceKpm(1.0, 50.0, 0.0, 50.0, 10)])
+        kpm = (SliceKpm(0.0, 0.0, 0.0, 0.0, 0), SliceKpm(1.0, 50.0, 0.0, 50.0, 10))
         a = assess(kpm, [LAT, THR], 0.7)
         assert not a.violation_detected
 
@@ -194,13 +189,13 @@ class TestAssess:
         # delivering everything offered is not a violation, however large
         # the configured target
         big = SliceSpec(1, SliceKind.THROUGHPUT, 1000.0, 1.0, -10.0, -0.2)
-        kpm = sample(0, 2.0, 50.0, 50.0, 0.0, 50.0, 50.0)
+        kpm = sample(2.0, 50.0, 50.0, 0.0, 50.0, 50.0)
         a = assess(kpm, [LAT, big], 0.7)
         assert a.slices[1].epsilon == pytest.approx(0.0)
         assert not a.violation_detected
 
     def test_theta_monotone(self):
-        kpm = sample(0, 14.0, 100.0, 120.0, 0.0, 80.0, 80.0)
+        kpm = sample(14.0, 100.0, 120.0, 0.0, 80.0, 80.0)
         detected = [
             assess(kpm, [LAT, THR], th).violation_detected
             for th in (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -211,23 +206,9 @@ class TestAssess:
     @pytest.mark.parametrize("theta", [0.0, 1.0, -0.5, 1.5, math.nan])
     def test_theta_outside_open_unit_interval_rejected(self, theta):
         with pytest.raises(ValueError, match="theta"):
-            assess(sample(0, 2.0, 90.0, 90.0, 0.0, 90.0, 90.0), [LAT, THR], theta)
+            assess(sample(2.0, 90.0, 90.0, 0.0, 90.0, 90.0), [LAT, THR], theta)
 
     @pytest.mark.parametrize("specs", [[LAT], [LAT, THR, THR]])
     def test_slice_count_mismatch_rejected(self, specs):
         with pytest.raises(ValueError, match="slice count"):
-            assess(sample(0, 2.0, 90.0, 90.0, 0.0, 90.0, 90.0), specs, 0.7)
-
-    def test_round_trip_dict(self):
-        a = assess(sample(2, 14.0, 100.0, 120.0, 0.0, 80.0, 80.0), [LAT, THR], 0.7)
-        assert RiskAssessment.from_dict(a.to_dict()) == a
-        with pytest.raises(ValueError):
-            RiskAssessment.from_dict({"version": 99})
-
-    def test_starved_slice_round_trips_through_strict_json(self):
-        kpm = KpmSample(3, [SliceKpm(0.0, 0.0, 1.0, 50.0, 0), SliceKpm(1.0, 50.0, 0.0, 50.0, 10)])
-        a = assess(kpm, [LAT, THR], 0.7)
-        assert a.slices[0].epsilon == math.inf
-        text = json.dumps(a.to_dict(), allow_nan=False)
-        assert json.loads(text)["slices"][0]["epsilon"] is None
-        assert RiskAssessment.from_dict(json.loads(text)) == a
+            assess(sample(2.0, 90.0, 90.0, 0.0, 90.0, 90.0), specs, 0.7)
