@@ -6,7 +6,9 @@ compliance index achieved, so the agent sees the *best* decisions made
 under *similar* traffic — not merely the closest ones.
 
 The history is a JSONL file: reloading it gives a store that retrieves
-the same records.
+the same records.  The loop asks the same query again while traffic is
+unchanged; the store then scans only the records appended since its last
+retrieve, and answers exactly as a full scan of a reloaded store does.
 
 Run: python3 demos/03_experience_retrieval.py
 """
@@ -32,13 +34,16 @@ history = [
     ([119.0, 79.0], (0.58, 0.42), -0.20),
     ([123.0, 83.0], (0.60, 0.40), -0.08),
 ]
+later = [
+    ([121.0, 82.0], (0.63, 0.37), -0.01),   # the query's own traffic, best yet
+    ([80.0, 80.0], (0.50, 0.50), -0.001),   # other traffic: stays out
+]
 FAR = {0, 1, 2, 3}
 query = [121.0, 82.0]
 
-with tempfile.TemporaryDirectory() as tmp:
-    path = Path(tmp) / "history.jsonl"
-    store = ExperienceStore(n_slices=2, path=path)
-    for rates, shares, sigma in history:
+
+def record(store, experiences):
+    for rates, shares, sigma in experiences:
         store.record(
             arrival_rates_mbps=rates,
             allocation_shares=shares,
@@ -46,9 +51,18 @@ with tempfile.TemporaryDirectory() as tmp:
             kpm_summary=[{}, {}],
             created_at_interval=len(store),
         )
+
+
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "history.jsonl"
+    store = ExperienceStore(n_slices=2, path=path)
+    record(store, history)
     hits = store.retrieve(query, k=3)
     reloaded = ExperienceStore.load(path, n_slices=2)
     reloaded_ids = [rec.record_id for rec in reloaded.retrieve(query, k=3)]
+    record(store, later)
+    again = store.retrieve(query, k=3)  # scans only the two new records
+    again_reloaded = ExperienceStore.load(path, n_slices=2).retrieve(query, k=3)
 
 print(f"Query traffic: {query} Mbps")
 print()
@@ -65,3 +79,12 @@ print("ranks below record 5: distance shortlists, sigma decides.")
 assert reloaded_ids == ids, (reloaded_ids, ids)
 print(f"Reloaded from {path.name} ({len(reloaded)} records): "
       f"retrieves the same ids {reloaded_ids}.")
+print()
+again_ids = [rec.record_id for rec in again]
+assert again == again_reloaded, (again, again_reloaded)
+assert again_ids[0] == len(history) and len(history) + 1 not in again_ids, again_ids
+print(f"After {len(later)} more records the same query scans only those and "
+      f"retrieves {again_ids},")
+print(f"as a reloaded store does: record {len(history)} (same traffic, sigma "
+      f"{later[0][2]:+.2f}) now ranks first;")
+print(f"record {len(history) + 1} (other traffic) stays out.")

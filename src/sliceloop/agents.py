@@ -105,8 +105,9 @@ class DecisionOutcome:
     raw_response: str
 
     def __post_init__(self) -> None:
-        if self.prompt_tokens < 0 or self.completion_tokens < 0:
-            raise ValueError("token counts must be nonnegative")
+        if not valid_token_counts(self.prompt_tokens, self.completion_tokens):
+            raise ValueError("token counts must be nonnegative ints, got "
+                             f"{self.prompt_tokens!r} and {self.completion_tokens!r}")
 
 
 def build_meta_prompt(

@@ -11,11 +11,11 @@ and the interval are written but not kept.  ``load`` streams a history
 into the columns and ``record`` appends to spare ones; the arrays double
 when full, so an append costs amortised O(1).
 
-Retrieval is an exact linear-time scan over the rates.  Shortlist the
-``3 * k`` records nearest to the query traffic vector by Euclidean
-distance, ties to the lower record id, then keep the ``k`` with the best
-(least negative) historical sigma.  Final ordering is descending sigma,
-then ascending distance, then ascending record id.
+Retrieval is exact.  Shortlist the ``3 * k`` records nearest to the
+query traffic vector by Euclidean distance, ties to the lower record id,
+then keep the ``k`` with the best (least negative) historical sigma.
+Final ordering is descending sigma, then ascending distance, then
+ascending record id.
 
 The squared differences are summed one slice at a time, in slice order,
 which is bit for bit what ``np.sum`` over a row of up to 7 slices
@@ -25,6 +25,14 @@ bit.  The shortlist selects the ``m``-th smallest distance with
 ``np.partition`` and ranks only the ``m`` records it keeps, so no
 retrieve sorts the whole store.  Rates must be finite: a NaN distance
 would fall outside both the shortlist's ``<`` and ``==`` tests.
+
+A first query scans every record, in O(n).  The store remembers the last
+shortlist, and a retrieve with the same query bytes and ``k`` (the loop
+asks again whenever traffic has not changed) scans only the records
+appended since, in O(new records + 3k): it picks from the old shortlist
+plus those records.  That is exact because records are only appended: a
+record left out of a shortlist of ``3 * k`` has that many records ahead
+of it by (distance, id), and keeps them.
 """
 from __future__ import annotations
 
@@ -74,6 +82,9 @@ class ExperienceStore:
         self._rates = np.empty((n_slices, 0))
         self._shares = np.empty((n_slices, 0))
         self._sigmas = np.empty(0)
+        # The last retrieve: ((query bytes, k), store size, shortlist ids
+        # ascending, their distances).
+        self._last: Optional[tuple] = None
 
     def __len__(self) -> int:
         return self._n
@@ -163,18 +174,28 @@ class ExperienceStore:
         n = self._n
         if n == 0:
             return []
-        dist = self._distances(q)
+        key = (q.tobytes(), k)
+        last = self._last
+        if last is not None and last[0] == key:
+            _, seen, old_ids, old_dist = last
+            cand = np.concatenate((old_ids, np.arange(seen, n)))
+            dist = np.concatenate((old_dist, self._distances(q, seen)))
+        else:
+            cand, dist = None, self._distances(q)
         # Shortlist: m nearest by distance, ties to the lower record id.
         # Everything below the m-th smallest distance is in; the lowest
-        # ids at exactly that distance fill the rest.
+        # ids at exactly that distance fill the rest.  Candidates are in
+        # ascending id order, so their positions order them by id.
         m = min(SHORTLIST_MULTIPLIER * k, n)
         kth = np.partition(dist, m - 1)[m - 1]
-        below = np.flatnonzero(dist < kth)
-        at_kth = np.flatnonzero(dist == kth)[: m - len(below)]
-        shortlist = np.concatenate((below, at_kth))
-        # Rank: best sigma first, then nearest, then lowest id.  The ids
-        # are unique, so the shortlist's own order does not matter.
-        order = np.lexsort((shortlist, dist[shortlist], -self._sigmas[shortlist]))[:k]
+        inside = dist < kth
+        inside[np.flatnonzero(dist == kth)[: m - np.count_nonzero(inside)]] = True
+        keep = np.flatnonzero(inside)
+        shortlist = keep if cand is None else cand[keep]
+        dist = dist[keep]
+        self._last = (key, n, shortlist, dist)
+        # Rank: best sigma first, then nearest, then lowest id.
+        order = np.lexsort((shortlist, dist, -self._sigmas[shortlist]))[:k]
         return [
             ExperienceRecord(
                 int(i),
@@ -185,13 +206,13 @@ class ExperienceStore:
             for i in shortlist[order]
         ]
 
-    def _distances(self, q: np.ndarray) -> np.ndarray:
-        """Euclidean distance from ``q`` to every record, summed in slice order."""
+    def _distances(self, q: np.ndarray, start: int = 0) -> np.ndarray:
+        """Euclidean distance from ``q`` to records ``start`` onward, summed in slice order."""
         n = self._n
-        dist = np.zeros(n)
-        d = np.empty(n)
+        dist = np.zeros(n - start)
+        d = np.empty(n - start)
         for row, q_k in zip(self._rates, q):
-            np.subtract(row[:n], q_k, out=d)
+            np.subtract(row[start:n], q_k, out=d)
             d *= d
             dist += d
         return np.sqrt(dist, out=dist)

@@ -1,6 +1,8 @@
 import json
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,10 +39,11 @@ from sliceloop.radio import (
     SimState,
     StepProfile,
     UeChannelState,
+    generate_traffic,
     simulate_interval,
 )
 from sliceloop.sla import assess
-from sliceloop.store import ExperienceRecord
+from sliceloop.store import ExperienceRecord, ExperienceStore
 from split_reference import reference_splits
 
 SINR = 2.0 ** (2_200_000 / 180_000) - 1.0  # 2.2 Mbps per RB
@@ -633,17 +636,9 @@ class FaultSession:
         return FakeResponse(arg)  # "content": a wire-valid reply with junk text
 
 
-def unchecked_outcome(shares, prompt_tokens, completion_tokens):
-    """A DecisionOutcome with token counts its own constructor would refuse."""
-    outcome = DecisionOutcome(AllocationRatio(shares), 0, 0, "planned", "")
-    object.__setattr__(outcome, "prompt_tokens", prompt_tokens)
-    object.__setattr__(outcome, "completion_tokens", completion_tokens)
-    return outcome
-
-
 class PlannedBackend:
     """Each cycle's plan: a remote exchange over a ``FaultSession``, or else
-    an unusable outcome returned or an exception raised directly."""
+    an unusable outcome built or an exception raised directly."""
 
     label = "planned"
 
@@ -656,7 +651,9 @@ class PlannedBackend:
     def propose(self, prompt, current_allocation, predictor=None):
         kind, arg = self.plans.pop(0)
         if kind == "outcome":
-            return unchecked_outcome(*arg)
+            shares, prompt_tokens, completion_tokens = arg
+            return DecisionOutcome(AllocationRatio(shares), prompt_tokens,
+                                   completion_tokens, "planned", "")
         if kind == "error":
             raise arg
         return self.remote.propose(prompt, current_allocation, predictor)
@@ -686,10 +683,12 @@ def fault_plans():
                 requests.Timeout("read timed out"),
                 requests.ConnectionError("connection refused"),
             ])),
-            # A wrong-length allocation, or bool or negative token counts.
+            # A wrong-length allocation, or two shares with bool, float or
+            # negative token counts.
             st.tuples(st.just("outcome"), st.sampled_from([
                 ([0.2, 0.3, 0.5], 1, 1), ([1.0], 1, 1), ([0.3, 0.7], True, 1),
-                ([0.3, 0.7], 1, False), ([0.3, 0.7], -1, 1), ([0.3, 0.7], 1, -2),
+                ([0.3, 0.7], 1, False), ([0.3, 0.7], 2.5, 1), ([0.3, 0.7], -1, 1),
+                ([0.3, 0.7], 1, -2),
             ])),
             st.tuples(st.just("error"), st.sampled_from([
                 ValueError("allocation_shares must be 2 finite values"),
@@ -701,17 +700,44 @@ def fault_plans():
     )
 
 
+class FailingWriteStore(ExperienceStore):
+    """A history whose durable write fails on the chosen cycles: on those it
+    appends to its own directory, which cannot be opened for appending."""
+
+    def __init__(self, path, failing):
+        super().__init__(2, path=path)
+        self.failing = failing
+
+    def record(self, *args, **kwargs):
+        path = self.path
+        if len(self) in self.failing:
+            self.path = path.parent
+        try:
+            return super().record(*args, **kwargs)
+        finally:
+            self.path = path
+
+
 class TestRemoteFaultMatrix:
-    """Any backend fault keeps the allocation and is reported, never ends the run."""
+    """Any backend or storage fault keeps the allocation and is reported,
+    never ends the run."""
 
     @settings(max_examples=60, deadline=None)
-    @given(plans=fault_plans())
-    @example(plans=[("outcome", ([0.2, 0.3, 0.5], 1, 1)), ("error", ValueError("boom"))])
-    def test_every_fault_keeps_the_allocation_and_is_reported(self, plans):
+    @given(plans=fault_plans(), failing=st.sets(st.integers(0, 5)))
+    @example(plans=[("outcome", ([0.2, 0.3, 0.5], 1, 1)), ("error", ValueError("boom"))],
+             failing={1})
+    def test_every_fault_keeps_the_allocation_and_is_reported(self, plans, failing):
         backend = PlannedBackend(plans)
-        log = run_experiment(TestFailStatic.env(), len(plans), backend,
-                             gate_enabled=False)
+        env = TestFailStatic.env()
+        with tempfile.TemporaryDirectory() as tmp:
+            store = FailingWriteStore(Path(tmp) / "history.jsonl", failing)
+            log = run_experiment(env, len(plans), backend, store=store,
+                                 gate_enabled=False)
         assert len(log.cycles) == len(plans)
+        assert [c.storage_error is not None for c in log.cycles] == [
+            i in failing for i in range(len(plans))]
+        assert len(store) == len(plans)
+        rebuilt = ExperienceStore(2)
         assert not backend.plans and not backend.remote.session.plans
         shares = (0.5, 0.5)
         for (kind, arg), report in zip(plans, log.cycles):
@@ -725,18 +751,32 @@ class TestRemoteFaultMatrix:
                 assert report.backend_error is None
                 shares = report.decision.allocation.shares
                 assert shares == tuple(arg)
-                continue
-            assert report.backend_error and report.decision is None
-            assert report.token_delta == 0
-            if kind == "outcome":
+            else:
+                assert report.backend_error and report.decision is None
+                assert report.token_delta == 0
+            if kind == "outcome" and len(arg[0]) == 2:
+                # Its token counts fail the outcome's own constructor.
+                assert report.backend_error.startswith("ValueError: token counts")
+            elif kind == "outcome":
                 assert report.backend_error.startswith("bad outcome for 2 slices")
             elif kind == "error" and not isinstance(arg, BackendError):
                 assert report.backend_error == f"{type(arg).__name__}: {arg}"
             elif kind == "error":
                 assert report.backend_error == str(arg)
+            rebuilt.record(generate_traffic(env.profile, report.interval_index), shares,
+                           report.assessment.sigma, [{}, {}], report.interval_index)
         assert log.final_state.current_allocation.shares == shares
+        # Every cycle retrieved the same traffic, so this scans one record.
+        query = generate_traffic(env.profile, len(plans) - 1)
+        assert store.retrieve(query, env.retrieve_k) == rebuilt.retrieve(query, env.retrieve_k)
 
 
 def test_decision_outcome_rejects_negative_tokens():
     with pytest.raises(ValueError):
         DecisionOutcome(AllocationRatio([0.5, 0.5]), -1, 0, "x", "")
+
+
+@pytest.mark.parametrize("tokens", [(True, 0), (0, False), (2.5, 0), (0, "5"), (None, 0)])
+def test_decision_outcome_takes_only_int_token_counts(tokens):
+    with pytest.raises(ValueError, match="token counts must be nonnegative ints"):
+        DecisionOutcome(AllocationRatio([0.5, 0.5]), *tokens, "x", "")

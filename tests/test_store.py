@@ -95,6 +95,36 @@ def retrieval_cases(draw):
     return n_slices, recorded, after_load, queries
 
 
+@st.composite
+def repeated_query_cases(draw):
+    """A slice count and interleaved record, load and retrieve steps.
+
+    Retrieves draw from at most three (query, k) pairs over at most two
+    query vectors, so most of them repeat the last one after appends
+    (the incremental path), and some change only ``k``.
+    """
+    n_slices = draw(st.integers(1, 7))
+    rates = draw(st.sampled_from([GRID_RATES, ANY_RATES]))
+    vector = st.lists(rates, min_size=n_slices, max_size=n_slices)
+    queries = draw(st.lists(vector, min_size=1, max_size=2))
+    asks = draw(st.lists(st.tuples(st.sampled_from(queries), st.integers(1, 4)),
+                         min_size=1, max_size=3))
+    steps = []
+    for _ in range(draw(st.integers(0, 60))):
+        kind = draw(st.sampled_from(["record"] * 3 + ["retrieve"] * 2 + ["load"]))
+        if kind == "record":
+            steps.append((kind, draw(st.tuples(vector, SIGMAS))))
+        elif kind == "retrieve":
+            steps.append((kind, draw(st.sampled_from(asks))))
+        else:
+            steps.append((kind, None))
+    return n_slices, steps
+
+
+def record_step(rates, sigma):
+    return ("record", (rates, sigma))
+
+
 class TestRecord:
     def test_sequential_ids(self):
         store = ExperienceStore(2)
@@ -403,6 +433,84 @@ class TestRetrieve:
                 store.record(**make_record_args(rates, sigma))
                 history.append((rates, sigma))
                 check(store)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=repeated_query_cases())
+    # Squared distances 25 and 25 + 1 ulp share the root 5.0, so the old
+    # record 0 and the new record 1 tie on distance and record 0 must win.
+    @example(case=(2, [record_step([3.0000000000000004, 4.0], -0.5),
+                       ("retrieve", ([0.0, 0.0], 1)),
+                       record_step([3.0, 4.0], -0.5),
+                       ("retrieve", ([0.0, 0.0], 1))]))
+    # Ties at the k-th distance across old and new records: four records
+    # at distance 5 leave record 3 out of the 3-record shortlist; two new
+    # ones at 5 with better sigmas stay out too; a nearer one pushes
+    # record 2, the best of the old shortlist, out.
+    @example(case=(2, [record_step([3.0, 4.0], -0.5), record_step([4.0, 3.0], -0.3),
+                       record_step([0.0, 5.0], -0.1), record_step([5.0, 0.0], -0.05),
+                       ("retrieve", ([0.0, 0.0], 1)),
+                       record_step([0.0, 5.0], -0.01), record_step([3.0, 4.0], 0.0),
+                       ("retrieve", ([0.0, 0.0], 1)),
+                       record_step([0.0, 1.0], -0.2),
+                       ("retrieve", ([0.0, 0.0], 1)),
+                       record_step([1.0, 0.0], -0.9), record_step([4.0, 3.0], 0.0),
+                       ("retrieve", ([0.0, 0.0], 1))]))
+    def test_repeated_queries_match_a_full_scan(self, case):
+        n_slices, steps = case
+        history = []
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "store.jsonl"
+            path.touch()
+            store = ExperienceStore(n_slices, path=path)
+            for kind, arg in steps:
+                if kind == "record":
+                    store.record(**make_record_args(*arg))
+                    history.append(arg)
+                elif kind == "load":
+                    store = ExperienceStore.load(path, n_slices)
+                else:
+                    query, k = arg
+                    got = store.retrieve(query, k)
+                    assert [r.record_id for r in got] == argsort_retrieve_ids(history, query, k)
+                    rebuilt = ExperienceStore(n_slices)
+                    for rates, sigma in history:
+                        rebuilt.record(**make_record_args(rates, sigma))
+                    assert got == rebuilt.retrieve(query, k)
+
+    def test_repeated_query_scans_only_appended_records(self):
+        rng = np.random.default_rng(23)
+        store = ExperienceStore(2)
+        history = []
+
+        def record(count):
+            for _ in range(count):
+                args = make_record_args(list(rng.choice(np.arange(80.0, 130.0, 5.0), size=2)),
+                                        -float(rng.uniform(0, 2)))
+                store.record(**args)
+                history.append(args)
+
+        scanned = []
+        distances = store._distances
+
+        def spy(q, start=0):
+            out = distances(q, start)
+            scanned.append(len(out))
+            return out
+
+        store._distances = spy
+        q, other = [100.0, 95.0], [95.0, 100.0]
+        # (records appended first, query, k, records whose distance is computed)
+        plan = [(30, q, 2, 30), (3, q, 2, 3), (0, q, 2, 0), (2, q, 3, 35),
+                (1, other, 3, 36), (0, q, 3, 36), (4, q, 3, 4)]
+        for appended, query, k, want in plan:
+            record(appended)
+            scanned.clear()
+            got = store.retrieve(query, k)
+            assert scanned == [want]
+            rebuilt = ExperienceStore(2)
+            for args in history:
+                rebuilt.record(**args)
+            assert got == rebuilt.retrieve(query, k)
 
     @pytest.mark.parametrize("n_slices", range(1, 8))
     def test_slice_ordered_distance_equals_row_sums_bit_for_bit(self, n_slices):
