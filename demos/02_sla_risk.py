@@ -36,8 +36,8 @@ print()
 print("=== Gate decision on one interval's KPMs, one per slice (theta = 0.7) ===")
 for label, latency in (("healthy", 2.0), ("violating", 25.0)):
     kpms = (
-        SliceKpm(latency, 80.0, 0.0, 80.0, 1000),
-        SliceKpm(1.0, 80.0, 0.0, 80.0, 1000),
+        SliceKpm(latency, 80.0, 0.0, 80.0),
+        SliceKpm(1.0, 80.0, 0.0, 80.0),
     )
     a = assess(kpms, [lat_slice, thr_slice], theta=0.7)
     print(f"{label:>9}: max risk {max(s.rho for s in a.slices):.4f}, "

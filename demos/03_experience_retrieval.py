@@ -15,7 +15,7 @@ Run: python3 demos/03_experience_retrieval.py
 import tempfile
 from pathlib import Path
 
-from sliceloop import ExperienceStore
+from sliceloop import ExperienceStore, SliceKpm
 
 history = [
     # Other traffic, with the best outcomes in the store.
@@ -44,13 +44,11 @@ query = [121.0, 82.0]
 
 def record(store, experiences):
     for rates, shares, sigma in experiences:
-        store.record(
-            arrival_rates_mbps=rates,
-            allocation_shares=shares,
-            resulting_sigma=sigma,
-            kpm_summary=[{}, {}],
-            created_at_interval=len(store),
-        )
+        # The interval's KPMs, one per slice (latency, throughput, drop
+        # ratio, offered load); the store takes its rates from the offered
+        # loads.
+        kpm = tuple(SliceKpm(5.0, rate, 0.0, rate) for rate in rates)
+        store.record(kpm, shares, sigma, len(store))
 
 
 with tempfile.TemporaryDirectory() as tmp:

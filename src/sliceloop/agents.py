@@ -344,12 +344,11 @@ def heuristic_oracle_decide(
     every candidate on a safe plateau scores the same, the fewest-moved
     rule keeps the current allocation.
     """
-    specs = predictor.specs
-    if len(specs) != 2:
-        raise ValueError("the heuristic oracle supports exactly two slices")
-    latency_idx = next(
-        k for k, s in enumerate(specs) if s.kind is SliceKind.LATENCY
-    )
+    kinds = [s.kind for s in predictor.specs]
+    if len(kinds) != 2 or SliceKind.LATENCY not in kinds:
+        raise ValueError("the heuristic oracle needs exactly two slices, "
+                         "one of them latency-constrained")
+    latency_idx = kinds.index(SliceKind.LATENCY)
     total = predictor.radio_cfg.total_rbs
     current_lat = ratio_to_rb_counts(current_allocation, total)[latency_idx]
     splits = rb_splits(total, 2)

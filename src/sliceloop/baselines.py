@@ -90,8 +90,7 @@ def enumerate_splits(
         if spec.kind is SliceKind.LATENCY:
             # A starved slice reports 0 ms: it delivered nothing.
             feasible &= np.array([
-                not starved(s.delivered_count, s.offered_load_mbps)
-                and s.mean_latency_ms < spec.sla_target
+                not starved(s) and s.mean_latency_ms < spec.sla_target
                 for s in table
             ])[i]
     return [

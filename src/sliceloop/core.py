@@ -131,20 +131,18 @@ class AllocationRatio:
 class SliceKpm:
     """One slice's measured KPMs over a monitoring interval.
 
-    ``latency_ms`` is 0.0 when nothing was delivered; ``delivered_count``
-    lets consumers tell "no data" apart from "fast".
+    ``mean_latency_ms`` is 0.0 when nothing was delivered; zero throughput
+    at a positive offered load tells that "no data" apart from "fast"
+    (``sla.starved``).
     """
 
     mean_latency_ms: float
     mean_throughput_mbps: float
     drop_ratio: float
     offered_load_mbps: float
-    delivered_count: int = 0
 
     def __post_init__(self) -> None:
-        if self.mean_latency_ms < 0 or self.mean_throughput_mbps < 0:
-            raise ValueError("KPM fields must be nonnegative")
-        if self.offered_load_mbps < 0 or self.delivered_count < 0:
+        if self.mean_latency_ms < 0 or self.mean_throughput_mbps < 0 or self.offered_load_mbps < 0:
             raise ValueError("KPM fields must be nonnegative")
         if not 0.0 <= self.drop_ratio <= 1.0:
             raise ValueError(f"drop_ratio {self.drop_ratio} outside [0, 1]")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import AllocationRatio, RadioConfig, SliceKind, SliceSpec, check_count, check_counts
 from .agents import HeuristicOracleBackend, RemoteBackend, ScriptedBackend
-from .loop import Environment, ExperimentLog, run_experiment
+from .loop import TIMELINE_FIELDS, Environment, ExperimentLog, run_experiment
 from .radio import QueueConfig, StepProfile, UeChannelState
 from .stats import compute_distribution_stats, write_csv
 
@@ -290,17 +290,6 @@ def run_token_comparison(
         "gated_cumulative": gated_log.cumulative_tokens,
         "ungated_cumulative": ungated_log.cumulative_tokens,
     }
-
-
-TIMELINE_FIELDS = [
-    "interval",
-    "slice_id",
-    "latency_ms",
-    "throughput_mbps",
-    "drop_ratio",
-    "offered_mbps",
-    "rb_count",
-]
 
 
 def write_run_dir(

@@ -9,7 +9,8 @@ settles.  On any backend failure, whether ``propose`` raises any
 nonnegative int token counts, the previous allocation stays in force
 (fail-static) so failures show up in the metrics instead of being
 masked by a fallback policy.  A failed write to the experience store
-likewise ends up on the cycle report; the record stays in memory.
+likewise ends up on the cycle report (``storage_error``); the record
+stays in memory and the store writes its line ahead of the next one.
 Each interval's index is stored once, on its ``CycleReport``.
 """
 from __future__ import annotations
@@ -84,17 +85,6 @@ class Environment:
     channels: list[UeChannelState]
     profile: StepProfile
     retrieve_k: int = 3
-
-
-def _kpm_summary(kpm: tuple[SliceKpm, ...]) -> list[dict]:
-    return [
-        {
-            "latency_ms": s.mean_latency_ms,
-            "throughput_mbps": s.mean_throughput_mbps,
-            "drop_ratio": s.drop_ratio,
-        }
-        for s in kpm
-    ]
 
 
 def _check_outcome(outcome: DecisionOutcome, n_slices: int) -> None:
@@ -173,13 +163,7 @@ def run_cycle(
 
     storage_error: Optional[str] = None
     try:
-        store.record(
-            arrival_rates_mbps=offered,
-            allocation_shares=applied_allocation.shares,
-            resulting_sigma=assessment.sigma,
-            kpm_summary=_kpm_summary(result.kpm),
-            created_at_interval=idx,
-        )
+        store.record(result.kpm, applied_allocation.shares, assessment.sigma, idx)
     except StorageError as exc:
         storage_error = str(exc)
 
@@ -201,6 +185,18 @@ def run_cycle(
         storage_error=storage_error,
     )
     return new_state, report
+
+
+# The timeline CSV schema: one row per (interval, slice).
+TIMELINE_FIELDS = [
+    "interval",
+    "slice_id",
+    "latency_ms",
+    "throughput_mbps",
+    "drop_ratio",
+    "offered_mbps",
+    "rb_count",
+]
 
 
 @dataclass
@@ -229,22 +225,15 @@ class ExperimentLog:
         return list(accumulate(c.token_delta for c in self.cycles))
 
     def timeline_rows(self) -> list[dict]:
-        """Flat per-(interval, slice) rows matching the KPM CSV schema."""
-        rows = []
-        for c in self.cycles:
-            for k, s in enumerate(c.kpm):
-                rows.append(
-                    {
-                        "interval": c.interval_index,
-                        "slice_id": k,
-                        "latency_ms": s.mean_latency_ms,
-                        "throughput_mbps": s.mean_throughput_mbps,
-                        "drop_ratio": s.drop_ratio,
-                        "offered_mbps": s.offered_load_mbps,
-                        "rb_count": c.rb_counts[k],
-                    }
-                )
-        return rows
+        """Flat per-(interval, slice) rows keyed by ``TIMELINE_FIELDS``."""
+        return [
+            dict(zip(TIMELINE_FIELDS, (
+                c.interval_index, k, s.mean_latency_ms, s.mean_throughput_mbps,
+                s.drop_ratio, s.offered_load_mbps, c.rb_counts[k],
+            )))
+            for c in self.cycles
+            for k, s in enumerate(c.kpm)
+        ]
 
 
 def run_experiment(

@@ -440,7 +440,6 @@ def _slice_kpm(
         mean_throughput_mbps=throughput,
         drop_ratio=drop_ratio,
         offered_load_mbps=offered_mbps,
-        delivered_count=delivered,
     )
 
 

@@ -12,7 +12,9 @@ Conventions worth knowing:
   drop ratio, which is the quantity the operator actually cares about
   for best-effort traffic.
 * A latency slice that delivered nothing while traffic was offered is
-  total starvation and scores maximal risk rather than "no data".
+  total starvation and scores maximal risk rather than "no data".  Its
+  KPM shows zero throughput at a positive offered load (``starved``), as
+  throughput is delivered bits capped at the offered rate.
 
 ``slice_risk`` is the one per-slice formula and ``compliance_index`` the
 one sigma formula: ``assess`` applies both to one interval's KPMs (the
@@ -76,15 +78,15 @@ def compliance_index(rhos: Sequence, weights: Sequence[float]):
     return -sum((w * r * r for r, w in zip(rhos, weights)), 0.0)
 
 
-def starved(delivered: int, offered_mbps: float) -> bool:
+def starved(kpm: SliceKpm) -> bool:
     """True when a slice delivered nothing while traffic was offered."""
-    return delivered == 0 and offered_mbps > 0
+    return kpm.mean_throughput_mbps == 0 and kpm.offered_load_mbps > 0
 
 
 def slice_risk(spec: SliceSpec, kpm: SliceKpm) -> SliceRisk:
     """Violation level and risk of one slice from one interval's KPMs."""
     if spec.kind is SliceKind.LATENCY:
-        if starved(kpm.delivered_count, kpm.offered_load_mbps):
+        if starved(kpm):
             # Starvation: worst possible violation, not missing data.
             return SliceRisk(math.inf, _RHO_MAX)
         epsilon = violation_level(kpm.mean_latency_ms, spec)

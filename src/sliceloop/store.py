@@ -4,12 +4,15 @@ Records are append-only JSON lines (one object per line, flushed per
 write) so the history is human-inspectable and survives crashes.  A
 line holds the record's id, which is its 0-based position in the file,
 its arrival rates, allocation shares, sigma, per-slice KPM summary and
-interval.  In memory the store keeps only the columns that retrieval and
-the prompt read: one row of arrival rates and one of shares per slice
-and one array of sigmas, record ``i`` in column ``i``.  The KPM summary
-and the interval are written but not kept.  ``load`` streams a history
-into the columns and ``record`` appends to spare ones; the arrays double
-when full, so an append costs amortised O(1).
+interval, all built here from one interval's ``SliceKpm`` tuple.  A line
+whose write failed is written ahead of the next record's line, so each
+id stays its line's position.  In memory the store keeps only the
+columns that retrieval and the prompt read: one row of arrival rates and
+one of shares per slice and one array of sigmas, record ``i`` in column
+``i``.  The KPM summary and the interval are written but not kept.
+``load`` streams a history into the columns and ``record`` appends to
+spare ones; the arrays double when full, so an append costs amortised
+O(1).
 
 Retrieval is exact.  Shortlist the ``3 * k`` records nearest to the
 query traffic vector by Euclidean distance, ties to the lower record id,
@@ -44,6 +47,8 @@ from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+
+from .core import SliceKpm
 
 log = logging.getLogger(__name__)
 
@@ -82,6 +87,8 @@ class ExperienceStore:
         self._rates = np.empty((n_slices, 0))
         self._shares = np.empty((n_slices, 0))
         self._sigmas = np.empty(0)
+        # Lines of records whose durable write failed, oldest first.
+        self._pending: list[str] = []
         # The last retrieve: ((query bytes, k), store size, shortlist ids
         # ascending, their distances).
         self._last: Optional[tuple] = None
@@ -111,31 +118,39 @@ class ExperienceStore:
 
     def record(
         self,
-        arrival_rates_mbps: Sequence[float],
+        kpm: Sequence[SliceKpm],
         allocation_shares: Sequence[float],
         resulting_sigma: float,
-        kpm_summary: Sequence[dict],
-        created_at_interval: int,
+        interval: int,
     ) -> int:
-        """Append a record, assign the next sequential id, persist it."""
+        """Append one interval's record, assign the next sequential id, persist it.
+
+        ``kpm`` holds the interval's KPMs, one per slice; the record's
+        arrival rates are their offered loads.  If the write fails, the
+        record stays in memory, its line waits to be written ahead of
+        the next one, and ``StorageError`` is raised.
+        """
         obj = {
             "id": self._n,
-            "rates": [float(r) for r in arrival_rates_mbps],
+            "rates": [float(s.offered_load_mbps) for s in kpm],
             "shares": [float(s) for s in allocation_shares],
             "sigma": float(resulting_sigma),
-            "kpm": [dict(k) for k in kpm_summary],
-            "interval": int(created_at_interval),
+            "kpm": [{"latency_ms": s.mean_latency_ms, "throughput_mbps": s.mean_throughput_mbps,
+                     "drop_ratio": s.drop_ratio} for s in kpm],
+            "interval": int(interval),
         }
         self._append(obj["rates"], obj["shares"], obj["sigma"], len(obj["kpm"]))
         if self.path is not None:
+            self._pending.append(json.dumps(obj) + "\n")
             try:
                 with open(self.path, "a") as fh:
-                    fh.write(json.dumps(obj) + "\n")
+                    fh.write("".join(self._pending))
                     fh.flush()
             except OSError as exc:
-                # Keep the in-memory copy so the loop can continue.
+                # Keep the record and its pending line so the loop can continue.
                 log.warning("experience store write failed: %s", exc)
                 raise StorageError(str(exc)) from exc
+            self._pending.clear()
         return obj["id"]
 
     def _append(self, rates: Sequence[float], shares: Sequence[float], sigma: float, n_kpm: int) -> None:

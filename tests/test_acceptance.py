@@ -14,6 +14,7 @@ from sliceloop.core import (
     AllocationRatio,
     RadioConfig,
     SliceKind,
+    SliceKpm,
     SliceSpec,
     ratio_to_rb_counts,
 )
@@ -135,13 +136,8 @@ def test_criterion_5_retrieval_equivalence():
         rates = rng.uniform(50.0, 150.0, size=(n, 2))
         sigmas = -rng.uniform(0.0, 2.0, size=n)
         for i in range(n):
-            store.record(
-                arrival_rates_mbps=list(rates[i]),
-                allocation_shares=(0.5, 0.5),
-                resulting_sigma=float(sigmas[i]),
-                kpm_summary=[{}, {}],
-                created_at_interval=i,
-            )
+            kpm = tuple(SliceKpm(1.0, r, 0.0, r) for r in rates[i].tolist())
+            store.record(kpm, (0.5, 0.5), float(sigmas[i]), i)
         query = list(rng.uniform(40.0, 160.0, size=2))
         k = int(rng.integers(1, 6))
         got = [r.record_id for r in store.retrieve(query, k)]

@@ -42,7 +42,7 @@ from sliceloop.radio import (
     generate_traffic,
     simulate_interval,
 )
-from sliceloop.sla import assess
+from sliceloop.sla import assess, starved
 from sliceloop.store import ExperienceRecord, ExperienceStore
 from split_reference import reference_splits
 
@@ -56,8 +56,8 @@ SPECS = [
 
 def make_kpm(lat=25.0, thr=80.0, drop=0.0, off=(120.0, 80.0)):
     return (
-        SliceKpm(lat, min(off[0], 100.0), 0.1, off[0], 500),
-        SliceKpm(1.0, min(thr, off[1]), drop, off[1], 500),
+        SliceKpm(lat, min(off[0], 100.0), 0.1, off[0]),
+        SliceKpm(1.0, min(thr, off[1]), drop, off[1]),
     )
 
 
@@ -217,8 +217,7 @@ class TestPredictor:
     @staticmethod
     def risk_branch(spec, kpm):
         if spec.kind is SliceKind.LATENCY:
-            starved = kpm.delivered_count == 0 and kpm.offered_load_mbps > 0
-            return "starved" if starved else "latency"
+            return "starved" if starved(kpm) else "latency"
         if spec.sla_target <= kpm.offered_load_mbps:
             return "floor"
         return "idle" if kpm.offered_load_mbps <= 0 else "capped"
@@ -433,6 +432,25 @@ class TestHeuristicOracle:
     def test_backend_requires_predictor(self):
         with pytest.raises(BackendError):
             HeuristicOracleBackend().propose(make_prompt(), CURRENT)
+
+    @pytest.mark.parametrize("specs", [
+        [SPECS[0], SPECS[1], replace(SPECS[1], slice_id=2)],
+        [replace(SPECS[1], slice_id=0), SPECS[1]],
+    ], ids=["three_slices", "no_latency_slice"])
+    def test_every_cycle_reports_the_slice_requirement(self, specs):
+        n = len(specs)
+        env = Environment(
+            radio_cfg=RadioConfig(total_rbs=12),
+            queue_cfg=QueueConfig(),
+            specs=specs,
+            channels=[UeChannelState(k, k, SINR) for k in range(n)],
+            profile=StepProfile(steps=tuple(((0, 4.0),) for _ in range(n))),
+        )
+        log = run_experiment(env, 4, HeuristicOracleBackend(), gate_enabled=False)
+        assert [c.backend_error for c in log.cycles] == [
+            "ValueError: the heuristic oracle needs exactly two slices, "
+            "one of them latency-constrained"] * 4
+        assert log.reallocation_count == 0
 
 
 class TestScriptedBackend:
@@ -718,6 +736,12 @@ class FailingWriteStore(ExperienceStore):
             self.path = path
 
 
+def all_records(store):
+    """A store's records, by id."""
+    return sorted(store.retrieve([0.0] * store.n_slices, len(store)),
+                  key=lambda r: r.record_id)
+
+
 class TestRemoteFaultMatrix:
     """Any backend or storage fault keeps the allocation and is reported,
     never ends the run."""
@@ -733,6 +757,9 @@ class TestRemoteFaultMatrix:
             store = FailingWriteStore(Path(tmp) / "history.jsonl", failing)
             log = run_experiment(env, len(plans), backend, store=store,
                                  gate_enabled=False)
+            written = max((i + 1 for i in range(len(plans)) if i not in failing), default=0)
+            assert store.path.exists() == bool(written)
+            loaded = all_records(ExperienceStore.load(store.path, 2)) if written else []
         assert len(log.cycles) == len(plans)
         assert [c.storage_error is not None for c in log.cycles] == [
             i in failing for i in range(len(plans))]
@@ -763,12 +790,13 @@ class TestRemoteFaultMatrix:
                 assert report.backend_error == f"{type(arg).__name__}: {arg}"
             elif kind == "error":
                 assert report.backend_error == str(arg)
-            rebuilt.record(generate_traffic(env.profile, report.interval_index), shares,
-                           report.assessment.sigma, [{}, {}], report.interval_index)
+            rebuilt.record(report.kpm, shares, report.assessment.sigma, report.interval_index)
         assert log.final_state.current_allocation.shares == shares
         # Every cycle retrieved the same traffic, so this scans one record.
         query = generate_traffic(env.profile, len(plans) - 1)
         assert store.retrieve(query, env.retrieve_k) == rebuilt.retrieve(query, env.retrieve_k)
+        # The history holds every record up to the last successful write.
+        assert loaded == all_records(store)[:written]
 
 
 def test_decision_outcome_rejects_negative_tokens():

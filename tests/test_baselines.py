@@ -17,7 +17,6 @@ from sliceloop.baselines import (
 )
 from sliceloop.core import AllocationRatio, RadioConfig, SliceKind, SliceSpec
 from sliceloop.radio import QueueConfig, SimState, UeChannelState, simulate_interval
-from sliceloop.sla import starved
 from split_reference import reference_splits
 
 SINR = 2.0 ** (2_200_000 / 180_000) - 1.0  # 2.2 Mbps per RB
@@ -158,17 +157,23 @@ class TestBruteForceOptimal:
 
 
 def reference_rows(offered, channels, radio, queue, specs, state):
-    """The table split by split: one ``Predictor.score`` call per split."""
+    """The table split by split: one ``Predictor.score`` call per split.
+
+    A latency slice that delivered no packet of a positive offered load is
+    starved, and infeasible, by ``simulate_interval``'s accounting.
+    """
     predictor = Predictor(offered, channels, radio, queue, specs, state)
     rows = []
     for counts in reference_splits(radio.total_rbs, len(specs)):
         score = predictor.score(counts)
         slices = score.kpm
+        accounting = simulate_interval(offered, counts, channels, radio, queue,
+                                       state).accounting
         feasible = all(
             spec.kind is SliceKind.THROUGHPUT
-            or (not starved(s.delivered_count, s.offered_load_mbps)
+            or (not (a.delivered_packets == 0 and s.offered_load_mbps > 0)
                 and s.mean_latency_ms < spec.sla_target)
-            for spec, s in zip(specs, slices)
+            for spec, s, a in zip(specs, slices, accounting)
         )
         rows.append(EnumerationRow(
             rb_counts=counts,

@@ -82,11 +82,11 @@ class TestAllocationRatio:
 class TestSliceKpm:
     def test_cannot_deliver_more_than_offered(self):
         with pytest.raises(ValueError):
-            SliceKpm(1.0, 90.0, 0.0, 80.0, 10)
+            SliceKpm(1.0, 90.0, 0.0, 80.0)
 
     def test_drop_ratio_range(self):
         with pytest.raises(ValueError):
-            SliceKpm(1.0, 10.0, 1.5, 80.0, 10)
+            SliceKpm(1.0, 10.0, 1.5, 80.0)
 
 
 class TestRatioToRbCounts:

@@ -151,7 +151,8 @@ def retrieval_digests() -> dict[str, str]:
         path = Path(tmp) / "history.jsonl"
         store = ExperienceStore(2, path=path)
         for i in range(n):
-            store.record(rates[i], [0.5, 0.5], sigmas[i], [{}, {}], i)
+            kpm = tuple(SliceKpm(1.0, r, 0.0, r) for r in rates[i])
+            store.record(kpm, [0.5, 0.5], sigmas[i], i)
             if i + 1 in checkpoints:
                 out[f"appended_{i + 1}"] = _sha(repr(ids(store)))
         out["reloaded"] = _sha(repr(ids(ExperienceStore.load(path, 2))))
@@ -169,10 +170,10 @@ def prompt_digests() -> dict[str, str]:
         ExperienceRecord(2, (13.3333, 10.0), (0.5, 0.5), -1.98765),
     ]
     latency = {
-        "served": SliceKpm(12.3456789, 13.9, 0.0071428, 14.0, 4862),
-        "starved": SliceKpm(0.0, 0.0, 1.0, 14.0, 0),
+        "served": SliceKpm(12.3456789, 13.9, 0.0071428, 14.0),
+        "starved": SliceKpm(0.0, 0.0, 1.0, 14.0),
     }
-    throughput = SliceKpm(1.25, 8.8765432, 0.0663, 9.5, 3086)
+    throughput = SliceKpm(1.25, 8.8765432, 0.0663, 9.5)
     out = {}
     for latency_first in (True, False):
         if latency_first:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sliceloop.core import RadioConfig
+from sliceloop.sla import starved
 from sliceloop.radio import (
     InternalStateError,
     QueueConfig,
@@ -130,11 +131,11 @@ class TestSimulateInterval:
         radio, queue, channels = make_env()
         res = simulate_interval([0.0, 0.0], [5, 5], channels, radio, queue,
                                 SimState.fresh(2))
-        for s in res.kpm:
+        for s, a in zip(res.kpm, res.accounting):
             assert s.mean_latency_ms == 0.0
             assert s.mean_throughput_mbps == 0.0
             assert s.drop_ratio == 0.0
-            assert s.delivered_count == 0
+            assert a.delivered_packets == 0
 
     def test_offered_equals_capacity(self):
         # 5 RBs = 11 Mbps per slice; offer exactly that
@@ -350,6 +351,43 @@ class TestBatchedQueue:
         with pytest.raises(InternalStateError):
             _advance_slice_batch([SliceQueueState()] * 2, [1e6, 1e6], np.array([[1e6]]),
                                  10, 0.001, 12_000, 4, 1)
+
+
+class TestStarvation:
+    """``sla.starved`` reads a KPM's throughput and offered load; the
+    accounting says whether anything was delivered.  The two must agree."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        stacked=stacked_slices(),
+        offered=st.lists(st.sampled_from([0.0, 1e-3, 0.012]) | st.floats(0.0, 40.0),
+                         min_size=3, max_size=3),
+        # SINR 0 and 1e-9 deliver nothing; 1e-4 only with a carried credit.
+        sinrs=st.lists(st.sampled_from([0.0, 1e-9, 1e-4, 0.05]) | st.floats(0.0, 100.0),
+                       min_size=3, max_size=3),
+        rbs=st.integers(1, 6),
+    )
+    def test_starved_iff_nothing_delivered(self, stacked, offered, sinrs, rbs):
+        cap, start, queues, _, _ = stacked
+        n = len(queues)
+        offered = offered[:n]
+        queue = QueueConfig(buffer_capacity_packets=cap)
+        channels = [UeChannelState(k, k, x) for k, x in enumerate(sinrs[:n])]
+        state = SimState(start, queues)
+
+        def interval(counts):
+            radio = RadioConfig(total_rbs=sum(counts), monitoring_interval_s=0.1)
+            return simulate_interval(offered, counts, channels, radio, queue, state)
+
+        res = interval([rbs] * n)
+        for kpm, acct, mbps in zip(res.kpm, res.accounting, offered):
+            assert starved(kpm) == (acct.delivered_packets == 0 and mbps > 0)
+        radio = RadioConfig(total_rbs=n * rbs, monitoring_interval_s=0.1)
+        tables = slice_kpm_tables(offered, channels, radio, queue, state, rbs)
+        for k, table in enumerate(tables):
+            for count, kpm in enumerate(table, 1):
+                acct = interval([count if j == k else 1 for j in range(n)]).accounting[k]
+                assert starved(kpm) == (acct.delivered_packets == 0 and offered[k] > 0)
 
 
 def reference_advance_slice(qs, offered_bps, service_bps, n_ticks, tick_s,

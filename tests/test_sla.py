@@ -15,6 +15,8 @@ from sliceloop.sla import (
     assess,
     compliance_index,
     risk_factor,
+    slice_risk,
+    starved,
     violation_level,
 )
 
@@ -40,11 +42,10 @@ def expit():
     return pytest.importorskip("scipy.special").expit
 
 
-def sample(lat_ms, lat_thr, lat_off, thr_ms, thr_thr, thr_off,
-           lat_count=100, thr_count=100):
+def sample(lat_ms, lat_thr, lat_off, thr_ms, thr_thr, thr_off):
     return (
-        SliceKpm(lat_ms, lat_thr, 0.0, lat_off, lat_count),
-        SliceKpm(thr_ms, thr_thr, 0.0, thr_off, thr_count),
+        SliceKpm(lat_ms, lat_thr, 0.0, lat_off),
+        SliceKpm(thr_ms, thr_thr, 0.0, thr_off),
     )
 
 
@@ -173,7 +174,8 @@ class TestAssess:
         assert a.violation_detected
 
     def test_starved_latency_slice_is_maximal_risk(self):
-        kpm = (SliceKpm(0.0, 0.0, 1.0, 50.0, 0), SliceKpm(1.0, 50.0, 0.0, 50.0, 10))
+        # Zero throughput at a positive offered load: nothing was delivered.
+        kpm = (SliceKpm(0.0, 0.0, 1.0, 50.0), SliceKpm(1.0, 50.0, 0.0, 50.0))
         a = assess(kpm, [LAT, THR], 0.7)
         assert a.slices[0].epsilon == math.inf
         assert a.slices[0].rho > 0.999
@@ -181,9 +183,19 @@ class TestAssess:
         assert a.violation_detected
 
     def test_idle_latency_slice_is_low_risk(self):
-        kpm = (SliceKpm(0.0, 0.0, 0.0, 0.0, 0), SliceKpm(1.0, 50.0, 0.0, 50.0, 10))
+        kpm = (SliceKpm(0.0, 0.0, 0.0, 0.0), SliceKpm(1.0, 50.0, 0.0, 50.0))
         a = assess(kpm, [LAT, THR], 0.7)
         assert not a.violation_detected
+
+    def test_served_latency_slice_under_target_is_not_starved(self):
+        # Built by hand with the four KPM fields: it delivered 50 Mbps at
+        # 3 ms, under the 10 ms target, so it is scored by its latency.
+        kpm = SliceKpm(3.0, 50.0, 0.0, 50.0)
+        risk = slice_risk(LAT, kpm)
+        assert not starved(kpm)
+        assert risk.epsilon == violation_level(3.0, LAT)
+        assert math.isfinite(risk.epsilon)
+        assert risk.rho < 0.7
 
     def test_throughput_target_capped_by_demand(self):
         # delivering everything offered is not a violation, however large

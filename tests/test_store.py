@@ -9,20 +9,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sliceloop.store import ExperienceRecord, ExperienceStore
+from sliceloop.core import SliceKpm
+from sliceloop.store import ExperienceRecord, ExperienceStore, StorageError
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 def make_record_args(rates, sigma, shares=None):
+    """``record`` arguments for an interval that delivered all its offered ``rates``."""
     return {
-        "arrival_rates_mbps": rates,
+        "kpm": tuple(SliceKpm(1.0, r, 0.0, r) for r in rates),
         "allocation_shares": [1.0 / len(rates)] * len(rates) if shares is None else shares,
         "resulting_sigma": sigma,
-        "kpm_summary": [
-            {"latency_ms": 1.0, "throughput_mbps": r, "drop_ratio": 0.0} for r in rates
-        ],
-        "created_at_interval": 0,
+        "interval": 0,
     }
 
 
@@ -185,7 +184,8 @@ class TestRecord:
         path = tmp_path / "store.jsonl"
         store = ExperienceStore(2, path=path)
         store.record(**make_record_args([80.0, 95.0], -0.25))
-        with pytest.raises(ValueError, match="finite"):
+        # A SliceKpm refuses a negative offered load, -inf included, itself.
+        with pytest.raises(ValueError, match="nonnegative" if bad < 0 else "finite"):
             store.record(**make_record_args([bad, 1.0], -0.25))
         assert len(store) == 1
         assert len(path.read_text().splitlines()) == 1
@@ -203,14 +203,10 @@ class TestRecord:
     def test_jsonl_bytes_are_stable(self, tmp_path):
         path = tmp_path / "store.jsonl"
         store = ExperienceStore(2, path=path)
-        store.record([80, 95], (0.5, 0.5), -0.25, [
-            {"latency_ms": 1.0, "throughput_mbps": 80, "drop_ratio": 0.0},
-            {"latency_ms": 1.0, "throughput_mbps": 95, "drop_ratio": 0.0},
-        ], 0)
-        store.record([120.5, 85.25], (0.6, 0.4), -0.75, [
-            {"latency_ms": 2.5, "throughput_mbps": 110.125, "drop_ratio": 0.01},
-            {"latency_ms": 7.0, "throughput_mbps": 85.0, "drop_ratio": 0.0},
-        ], 3)
+        store.record((SliceKpm(1.0, 80, 0.0, 80), SliceKpm(1.0, 95, 0.0, 95)),
+                     (0.5, 0.5), -0.25, 0)
+        store.record((SliceKpm(2.5, 110.125, 0.01, 120.5), SliceKpm(7.0, 85.0, 0.0, 85.25)),
+                     (0.6, 0.4), -0.75, 3)
         assert path.read_bytes() == (
             b'{"id": 0, "rates": [80.0, 95.0], "shares": [0.5, 0.5], "sigma": -0.25, '
             b'"kpm": [{"latency_ms": 1.0, "throughput_mbps": 80, "drop_ratio": 0.0}, '
@@ -302,6 +298,23 @@ class TestRecord:
             tracemalloc.stop()
         assert len(store) == 10_000
         assert retained < 2_000_000
+
+    @pytest.mark.parametrize("failures", [1, 2])
+    def test_failed_writes_are_written_ahead_of_the_next_line(self, tmp_path, failures):
+        path = tmp_path / "store.jsonl"
+        store = ExperienceStore(2, path=path)
+        store.record(**make_record_args([80.0, 95.0], -0.25))
+        store.path = tmp_path  # a directory cannot be opened for appending
+        for i in range(failures):
+            with pytest.raises(StorageError):
+                store.record(**make_record_args([90.0 + i, 85.0], -0.5))
+        store.path = path
+        assert len(store) == 1 + failures
+        assert len(path.read_text().splitlines()) == 1
+        store.record(**make_record_args([100.0, 70.0], -0.75, shares=(0.6, 0.4)))
+        reloaded = ExperienceStore.load(path, 2)
+        assert [r.record_id for r in every_record(reloaded)] == list(range(failures + 2))
+        assert every_record(reloaded) == every_record(store)
 
     def test_jsonl_field_names_are_stable(self, tmp_path):
         path = tmp_path / "store.jsonl"
