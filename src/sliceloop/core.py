@@ -41,6 +41,15 @@ def check_pool(total_rbs: int, n_slices: int) -> None:
         )
 
 
+def exact_key(value) -> object:
+    """A hashable stand-in for ``value`` that equals another only for the same type and bits.
+
+    Floats give ``float.hex``, so 0.0 and -0.0, or two neighbouring
+    floats, never compare equal; anything else gives its type and repr.
+    """
+    return value.hex() if type(value) is float else (type(value), repr(value))
+
+
 def check_counts(config, *names: str) -> None:
     """``check_count`` of each named field of config."""
     for name in names:

@@ -4,12 +4,16 @@ The bundled defaults are engineering choices sized so that a 50-50 split
 comfortably carries 80 Mbps per slice but not 120 Mbps, which reproduces
 the qualitative step-traffic behaviour the experiments need.  Scenario 1
 timelines are configuration, not code, because the source traffic rates
-are only approximate.
+are only approximate.  One scenario2 sweep shares a ``loop.SweepMemo``
+across its trials and policies, so it simulates each distinct
+slice-interval once; its outputs are byte-identical to simulating every
+interval.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
@@ -18,7 +22,7 @@ import numpy as np
 
 from .core import AllocationRatio, RadioConfig, SliceKind, SliceSpec, check_count, check_counts
 from .agents import HeuristicOracleBackend, RemoteBackend, ScriptedBackend
-from .loop import TIMELINE_FIELDS, Environment, ExperimentLog, run_experiment
+from .loop import TIMELINE_FIELDS, Environment, ExperimentLog, SweepMemo, run_experiment
 from .radio import QueueConfig, StepProfile, UeChannelState
 from .stats import compute_distribution_stats, write_csv
 
@@ -82,6 +86,8 @@ class HarnessConfig:
         check_counts(self, "scenario1_cycles", "scenario2_cycles", "retrieve_k")
         if not self.scenario2_grid:
             raise ValueError("scenario2_grid must hold at least one rate")
+        _check_rates("scenario2_grid", self.scenario2_grid)
+        _check_rates("scenario1_steps", [r for steps in self.scenario1_steps for _, r in steps])
         n_slices = len(self.specs())
         for name in ("initial_shares", "scenario1_steps"):
             count = len(getattr(self, name))
@@ -140,6 +146,13 @@ class HarnessConfig:
         if "initial_shares" in kwargs:
             kwargs["initial_shares"] = tuple(float(v) for v in kwargs["initial_shares"])
         return cls(**kwargs)
+
+
+def _check_rates(name: str, rates) -> None:
+    """Raise ValueError, naming the field, unless every rate is finite and >= 0."""
+    for rate in rates:
+        if not 0 <= rate < math.inf:
+            raise ValueError(f"{name} rates must be finite and nonnegative, got {rate}")
 
 
 def make_backend(name: str, config: HarnessConfig):
@@ -242,10 +255,14 @@ def run_scenario2(
     Every policy in a trial sees the same constant drawn rates; samples
     are per interval, pooled across trials.  ``stats`` holds each
     policy's ``compute_distribution_stats`` of both sample lists, which
-    the summary and the figure CSVs share.
+    the summary and the figure CSVs share.  Every run shares one
+    ``SweepMemo``, which lives as long as this call: trials that draw the
+    same rates, and policies that hold the same split, replay the same
+    slice-intervals, which then run the tick loop once.
     """
     check_count("trials", trials)
     draws = scenario2_draws(config, trials, seed)
+    memo = SweepMemo()
     policies = ["adaptive"] + list(FIXED_BASELINES)
     results = {
         name: {"s1_latency_ms": [], "s2_drop_ratio": [], "trial_max_s2_drop": []}
@@ -262,7 +279,7 @@ def run_scenario2(
                 backend = None
                 initial = AllocationRatio(FIXED_BASELINES[name])
             log = run_experiment(
-                env, config.scenario2_cycles, backend, initial_allocation=initial
+                env, config.scenario2_cycles, backend, initial_allocation=initial, memo=memo
             )
             lat = [c.kpm[0].mean_latency_ms for c in log.cycles]
             drop = [c.kpm[1].drop_ratio for c in log.cycles]

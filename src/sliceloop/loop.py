@@ -12,15 +12,27 @@ masked by a fallback policy.  A failed write to the experience store
 likewise ends up on the cycle report (``storage_error``); the record
 stays in memory and the store writes its line ahead of the next one.
 Each interval's index is stored once, on its ``CycleReport``.
+
+A sweep of many short runs can share one ``SweepMemo`` across them: each
+distinct slice-interval is then simulated once and each distinct cycle's
+KPMs assessed once, with byte-identical reports.  ``harness.run_scenario2``
+does so; ``run_experiment`` alone keeps no memo.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Optional
 
-from .core import AllocationRatio, RadioConfig, SliceKpm, SliceSpec, ratio_to_rb_counts
+from .core import (
+    AllocationRatio,
+    RadioConfig,
+    SliceKpm,
+    SliceSpec,
+    exact_key,
+    ratio_to_rb_counts,
+)
 from .agents import (
     Backend,
     BackendError,
@@ -30,6 +42,7 @@ from .agents import (
     valid_token_counts,
 )
 from .radio import (
+    IntervalResult,
     QueueConfig,
     SimState,
     StepProfile,
@@ -87,6 +100,45 @@ class Environment:
     retrieve_k: int = 3
 
 
+@dataclass
+class SweepMemo:
+    """What the runs of one sweep have computed, for its later runs to reuse.
+
+    ``intervals`` is ``simulate_interval``'s memo of single-slice
+    intervals.  ``cycles`` keeps one assessment, and one copy of the
+    report's KPM, accounting and RB-count tuples, per distinct cycle.
+    Both grow with every distinct input: the sweep that creates a memo
+    drops it when it returns.
+    """
+
+    intervals: dict = field(default_factory=dict)
+    cycles: dict = field(default_factory=dict)
+
+    def cycle(
+        self, result: IntervalResult, rb_counts: tuple[int, ...], specs: list[SliceSpec],
+        theta: float,
+    ) -> tuple[tuple, tuple, tuple[int, ...], RiskAssessment]:
+        """(KPMs, accounting, RB counts, ``sla.assess`` of the KPMs), one copy per distinct cycle.
+
+        Cycles are told apart by the exact bits of the KPMs and the SLA
+        inputs, the accounting ints and the RB counts.
+        """
+        key = (
+            tuple(exact_key(x) for k in result.kpm for x in (
+                k.mean_latency_ms, k.mean_throughput_mbps, k.drop_ratio, k.offered_load_mbps)),
+            result.accounting,
+            rb_counts,
+            exact_key(theta),
+            tuple((s.slice_id, s.kind, *map(exact_key, (s.sla_target, s.weight, s.shape_a,
+                                                        s.shape_b))) for s in specs),
+        )
+        hit = self.cycles.get(key)
+        if hit is None:
+            hit = self.cycles[key] = (result.kpm, result.accounting, rb_counts,
+                                      assess(result.kpm, specs, theta))
+        return hit
+
+
 def _check_outcome(outcome: DecisionOutcome, n_slices: int) -> None:
     """Raise BackendError unless outcome has n_slices shares and valid token counts."""
     shares, tokens = outcome.allocation, (outcome.prompt_tokens, outcome.completion_tokens)
@@ -101,6 +153,7 @@ def run_cycle(
     store: ExperienceStore,
     backend: Optional[Backend],
     gate_enabled: bool = True,
+    memo: Optional[SweepMemo] = None,
 ) -> tuple[LoopState, CycleReport]:
     """One monitoring interval plus the decision path it triggers.
 
@@ -108,11 +161,12 @@ def run_cycle(
     produced for comparison but no reallocation ever happens.  With the
     gate disabled the backend is consulted every cycle regardless of the
     assessment (and no cooldown applies), which is the costly variant the
-    token comparison measures against.
+    token comparison measures against.  With a ``memo`` the interval and
+    its assessment are taken from it when they were computed before.
     """
     idx = state.interval_index
     offered = generate_traffic(env.profile, idx)
-    rb_counts = ratio_to_rb_counts(state.current_allocation, env.radio_cfg.total_rbs)
+    rb_counts = tuple(ratio_to_rb_counts(state.current_allocation, env.radio_cfg.total_rbs))
     result = simulate_interval(
         offered,
         rb_counts,
@@ -120,8 +174,14 @@ def run_cycle(
         env.radio_cfg,
         env.queue_cfg,
         state.sim_state,
+        memo=None if memo is None else memo.intervals,
     )
-    assessment = assess(result.kpm, env.specs, env.radio_cfg.violation_threshold)
+    theta = env.radio_cfg.violation_threshold
+    if memo is None:
+        kpm, accounting = result.kpm, result.accounting
+        assessment = assess(kpm, env.specs, theta)
+    else:
+        kpm, accounting, rb_counts, assessment = memo.cycle(result, rb_counts, env.specs, theta)
 
     in_cooldown = gate_enabled and state.cooldown_remaining > 0
     if backend is None:
@@ -139,7 +199,7 @@ def run_cycle(
         retrieved = store.retrieve(offered, env.retrieve_k)
         prompt = build_meta_prompt(
             assessment,
-            result.kpm,
+            kpm,
             state.current_allocation,
             retrieved,
             env.specs,
@@ -163,7 +223,7 @@ def run_cycle(
 
     storage_error: Optional[str] = None
     try:
-        store.record(result.kpm, applied_allocation.shares, assessment.sigma, idx)
+        store.record(kpm, applied_allocation.shares, assessment.sigma, idx)
     except StorageError as exc:
         storage_error = str(exc)
 
@@ -175,13 +235,13 @@ def run_cycle(
     )
     report = CycleReport(
         interval_index=idx,
-        kpm=result.kpm,
+        kpm=kpm,
         assessment=assessment,
-        rb_counts=tuple(rb_counts),
+        rb_counts=rb_counts,
         gate_open=gate_open,
         decision=decision,
         backend_error=backend_error,
-        accounting=result.accounting,
+        accounting=accounting,
         storage_error=storage_error,
     )
     return new_state, report
@@ -243,8 +303,9 @@ def run_experiment(
     initial_allocation: Optional[AllocationRatio] = None,
     store: Optional[ExperienceStore] = None,
     gate_enabled: bool = True,
+    memo: Optional[SweepMemo] = None,
 ) -> ExperimentLog:
-    """Run a full deterministic timeline of cycles."""
+    """Run a full deterministic timeline of cycles, sharing ``memo`` if given."""
     n_slices = len(env.specs)
     if initial_allocation is None:
         initial_allocation = AllocationRatio([1.0 / n_slices] * n_slices)
@@ -257,6 +318,6 @@ def run_experiment(
     )
     cycles = []
     for _ in range(n_cycles):
-        state, report = run_cycle(state, env, store, backend, gate_enabled)
+        state, report = run_cycle(state, env, store, backend, gate_enabled, memo)
         cycles.append(report)
     return ExperimentLog(cycles=cycles, final_state=state)

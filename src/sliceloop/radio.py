@@ -17,6 +17,11 @@ recursion is a discrete Lindley recursion: once the queue is empty and
 no later tick brings more packets than one tick serves, every later
 tick serves exactly its own arrivals, so the loop fills in the rest of
 such a drained stretch at once.
+Slices share nothing but the RB total, so one slice's interval depends
+on its own inputs alone: with a memo that a sweep owns,
+``simulate_interval`` runs the tick loop once per distinct
+slice-interval, and one scenario2 sweep, which repeats most of them,
+writes byte-identical outputs.
 Predictions need no new state, only KPMs: ``slice_kpm_tables`` steps
 the same recursion for every RB count of every slice at once, as the
 columns of one stacked tick loop (``_advance_slice_batch``),
@@ -33,7 +38,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .core import RadioConfig, SliceKpm, check_counts
+from .core import RadioConfig, SliceKpm, check_counts, exact_key
 
 
 @dataclass(frozen=True)
@@ -153,6 +158,21 @@ class SliceAccounting:
     dropped_packets: int
     queued_before: int
     queued_after: int
+
+
+@dataclass(frozen=True, slots=True)
+class MemoEntry:
+    """One slice's simulated interval, as a ``simulate_interval`` memo keeps it.
+
+    ``tail`` is the carried FIFO's arrival ticks minus the interval's
+    start tick, read-only.
+    """
+
+    kpm: SliceKpm
+    accounting: SliceAccounting
+    tail: np.ndarray
+    arrival_carry: float
+    service_credit: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -450,6 +470,7 @@ def simulate_interval(
     radio_cfg: RadioConfig,
     queue_cfg: QueueConfig,
     state: SimState,
+    memo: dict | None = None,
 ) -> IntervalResult:
     """Advance every slice's queue over one monitoring interval.
 
@@ -458,6 +479,17 @@ def simulate_interval(
     caller knows which interval it ran.  The accounting tuple preserves
     exact packet conservation per slice:
     delivered + dropped + (queued_after - queued_before) == offered.
+
+    ``memo``, a dict that the caller owns, maps each slice-interval
+    simulated with it to a ``MemoEntry``.  The key is the exact bits
+    (``core.exact_key``) of every value a slice's step and KPMs are
+    computed from: its offered rate, its service rate, its carried FIFO
+    relative to ``state.tick``, its arrival carry and service credit, and
+    the interval's tick count, tick length, packet size and buffer.  A
+    slice found in the memo is not simulated again: it gets the stored
+    ``SliceKpm`` and ``SliceAccounting`` objects, and a new carried FIFO,
+    the stored tail rebased to ``state.tick``.  The step reads arrival
+    ticks only relative to the interval's start, so the rebase is exact.
     """
     n_slices = len(rb_counts)
     if len(offered_mbps) != n_slices or len(state.queues) != n_slices:
@@ -466,26 +498,39 @@ def simulate_interval(
         raise InternalStateError("RB counts must sum to the configured pool")
 
     tick_s, n_ticks, interval_s = _interval_ticks(radio_cfg, queue_cfg)
+    packet_bits, buffer_cap = queue_cfg.packet_bits, queue_cfg.buffer_capacity_packets
+    interval_key = (n_ticks, exact_key(queue_cfg.tick_duration_ms), packet_bits, buffer_cap)
     slice_kpms = []
     new_queues = []
     accounting = []
     for k in range(n_slices):
         ue = _slice_ue(channels, k)
         service_bps = channel_capacity(ue, rb_counts[k], radio_cfg.rb_bandwidth_hz)
-        new_qs, acct, lat_ticks, delivered = _advance_slice(
-            state.queues[k],
-            offered_mbps[k] * 1e6,
-            service_bps,
-            n_ticks,
-            tick_s,
-            queue_cfg.packet_bits,
-            queue_cfg.buffer_capacity_packets,
-            state.tick,
-        )
-        slice_kpms.append(
-            _slice_kpm(offered_mbps[k], acct.offered_packets, delivered,
-                       acct.dropped_packets, lat_ticks, queue_cfg, interval_s)
-        )
+        qs = state.queues[k]
+        key = entry = None
+        if memo is not None:
+            tail = qs.arrival_ticks - state.tick
+            key = (exact_key(offered_mbps[k]), exact_key(service_bps), tail.dtype.str,
+                   tail.tobytes(), exact_key(qs.arrival_carry), exact_key(qs.service_credit),
+                   interval_key)
+            entry = memo.get(key)
+        if entry is None:
+            new_qs, acct, lat_ticks, delivered = _advance_slice(
+                qs, offered_mbps[k] * 1e6, service_bps, n_ticks, tick_s,
+                packet_bits, buffer_cap, state.tick,
+            )
+            kpm = _slice_kpm(offered_mbps[k], acct.offered_packets, delivered,
+                             acct.dropped_packets, lat_ticks, queue_cfg, interval_s)
+            if key is not None:
+                tail = new_qs.arrival_ticks - state.tick
+                tail.flags.writeable = False
+                memo[key] = MemoEntry(kpm, acct, tail, new_qs.arrival_carry,
+                                      new_qs.service_credit)
+        else:
+            kpm, acct = entry.kpm, entry.accounting
+            new_qs = SliceQueueState(entry.tail + state.tick, entry.arrival_carry,
+                                     entry.service_credit)
+        slice_kpms.append(kpm)
         new_queues.append(new_qs)
         accounting.append(acct)
 

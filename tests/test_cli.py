@@ -226,6 +226,22 @@ class TestErrors:
         assert field in err["message"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, field, value", [
+        (["scenario2", "--trials", "2"], "scenario2_grid", [80.0, -5.0]),
+        (["scenario2", "--trials", "2"], "scenario2_grid", [80.0, float("nan")]),
+        (["scenario1"], "scenario1_steps", [[[0, 5.0], [3, -5.0]], [[0, 4.0]]]),
+    ])
+    def test_bad_config_rate_names_the_field(self, tmp_path, capsys, command, field, value):
+        # Rejected before any trial runs, whether or not a trial would draw it.
+        cfg = tmp_path / "rates.json"
+        cfg.write_text(json.dumps({**SMALL, field: value}))
+        rc = main(command + ["--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert field in err["message"]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_trials_below_one_names_the_option(self, tmp_path, capsys, small_cfg,
                                                trials):
