@@ -323,6 +323,18 @@ class Predictor:
                 sum(thr[self._throughput_slices], zeros))
 
 
+def check_oracle_specs(specs: Sequence[SliceSpec]) -> None:
+    """Raise ValueError, naming the slice count, unless the heuristic oracle can decide for specs.
+
+    It decides for exactly two slices, one of them latency-constrained.
+    """
+    latency = sum(s.kind == SliceKind.LATENCY for s in specs)
+    if len(specs) != 2 or not latency:
+        raise ValueError("the heuristic oracle needs exactly two slices, one of them "
+                         f"latency-constrained; got {len(specs)} slices, {latency} of them "
+                         "latency-constrained")
+
+
 def heuristic_oracle_decide(
     current_allocation: AllocationRatio,
     predictor: Predictor,
@@ -344,11 +356,8 @@ def heuristic_oracle_decide(
     every candidate on a safe plateau scores the same, the fewest-moved
     rule keeps the current allocation.
     """
-    kinds = [s.kind for s in predictor.specs]
-    if len(kinds) != 2 or SliceKind.LATENCY not in kinds:
-        raise ValueError("the heuristic oracle needs exactly two slices, "
-                         "one of them latency-constrained")
-    latency_idx = kinds.index(SliceKind.LATENCY)
+    check_oracle_specs(predictor.specs)
+    latency_idx = [s.kind for s in predictor.specs].index(SliceKind.LATENCY)
     total = predictor.radio_cfg.total_rbs
     current_lat = ratio_to_rb_counts(current_allocation, total)[latency_idx]
     splits = rb_splits(total, 2)

@@ -37,8 +37,10 @@ from .agents import (
     Backend,
     BackendError,
     DecisionOutcome,
+    HeuristicOracleBackend,
     Predictor,
     build_meta_prompt,
+    check_oracle_specs,
     valid_token_counts,
 )
 from .radio import (
@@ -113,6 +115,10 @@ class SweepMemo:
 
     intervals: dict = field(default_factory=dict)
     cycles: dict = field(default_factory=dict)
+    # id of each KPM object seen -> (the object, kept alive, and the exact bits of its fields).
+    _kpm_bits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # The last specs and threshold seen, and the exact bits of those SLA inputs.
+    _sla: tuple = field(default=((), None, None), init=False, repr=False, compare=False)
 
     def cycle(
         self, result: IntervalResult, rb_counts: tuple[int, ...], specs: list[SliceSpec],
@@ -121,17 +127,29 @@ class SweepMemo:
         """(KPMs, accounting, RB counts, ``sla.assess`` of the KPMs), one copy per distinct cycle.
 
         Cycles are told apart by the exact bits of the KPMs and the SLA
-        inputs, the accounting ints and the RB counts.
+        inputs, the accounting ints and the RB counts.  Each KPM object's
+        bits are taken once: the interval memo hands out one KPM object
+        per distinct slice-interval, so most cycles only look theirs up.
+        The SLA part is rebuilt only when the specs or the threshold are
+        other objects than on the last cycle, as on a new run.
         """
-        key = (
-            tuple(exact_key(x) for k in result.kpm for x in (
-                k.mean_latency_ms, k.mean_throughput_mbps, k.drop_ratio, k.offered_load_mbps)),
-            result.accounting,
-            rb_counts,
-            exact_key(theta),
-            tuple((s.slice_id, s.kind, *map(exact_key, (s.sla_target, s.weight, s.shape_a,
-                                                        s.shape_b))) for s in specs),
-        )
+        kpm_bits = self._kpm_bits
+        bits = []
+        for k in result.kpm:
+            seen = kpm_bits.get(id(k))
+            if seen is None:
+                seen = kpm_bits[id(k)] = (k, tuple(map(exact_key, (
+                    k.mean_latency_ms, k.mean_throughput_mbps, k.drop_ratio,
+                    k.offered_load_mbps))))
+            bits.append(seen[1])
+        last_specs, last_theta, sla = self._sla
+        if theta is not last_theta or list(map(id, specs)) != list(map(id, last_specs)):
+            sla = (exact_key(theta), tuple(
+                (s.slice_id, s.kind, *map(exact_key, (s.sla_target, s.weight, s.shape_a,
+                                                      s.shape_b)))
+                for s in specs))
+            self._sla = (tuple(specs), theta, sla)
+        key = (tuple(bits), result.accounting, rb_counts, sla)
         hit = self.cycles.get(key)
         if hit is None:
             hit = self.cycles[key] = (result.kpm, result.accounting, rb_counts,
@@ -305,7 +323,13 @@ def run_experiment(
     gate_enabled: bool = True,
     memo: Optional[SweepMemo] = None,
 ) -> ExperimentLog:
-    """Run a full deterministic timeline of cycles, sharing ``memo`` if given."""
+    """Run a full deterministic timeline of cycles, sharing ``memo`` if given.
+
+    Raises ValueError, before the first cycle, when ``backend`` is the
+    heuristic oracle and it cannot decide for ``env.specs``.
+    """
+    if isinstance(backend, HeuristicOracleBackend):
+        check_oracle_specs(env.specs)
     n_slices = len(env.specs)
     if initial_allocation is None:
         initial_allocation = AllocationRatio([1.0 / n_slices] * n_slices)

@@ -11,12 +11,24 @@ every KPM timeline is exactly reproducible; packets arriving to a full
 buffer are dropped.  Latency is enqueue-to-dequeue time at tick
 granularity, so an unloaded slice reports one tick of transmission delay.
 
-``simulate_interval`` advances the live queues with the scalar per-tick
-loop ``_advance_slice``, which also returns the carried FIFO.  The tick
-recursion is a discrete Lindley recursion: once the queue is empty and
-no later tick brings more packets than one tick serves, every later
-tick serves exactly its own arrivals, so the loop fills in the rest of
-such a drained stretch at once.
+``simulate_interval`` advances the live queues with ``_advance_slice``,
+which also returns the carried FIFO.  It steps an interval a stretch at
+a time, bit-identical to the per-tick loop.  While the queue stays
+non-empty, the service credit follows a free path (``_credit_path``):
+each tick adds the service rate c and serves the whole part.  Each sum
+``credit + c`` is below c + 1, so when c and the credit are multiples of
+w, the ulp of the binade that sum can reach, every sum is exact and the
+credit after j ticks is exactly frac(x + j*c), integer arithmetic in
+units of w.  For c >= 1 that holds after one tick whenever
+c + 1 <= 2**(e+1), with 2**e <= c, where w = ulp(c); other paths
+repeat the float operations in sequence.  Given the path, the
+buffer-capped queue is a min-plus formula, one cumulative sum and one
+running minimum, up to the first tick that empties it; that tick resets
+the credit to 0.0 and a new stretch starts.  A queue that keeps
+emptying is finished by the per-tick loop.  Once the queue is empty and
+no later tick brings more packets than one tick serves (a drained
+stretch of this discrete Lindley recursion), every later tick serves
+exactly its own arrivals, so the rest is filled in at once.
 Slices share nothing but the RB total, so one slice's interval depends
 on its own inputs alone: with a memo that a sweep owns,
 ``simulate_interval`` runs the tick loop once per distinct
@@ -34,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -191,7 +204,121 @@ def _arrivals(
     cum_offered = np.floor(qs.arrival_carry + r * ticks).astype(np.int64)
     offered = int(cum_offered[-1])
     carry_out = qs.arrival_carry + r * n_ticks - offered
-    return np.diff(cum_offered, prepend=np.int64(0)), offered, carry_out
+    arrivals = cum_offered.copy()
+    arrivals[1:] -= cum_offered[:-1]
+    return arrivals, offered, carry_out
+
+
+# Bound on the int64 sums of a stretch: offered packets plus a buffer's
+# worth per tick, with room to spare for the differences taken of them.
+_INT64_SUMS = 1 << 62
+# A queue that keeps emptying starts a new stretch after every empty
+# tick, and each stretch costs a dozen numpy calls over the rest of the
+# interval, worth it only while stretches are long: after this many
+# stretches, or after one shorter than _MIN_STRETCH_TICKS, the per-tick
+# loop finishes the interval.
+_MAX_STRETCHES = 8
+_MIN_STRETCH_TICKS = 32
+
+
+def _credit_path(x: float, c: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The service credit after each of ``k`` ticks from credit ``x``, and each tick's potential.
+
+    Tick j's potential service is ``sigma_j = int(x_{j-1} + c)`` and its
+    credit ``x_j = x_{j-1} + c - sigma_j``, with the tick loop's float
+    operations: the path of a queue that never empties.  Returns
+    (credits, potentials), float64 and int64 arrays of length ``k``;
+    ``c`` is below 2**62.
+
+    Closed form: write 2**e <= c < 2**(e+1) and u = ulp(c).  Each sum
+    ``x + c`` lies below c + 1, so its ulp is at most w: u when
+    c + 1 <= 2**(e+1), 2u when c >= 1 and c + 1 is more, and ulp(1.0)
+    when c < 1, where every sum is below 2.  The first sum is at least
+    c, so for c >= 1 it and the credit it leaves are multiples of u.
+    When c and that credit x_1 are multiples of w and w <= 1, every
+    later sum is a multiple of w below the next power of two up, so it
+    is exact, and the credit after j more ticks is exactly
+    frac(x_1 + j*c): integer arithmetic in units of w, where c is N
+    ones plus F units.  Otherwise the float operations run in sequence.
+    """
+    credits = np.empty(k)
+    sigma = np.empty(k, dtype=np.int64)
+    first = x + c
+    sigma[0] = served = int(first)
+    credits[0] = x = first - served
+    top = math.frexp(c)[1]  # c < 2**top
+    shift = 52 if c < 1.0 else 53 - top - (c > 2.0 ** top - 1.0)  # w is 2**-shift
+    units_c, units_x = math.ldexp(c, shift), math.ldexp(x, shift)
+    if shift < 0 or not (units_c.is_integer() and units_x.is_integer()):
+        path = np.fromiter(accumulate(repeat(c, k - 1), _credit_step, initial=x),
+                           dtype=np.float64, count=k)
+        credits[1:] = path[1:]
+        np.add(path[:-1], c, out=path[:-1])
+        sigma[1:] = path[:-1]  # truncation: int() of a nonnegative float
+        return credits, sigma
+    n, f = divmod(int(units_c), 1 << shift)
+    units = int(units_x)
+    # Chunks keep units + j*f below 2**63.
+    chunk = k if f == 0 else max(1, ((1 << 63) - (1 << shift)) // f)
+    for lo in range(1, k, chunk):
+        ticks = min(chunk, k - lo)
+        total = units + f * np.arange(ticks + 1, dtype=np.int64)
+        whole = total >> shift
+        np.subtract(whole[1:], whole[:-1], out=sigma[lo:lo + ticks])
+        sigma[lo:lo + ticks] += n
+        total &= (1 << shift) - 1
+        credits[lo:lo + ticks] = np.ldexp(total[1:].astype(np.float64), -shift)
+        units = int(total[-1])
+    return credits, sigma
+
+
+def _credit_step(x: float, c: float) -> float:
+    """One tick's credit, ``x + c - int(x + c)`` for nonnegative x and c."""
+    return (x + c) % 1.0
+
+
+def _stretch(
+    arrivals: np.ndarray,
+    admitted: np.ndarray,
+    t: int,
+    q: int,
+    credit: float,
+    c: float,
+    buffer_cap: int,
+) -> tuple[int, int, float, int]:
+    """Step the queue from tick ``t`` through the first tick that empties it.
+
+    Fills ``admitted`` over those ticks and returns (next tick, queue
+    length, credit, queue length after service summed over the ticks).
+    While the queue stays non-empty no service is capped and the credit
+    follows ``_credit_path``, so with sigma the potentials the queue
+    obeys q_t = min(q_{t-1} + a_t, cap) - sigma_t, which unrolls to
+    q_t = S_t + min(q_0, min_{j<=t}(cap - sigma_j - S_j)) with S_t the
+    sum of a_i - sigma_i over i <= t.  The first tick where that is not
+    positive serves its whole queue and resets the credit to 0.0.
+    """
+    a = arrivals[t:]
+    credits, sigma = _credit_path(credit, c, len(a))
+    s = np.cumsum(a - sigma)
+    bound = buffer_cap - sigma - s
+    np.minimum.accumulate(bound, out=bound)
+    np.minimum(bound, q, out=bound)
+    queue = np.add(s, bound, out=s)
+    empty = queue <= 0
+    ticks = int(empty.argmax()) + 1
+    if empty[ticks - 1]:
+        queue[ticks - 1] = 0
+        q_end, credit_end = 0, 0.0
+    else:
+        ticks = len(a)
+        q_end, credit_end = int(queue[-1]), float(credits[-1])
+    # Each tick admits min(a_t, cap - q_{t-1}).
+    room = np.empty(ticks, dtype=np.int64)
+    room[0] = q
+    room[1:] = queue[:ticks - 1]
+    np.subtract(buffer_cap, room, out=room)
+    np.minimum(a[:ticks], room, out=admitted[t:t + ticks])
+    return t + ticks, q_end, credit_end, int(queue[:ticks].sum())
 
 
 def _advance_slice(
@@ -210,10 +337,13 @@ def _advance_slice(
     Within a tick, arrivals join the queue first and service follows, so
     a packet served in its arrival tick experiences one tick of latency.
 
-    Once the queue is empty and no later tick brings more packets than
-    one tick serves, every later tick serves exactly its own arrivals:
-    nothing is dropped, nothing is carried and the credit stays 0.0, so
-    the rest of the interval is filled in at once.
+    The interval is stepped a stretch at a time (``_stretch``): from a
+    tick through the first one that empties the queue, in a few numpy
+    calls.  Once the queue is empty and no later tick brings more
+    packets than one tick serves, every later tick serves exactly its
+    own arrivals: nothing is dropped, nothing is carried and the credit
+    stays 0.0, so the rest of the interval is filled in at once.  A
+    queue that keeps emptying is finished by the per-tick loop.
     """
     queued_before = len(qs.arrival_ticks)
     if queued_before > buffer_cap:
@@ -230,7 +360,19 @@ def _advance_slice(
     credit = qs.service_credit
     admitted = np.zeros(n_ticks, dtype=np.int64)
     queue_sum = 0  # queue length after service, summed over ticks
-    for t in range(n_ticks):
+    t = 0
+    # With int(c) >= buffer_cap every tick empties the queue; the int64
+    # sums of a stretch must hold every tick's arrivals and service.
+    if c < buffer_cap and offered + (n_ticks + 2) * buffer_cap < _INT64_SUMS:
+        for _ in range(_MAX_STRETCHES):
+            if t == n_ticks or (q == 0 and t >= drained_from):
+                break
+            t0 = t
+            t, q, credit, stretch_sum = _stretch(arrivals, admitted, t, q, credit, c, buffer_cap)
+            queue_sum += stretch_sum
+            if t - t0 < _MIN_STRETCH_TICKS:
+                break
+    for t in range(t, n_ticks):
         if q == 0 and t >= drained_from:
             admitted[t:] = arrivals[t:]
             credit = 0.0
@@ -323,7 +465,10 @@ def _fifo_latency(
         block = admitted[lo:lo + block_ticks].astype(np.int64, copy=False)
         ticks = np.arange(lo, lo + len(block))
         upto = np.cumsum(block, axis=0) + before
-        first = np.clip(new_delivered - upto + block, 0, block)
+        first = new_delivered - upto
+        first += block
+        np.minimum(first, block, out=first)
+        np.maximum(first, 0, out=first)
         new_tick_sum += ticks @ block
         arrival_sum += ticks @ first
         before = upto[-1]

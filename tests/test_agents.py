@@ -3,6 +3,7 @@ import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from sliceloop.core import (
     SliceSpec,
     ratio_to_rb_counts,
 )
-from sliceloop.loop import Environment, run_experiment
+from sliceloop.loop import Environment, LoopState, run_cycle, run_experiment
 from sliceloop.radio import (
     InternalStateError,
     QueueConfig,
@@ -437,7 +438,7 @@ class TestHeuristicOracle:
         [SPECS[0], SPECS[1], replace(SPECS[1], slice_id=2)],
         [replace(SPECS[1], slice_id=0), SPECS[1]],
     ], ids=["three_slices", "no_latency_slice"])
-    def test_every_cycle_reports_the_slice_requirement(self, specs):
+    def test_run_refuses_specs_it_cannot_decide(self, specs):
         n = len(specs)
         env = Environment(
             radio_cfg=RadioConfig(total_rbs=12),
@@ -446,11 +447,22 @@ class TestHeuristicOracle:
             channels=[UeChannelState(k, k, SINR) for k in range(n)],
             profile=StepProfile(steps=tuple(((0, 4.0),) for _ in range(n))),
         )
-        log = run_experiment(env, 4, HeuristicOracleBackend(), gate_enabled=False)
-        assert [c.backend_error for c in log.cycles] == [
-            "ValueError: the heuristic oracle needs exactly two slices, "
-            "one of them latency-constrained"] * 4
-        assert log.reallocation_count == 0
+        latency = sum(s.kind == SliceKind.LATENCY for s in specs)
+        message = (f"the heuristic oracle needs exactly two slices, one of them "
+                   f"latency-constrained; got {n} slices, {latency} of them latency-constrained")
+        cycles = []
+        with mock.patch("sliceloop.loop.run_cycle", side_effect=cycles.append):
+            with pytest.raises(ValueError) as err:
+                run_experiment(env, 4, HeuristicOracleBackend(), gate_enabled=False)
+        assert str(err.value) == message
+        assert cycles == []
+        # The oracle's own check is the same one, for callers of run_cycle.
+        report = run_cycle(LoopState(AllocationRatio([1.0 / n] * n), 0, SimState.fresh(n)),
+                           env, ExperienceStore(n), HeuristicOracleBackend(),
+                           gate_enabled=False)[1]
+        assert report.backend_error == f"ValueError: {message}"
+        # Other backends run such specs.
+        assert len(run_experiment(env, 4, None).cycles) == 4
 
 
 class TestScriptedBackend:

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sliceloop import radio
 from sliceloop.core import RadioConfig
 from sliceloop.sla import starved
 from sliceloop.radio import (
@@ -18,6 +20,7 @@ from sliceloop.radio import (
     _advance_slice,
     _advance_slice_batch,
     _arrivals,
+    _credit_path,
     _interval_ticks,
     channel_capacity,
     generate_traffic,
@@ -434,24 +437,136 @@ def reference_advance_slice(qs, offered_bps, service_bps, n_ticks, tick_s,
     return new_state, acct, mean_latency_ticks, delivered
 
 
+# A tick of 2**-10 s and packets of 2**13 bits turn a service rate in
+# packets per tick into bits per second and back exactly.
+EXACT_TICK_S, EXACT_PACKET_BITS = 2.0 ** -10, 2 ** 13
+
+
+def edge_rates():
+    """Service rates at the binade edges of the credit's closed form: 2**(e+1) - 1,
+    the floats either side of it, and 2**(e+1) - 0.5, whose sums reach the next binade."""
+    rates = []
+    for e in range(0, 7):
+        edge = 2.0 ** (e + 1) - 1.0
+        rates += [edge, math.nextafter(edge, math.inf), math.nextafter(edge, 0.0),
+                  2.0 ** (e + 1) - 0.5]
+    return rates
+
+
 @st.composite
 def live_slices(draw):
     """``_advance_slice`` arguments whose queue drains from tick 0, from
-    mid-interval or never: any carried backlog, carry and credit, and a
-    per-tick service ``c`` at, just below or just above the most packets
-    any tick brings, or anywhere up to twice that."""
+    mid-interval or never: any carried backlog and carry, and a per-tick
+    service ``c`` at, just below or just above the most packets any tick
+    brings, anywhere up to twice that, at a binade edge, or below one.
+    The credit is any in [0, 1), or the one an earlier interval at the
+    same ``c`` left, which lies on the grid of ``c``'s closed form."""
     cap, start, qs = draw(carried_queues())
     offered_bps = draw(st.floats(0.0, 40.0)) * 1e6
     n_ticks = draw(st.integers(1, 300))
-    tick_s, packet_bits = 0.001, 12_000
+    tick_s, packet_bits = draw(st.sampled_from([(0.001, 12_000),
+                                                (EXACT_TICK_S, EXACT_PACKET_BITS)]))
     most = int(_arrivals(qs, offered_bps, n_ticks, tick_s, packet_bits)[0].max())
     c = draw(st.one_of(
         st.sampled_from([most, math.nextafter(most, 0.0), math.nextafter(most, math.inf),
                          most - 1e-9, most + 1e-9, most - 0.5, most + 0.5]),
         st.floats(0.0, 2.0 * most + 1.0),
+        st.sampled_from(edge_rates() + [0.0, 0.5, 0.3, 1.0 - 2.0 ** -52]),
     ))
     service_bps = max(c, 0.0) * packet_bits / tick_s
+    if draw(st.booleans()):
+        earlier = _advance_slice(SliceQueueState(arrival_carry=qs.arrival_carry,
+                                                 service_credit=qs.service_credit),
+                                 draw(st.floats(0.0, 40.0)) * 1e6, service_bps,
+                                 draw(st.integers(1, 300)), tick_s, packet_bits, cap, start)[0]
+        qs = SliceQueueState(qs.arrival_ticks, qs.arrival_carry, earlier.service_credit)
     return qs, offered_bps, service_bps, n_ticks, tick_s, packet_bits, cap, start
+
+
+def sequential_credit_path(x, c, k):
+    """The credit and potential service of each tick, as the tick loop computes them."""
+    credits, potentials = [], []
+    for _ in range(k):
+        x += c
+        s = int(x)
+        x -= s
+        credits.append(x)
+        potentials.append(s)
+    return credits, potentials
+
+
+def assert_matches_reference(args):
+    got_state, got_acct, got_latency, got_delivered = _advance_slice(*args)
+    ref_state, ref_acct, ref_latency, ref_delivered = reference_advance_slice(*args)
+    assert (got_acct, got_delivered) == (ref_acct, ref_delivered)
+    assert got_latency.hex() == ref_latency.hex()
+    assert np.array_equal(got_state.arrival_ticks, ref_state.arrival_ticks)
+    assert got_state.arrival_ticks.dtype == np.int64
+    assert got_state.arrival_carry.hex() == ref_state.arrival_carry.hex()
+    assert got_state.service_credit.hex() == ref_state.service_credit.hex()
+    return got_acct
+
+
+def exact_args(c, offered_per_tick, n_ticks, cap=256, backlog=0, credit=0.0):
+    """``_advance_slice`` arguments with per-tick rates that convert exactly."""
+    qs = SliceQueueState(np.zeros(backlog, dtype=np.int64), 0.0, credit)
+    per_s = EXACT_PACKET_BITS / EXACT_TICK_S
+    return (qs, offered_per_tick * per_s, c * per_s, n_ticks, EXACT_TICK_S,
+            EXACT_PACKET_BITS, cap, 1)
+
+
+class TestCreditPath:
+    """``radio._credit_path`` against the tick loop's float operations."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        x=st.floats(0.0, 1.0, exclude_max=True),
+        c=st.one_of(st.floats(0.0, 300.0), st.sampled_from(edge_rates())),
+        k=st.integers(1, 400),
+        warm=st.booleans(),
+    )
+    def test_matches_sequential_floats(self, x, c, k, warm):
+        if warm:  # a credit on c's grid, as a run at the same rate leaves it
+            x = sequential_credit_path(x, c, 7)[0][-1]
+        credits, potentials = _credit_path(x, c, k)
+        want_credits, want_potentials = sequential_credit_path(x, c, k)
+        assert [v.hex() for v in credits.tolist()] == [v.hex() for v in want_credits]
+        assert potentials.tolist() == want_potentials
+
+    @pytest.mark.parametrize("c", [1.0, 2.5, 3.0, 9.717, 15.0, 2.0 ** 40 + 0.25, 15.5])
+    def test_closed_form_runs_no_float_ticks(self, c):
+        # Credit 0.25 lies on every one of these rates' grids.
+        with mock.patch.object(radio, "_credit_step", side_effect=AssertionError("float")):
+            credits, potentials = _credit_path(0.25, c, 300)
+        want_credits, want_potentials = sequential_credit_path(0.25, c, 300)
+        assert [v.hex() for v in credits.tolist()] == [v.hex() for v in want_credits]
+        assert potentials.tolist() == want_potentials
+
+    @pytest.mark.parametrize("c", [0.0, 0.3, math.nextafter(15.0, math.inf)])
+    def test_other_rates_repeat_the_float_ticks(self, c):
+        # 0.3 and the float above 15 are off their grids: sums can round.
+        steps = []
+        step = radio._credit_step
+
+        def counting(x, c):
+            steps.append(x)
+            return step(x, c)
+
+        with mock.patch.object(radio, "_credit_step", counting):
+            credits, potentials = _credit_path(0.1, c, 50)
+        assert len(steps) == 49
+        want_credits, want_potentials = sequential_credit_path(0.1, c, 50)
+        assert [v.hex() for v in credits.tolist()] == [v.hex() for v in want_credits]
+        assert potentials.tolist() == want_potentials
+
+    def test_int64_chunks(self):
+        # c = 2.5 is 2 plus 2**50 units of 2**-51: one chunk holds 8,190
+        # ticks, so 20,000 ticks take three.
+        credits, potentials = _credit_path(0.0, 2.5, 20_000)
+        want_credits, want_potentials = sequential_credit_path(0.0, 2.5, 20_000)
+        assert credits.tolist() == want_credits
+        assert potentials.tolist() == want_potentials
+        assert set(potentials.tolist()) == {2, 3}
 
 
 class TestLiveQueue:
@@ -460,14 +575,66 @@ class TestLiveQueue:
     @settings(max_examples=1000, deadline=None)
     @given(args=live_slices())
     def test_matches_reference_loop_bit_for_bit(self, args):
-        got_state, got_acct, got_latency, got_delivered = _advance_slice(*args)
-        ref_state, ref_acct, ref_latency, ref_delivered = reference_advance_slice(*args)
-        assert (got_acct, got_delivered) == (ref_acct, ref_delivered)
-        assert got_latency.hex() == ref_latency.hex()
-        assert np.array_equal(got_state.arrival_ticks, ref_state.arrival_ticks)
-        assert got_state.arrival_ticks.dtype == np.int64
-        assert got_state.arrival_carry.hex() == ref_state.arrival_carry.hex()
-        assert got_state.service_credit.hex() == ref_state.service_credit.hex()
+        assert_matches_reference(args)
+
+    @pytest.mark.parametrize("c", edge_rates() + [0.0, 0.3, 9.717])
+    def test_loaded_queue_at_binade_edges_and_below_one(self, c):
+        # Offered 1.5 packets more than served per tick: the queue fills and stays up.
+        for credit in (0.0, 0.375, 0.1):
+            acct = assert_matches_reference(exact_args(c, c + 1.5, 300, cap=64,
+                                                       backlog=3, credit=credit))
+            assert acct.dropped_packets > 0
+
+    def test_credit_left_by_an_earlier_interval(self):
+        # 15.5's sums reach 16, so its closed form needs a credit on the
+        # 2 ulp grid: the one its own earlier interval leaves.
+        for c in (15.5, 9.717, 3.0):
+            earlier = _advance_slice(*exact_args(c, c + 0.7, 150, backlog=5, credit=0.1))[0]
+            assert earlier.service_credit not in (0.0, 0.1)
+            args = exact_args(c, c + 0.3, 300, backlog=len(earlier.arrival_ticks),
+                              credit=earlier.service_credit)
+            with mock.patch.object(radio, "_credit_step", side_effect=AssertionError("float")):
+                assert_matches_reference(args)
+
+    def stretches(self, args):
+        """Run the live step; return its stretch calls' (start, end) ticks."""
+        calls = []
+        stretch = radio._stretch
+
+        def recording(arrivals, admitted, t, *rest):
+            out = stretch(arrivals, admitted, t, *rest)
+            calls.append((t, out[0]))
+            return out
+
+        with mock.patch.object(radio, "_stretch", recording):
+            assert_matches_reference(args)
+        return calls
+
+    def test_queue_that_keeps_emptying(self):
+        # 8.3 packets a tick against 8.4 served: the queue empties every
+        # few ticks, so the first short stretch hands over to the tick loop.
+        args = exact_args(8.4, 8.3, 1000)
+        assert len(self.stretches(args)) == 1
+        # Past the stretch count cut-off the tick loop finishes as well.
+        with mock.patch.object(radio, "_MIN_STRETCH_TICKS", 1):
+            calls = self.stretches(args)
+        assert len(calls) == radio._MAX_STRETCHES
+        assert calls[-1][1] < 1000
+
+    def test_queue_pinned_at_the_cap(self):
+        # A full buffer that arrivals keep full: one stretch, every tick
+        # dropping, none emptying.
+        args = exact_args(9.717, 30.0, 1000, cap=64, backlog=64, credit=0.5)
+        assert self.stretches(args) == [(0, 1000)]
+        acct = _advance_slice(*args)[1]
+        assert acct.queued_after in (64 - 9, 64 - 10)
+
+    def test_interval_past_one_int64_chunk(self):
+        # A loaded 20,000-tick interval at c = 2.5: the credit path takes
+        # three int64 chunks of 8,190 ticks.
+        args = exact_args(2.5, 2.75, 20_000, cap=4096, backlog=10)
+        assert self.stretches(args) == [(0, 20_000)]
+        assert_matches_reference(args)
 
     def test_carried_fifo_owns_only_its_backlog(self):
         # A loaded interval leaves a backlog; the carried FIFO must not be
