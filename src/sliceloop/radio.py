@@ -39,8 +39,23 @@ the same recursion for every RB count of every slice at once, as the
 columns of one stacked tick loop (``_advance_slice_batch``),
 bit-identical to the scalar loop, so the KPMs of any candidate split
 are a lookup into one table per slice.  Both loops take mean latency
-from one formula, ``_fifo_latency``: an exact integer sum of departure
-minus arrival ticks over the delivered packets, in O(ticks).
+from one identity over cumulative admissions, the area between a FIFO's
+arrival and departure curves (Le Boudec and Thiran, *Network Calculus*,
+Springer 2001).  For a column over n ticks, let C_t be the admissions
+up to tick t, A = C_{n-1}, b the carried backlog, q the end queue,
+D = b + A - q the delivered packets and N = max(D - b, 0) the delivered
+new ones.  In ticks from the interval's start, the departures sum to
+n*A - sum_t C_t + sum_t q_t - n*q, as tick t serves
+adm_t + q_{t-1} - q_t, and the N new ones arrived at ticks summing to
+sum_t max(N - C_t, 0).  The difference is
+n*(A - q) + sum_t q_t - sum_t max(C_t, N), where the last sum is
+T*N + sum_{t>=T} C_t with T the first tick where C_t >= N.  The carried
+ones delivered are the FIFO's first min(D, b).  Mean latency is
+(departures - arrivals + D) / D, 0.0 when D = 0: one exact integer sum
+and one rounding.  ``_fifo_latency`` sums the stacked columns a block
+of ticks at a time, ``_column_latency`` one column with a
+``searchsorted`` for T and Python ints; both divide in float64, so they
+give the same bits.
 """
 from __future__ import annotations
 
@@ -124,7 +139,7 @@ def channel_capacity(
     ``assigned_rbs`` is an RB count, giving a float, or an integer array
     of them, giving one capacity per entry with the same float operations.
     """
-    if np.min(assigned_rbs) < 0:
+    if (assigned_rbs.min() if isinstance(assigned_rbs, np.ndarray) else assigned_rbs) < 0:
         raise ValueError("assigned_rbs must be nonnegative")
     return rb_bandwidth_hz * (assigned_rbs * math.log2(1.0 + ue.sinr))
 
@@ -372,12 +387,12 @@ def _advance_slice(
             queue_sum += stretch_sum
             if t - t0 < _MIN_STRETCH_TICKS:
                 break
-    for t in range(t, n_ticks):
+    t0, tail = t, []  # the per-tick loop's admissions
+    for t, a in enumerate(arrivals[t0:].tolist(), t0):
         if q == 0 and t >= drained_from:
             admitted[t:] = arrivals[t:]
             credit = 0.0
             break
-        a = int(arrivals[t])
         room = buffer_cap - q
         adm = a if a <= room else room
         q += adm
@@ -389,12 +404,11 @@ def _advance_slice(
         credit -= s
         if q == 0:
             credit = 0.0
-        admitted[t] = adm
+        tail.append(adm)
         queue_sum += q
+    admitted[t0:t0 + len(tail)] = tail
 
-    delivered, latency = _fifo_latency([qs], admitted[:, None], np.array([queue_sum]),
-                                       np.array([q]), start_tick)
-    delivered = int(delivered[0])
+    delivered, latency = _column_latency(qs, admitted, queue_sum, q, start_tick)
     carried = np.empty(0, dtype=np.int64)
     if q:
         # The undelivered packets: what is left of the carried backlog,
@@ -414,7 +428,7 @@ def _advance_slice(
         queued_before=queued_before,
         queued_after=q,
     )
-    return new_state, acct, float(latency[0]), delivered
+    return new_state, acct, latency, delivered
 
 
 # Ticks widened to all columns at a time: arrivals in the stacked tick
@@ -436,47 +450,49 @@ def _fifo_latency(
     ``admitted`` holds the admissions per tick (rows) of every column,
     slice-major blocks of equal width, one per carried queue;
     ``queue_sum`` is each column's queue length after service summed
-    over the ticks and ``q`` its last.  The delivered packets are the
-    first ``delivered`` in FIFO order: the carried backlog, then the
-    first admitted ones.  Mean latency is the exact integer sum of
-    departure minus arrival ticks, plus one, over them, divided by
-    ``delivered`` (0.0 when nothing was delivered): one rounding, which
-    equals the mean of the per-packet latencies while the sums stay
-    below 2**53.
+    over the ticks and ``q`` its last.  The module docstring's identity,
+    with sum_t max(C_t, N) taken a block of ticks at a time, in int64.
     """
     n_ticks, width = admitted.shape
     m = width // len(queues)
     queued_before = np.array([len(qs.arrival_ticks) for qs in queues], dtype=np.int64)
     backlog = np.repeat(queued_before, m)
-    delivered = backlog + admitted.sum(axis=0, dtype=np.int64) - q
+    total = admitted.sum(axis=0, dtype=np.int64)
+    delivered = backlog + total - q
     new_delivered = np.maximum(delivered - backlog, 0)
     arrival_sum = np.empty((len(queues), m), dtype=np.int64)
     for k, qs in enumerate(queues):
         carried = np.concatenate(([0], np.cumsum(qs.arrival_ticks - start_tick)))
         arrival_sum[k] = carried[np.minimum(delivered.reshape(-1, m)[k], queued_before[k])]
     arrival_sum = arrival_sum.reshape(width)
-    # Tick offsets summed over departures follow from the admissions and
-    # the queue lengths, as s_t = adm_t + q_{t-1} - q_t:
-    # sum(t * s_t) = sum(t * adm_t) + sum(q_t) - n_ticks * q_last.
-    new_tick_sum = np.zeros(width, dtype=np.int64)
+    tick_sum = np.zeros(width, dtype=np.int64)  # sum_t max(C_t, N)
     before = np.zeros(width, dtype=np.int64)  # admitted before the block
     block_ticks = max(_BLOCK_TICKS, _BLOCK_CELLS // width)
     for lo in range(0, n_ticks, block_ticks):
-        block = admitted[lo:lo + block_ticks].astype(np.int64, copy=False)
-        ticks = np.arange(lo, lo + len(block))
-        upto = np.cumsum(block, axis=0) + before
-        first = new_delivered - upto
-        first += block
-        np.minimum(first, block, out=first)
-        np.maximum(first, 0, out=first)
-        new_tick_sum += ticks @ block
-        arrival_sum += ticks @ first
-        before = upto[-1]
-    dep_tick_sum = new_tick_sum + queue_sum - n_ticks * q
-    latency_sum = dep_tick_sum - arrival_sum + delivered
+        upto = np.cumsum(admitted[lo:lo + block_ticks], axis=0, dtype=np.int64)
+        upto += before
+        before = upto[-1].copy()
+        tick_sum += np.maximum(upto, new_delivered, out=upto).sum(axis=0)
+    latency_sum = n_ticks * (total - q) + queue_sum - tick_sum - arrival_sum + delivered
     mean_latency = np.zeros(width)
     np.divide(latency_sum, delivered, out=mean_latency, where=delivered > 0)
     return delivered, mean_latency
+
+
+def _column_latency(qs: SliceQueueState, admitted: np.ndarray, queue_sum: int, q: int,
+                    start_tick: int) -> tuple[int, float]:
+    """``_fifo_latency`` of one column, as (delivered, mean latency in ticks)."""
+    n_ticks, backlog = len(admitted), len(qs.arrival_ticks)
+    cum = admitted.cumsum()
+    total = int(cum[-1])
+    delivered = backlog + total - q
+    new, carried = max(delivered - backlog, 0), min(delivered, backlog)
+    cut = int(cum.searchsorted(new))
+    arrival_sum = int(qs.arrival_ticks[:carried].sum()) - start_tick * carried if carried else 0
+    # Rounded to float64 before dividing, as numpy divides int64 arrays.
+    latency_sum = (n_ticks * (total - q) + queue_sum - cut * new - int(cum[cut:].sum())
+                   - arrival_sum + delivered)
+    return delivered, float(latency_sum) / float(delivered) if delivered else 0.0
 
 
 @dataclass(frozen=True)

@@ -98,22 +98,42 @@ class ExperienceStore:
 
     @classmethod
     def load(cls, path: Path, n_slices: int) -> "ExperienceStore":
-        """Read a JSONL history; later records are appended to the same file."""
+        """Read a JSONL history; later records are appended to the same file.
+
+        A last line without its newline is a write that a crash cut short:
+        it is dropped, with its record if it still parsed, and the file is
+        truncated to the last complete line.  Any other bad line is a
+        ``ValueError`` naming the file and the line.
+        """
         store = cls(n_slices, path=path)
+        line = "\n"
         with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                    if obj["id"] != store._n:
-                        raise ValueError(f"id must be the record position {store._n}, got {obj['id']!r}")
-                    store._append(obj["rates"], obj["shares"], obj["sigma"], len(obj["kpm"]))
-                except KeyError as exc:
-                    raise ValueError(f"{path}, line {lineno}: no {exc} field") from None
-                except (ValueError, TypeError) as exc:
-                    # A truncated line is a JSONDecodeError, a ValueError.
-                    raise ValueError(f"{path}, line {lineno}: {exc}") from None
+            try:
+                for lineno, line in enumerate(fh, 1):
+                    if not line.strip():
+                        continue
+                    try:
+                        obj = json.loads(line)
+                        if obj["id"] != store._n:
+                            raise ValueError(f"id must be the record position {store._n}, got {obj['id']!r}")
+                        store._append(obj["rates"], obj["shares"], obj["sigma"], len(obj["kpm"]))
+                    except KeyError as exc:
+                        raise ValueError(f"{path}, line {lineno}: no {exc} field") from None
+                    except (ValueError, TypeError) as exc:
+                        # A truncated line is a JSONDecodeError, a ValueError.
+                        raise ValueError(f"{path}, line {lineno}: {exc}") from None
+            except ValueError:
+                if line.endswith("\n"):
+                    raise
+            else:
+                if not line.endswith("\n") and line.strip():
+                    store._n -= 1  # the torn line parsed; its column is spare again
+            torn = 0 if line.endswith("\n") else len(line.encode(fh.encoding))
+        if torn:
+            # Only the last line can lack its newline.
+            with open(path, "rb+") as fh:
+                fh.truncate(fh.seek(0, 2) - torn)
+            log.warning("%s: dropped torn last line %d (%d bytes)", path, lineno, torn)
         return store
 
     def record(

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,9 @@ from sliceloop.radio import (
     _advance_slice,
     _advance_slice_batch,
     _arrivals,
+    _column_latency,
     _credit_path,
+    _fifo_latency,
     _interval_ticks,
     channel_capacity,
     generate_traffic,
@@ -53,6 +56,11 @@ class TestChannelCapacity:
     def test_sinr_three(self):
         ue = UeChannelState(0, 0, sinr=3.0)
         assert channel_capacity(ue, 5, 180_000.0) == pytest.approx(1_800_000.0)
+
+    @pytest.mark.parametrize("rbs", [-1, np.int64(-1), np.array([3, -1, 2])])
+    def test_negative_rbs_rejected(self, rbs):
+        with pytest.raises(ValueError, match="assigned_rbs"):
+            channel_capacity(UeChannelState(0, 0, sinr=1.0), rbs, 180_000.0)
 
     def test_negative_sinr_rejected(self):
         for sinr in (-0.5, math.inf, math.nan):
@@ -356,6 +364,109 @@ class TestBatchedQueue:
                                  10, 0.001, 12_000, 4, 1)
 
 
+def column_books(backlog, admitted, served):
+    """(queue length after service summed over the ticks, end queue) of a FIFO
+    column that starts with ``backlog`` packets."""
+    q, queue_sum = backlog, 0
+    for adm, s in zip(admitted, served):
+        q += adm - s
+        assert q >= 0
+        queue_sum += q
+    return queue_sum, q
+
+
+def per_packet_latency(qs, start, admitted, served):
+    """Delivered packets and their mean latency, packet by packet through a FIFO."""
+    fifo = deque((qs.arrival_ticks - start).tolist())
+    latency_sum = delivered = 0
+    for t, (adm, s) in enumerate(zip(admitted, served)):
+        fifo.extend([t] * adm)
+        for _ in range(s):
+            latency_sum += t - fifo.popleft() + 1
+        delivered += s
+    return delivered, float(latency_sum) / float(delivered) if delivered else 0.0
+
+
+def carried_fifo(ages, start):
+    return SliceQueueState(np.array(sorted(start - 1 - a for a in ages), dtype=np.int64))
+
+
+@st.composite
+def fifo_columns(draw, n_ticks, backlog):
+    """(admitted, served) per tick of a FIFO that starts with ``backlog``
+    packets: any admissions, and every tick serving none of its queue, all
+    of it, or a drawn count capped by it."""
+    admitted = draw(st.lists(st.integers(0, 4), min_size=n_ticks, max_size=n_ticks))
+    service = draw(st.one_of(
+        st.sampled_from([[0] * n_ticks, [math.inf] * n_ticks]),
+        st.lists(st.integers(0, 6), min_size=n_ticks, max_size=n_ticks)))
+    served, q = [], backlog
+    for adm, s in zip(admitted, service):
+        served.append(min(q + adm, s))
+        q += adm - served[-1]
+    return admitted, served
+
+
+def check_column(qs, start, admitted, served):
+    """The one-column and stacked latency forms against the packet-by-packet
+    FIFO, bit for bit; returns the delivered count."""
+    queue_sum, q = column_books(len(qs.arrival_ticks), admitted, served)
+    delivered, latency = per_packet_latency(qs, start, admitted, served)
+    column = np.array(admitted, dtype=np.int64)
+    assert _column_latency(qs, column, queue_sum, q, start) == (delivered, latency)
+    got_delivered, got_latency = _fifo_latency([qs], column[:, None], np.array([queue_sum]),
+                                                np.array([q]), start)
+    assert got_delivered.tolist() == [delivered]
+    assert float(got_latency[0]).hex() == latency.hex()
+    return delivered
+
+
+class TestFifoLatency:
+    """The cut-tick latency identity, one column and stacked, against a
+    packet-by-packet FIFO."""
+
+    @pytest.mark.parametrize("ages, admitted, served, delivered", [
+        ([5, 3, 1], [2, 0, 1], [0, 0, 0], 0),  # nothing delivered
+        ([9, 7, 4, 2], [1, 2, 0], [1, 1, 0], 2),  # inside the carried backlog
+        ([6, 2, 0], [2, 1, 0], [1, 2, 0], 3),  # exactly the carried backlog
+        ([3, 1], [1, 3, 0, 2], [3, 3, 0, 2], 8),  # every admitted packet
+        ([], [2, 0, 0, 3, 0], [0, 0, 1, 1, 0], 2),  # zero ticks after the cut
+        ([4], [0, 0, 2, 0, 1], [0, 0, 0, 0, 3], 3),  # zero ticks before the cut
+    ])
+    def test_cases(self, ages, admitted, served, delivered):
+        assert check_column(carried_fifo(ages, 100), 100, admitted, served) == delivered
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data(), ages=st.lists(st.integers(0, 400), max_size=20),
+           n_ticks=st.integers(1, 100))
+    def test_one_column_matches_packet_fifo(self, data, ages, n_ticks):
+        start = data.draw(st.integers(max(ages, default=-1) + 1, 5000))
+        admitted, served = data.draw(fifo_columns(n_ticks, len(ages)))
+        check_column(carried_fifo(ages, start), start, admitted, served)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n_slices=st.integers(1, 3), m=st.integers(1, 3),
+           n_ticks=st.integers(1, 100), block_ticks=st.integers(1, 40))
+    def test_stacked_columns_match_each_column_alone(self, data, n_slices, m, n_ticks,
+                                                     block_ticks):
+        ages = [data.draw(st.lists(st.integers(0, 400), max_size=20)) for _ in range(n_slices)]
+        start = data.draw(st.integers(max(max(a, default=-1) for a in ages) + 1, 5000))
+        queues = [carried_fifo(a, start) for a in ages]
+        columns = [data.draw(fifo_columns(n_ticks, len(a))) for a in ages for _ in range(m)]
+        books = [column_books(len(qs.arrival_ticks), *col)
+                 for qs, col in zip(np.repeat(queues, m), columns)]
+        admitted = np.array([adm for adm, _ in columns], dtype=np.uint8).T
+        # Blocks of as few as one tick, so the sums run across blocks.
+        with mock.patch.multiple(radio, _BLOCK_TICKS=block_ticks, _BLOCK_CELLS=0):
+            delivered, latency = _fifo_latency(
+                queues, admitted, np.array([s for s, _ in books]),
+                np.array([q for _, q in books]), start)
+        for i, ((adm, _), (queue_sum, q)) in enumerate(zip(columns, books)):
+            want = _column_latency(queues[i // m], np.array(adm, dtype=np.int64),
+                                   queue_sum, q, start)
+            assert (int(delivered[i]), float(latency[i]).hex()) == (want[0], want[1].hex())
+
+
 class TestStarvation:
     """``sla.starved`` reads a KPM's throughput and offered load; the
     accounting says whether anything was delivered.  The two must agree."""
@@ -635,6 +746,30 @@ class TestLiveQueue:
         args = exact_args(2.5, 2.75, 20_000, cap=4096, backlog=10)
         assert self.stretches(args) == [(0, 20_000)]
         assert_matches_reference(args)
+
+    @pytest.mark.parametrize("cap", [4, 8, 16])
+    def test_small_buffer_that_keeps_emptying_and_refilling(self, cap):
+        # One packet more arrives per tick than the buffer holds, and half
+        # a packet less is served: each tick's arrivals overflow the
+        # buffer, and every other tick empties it.  After one short
+        # stretch the per-tick loop runs the rest.
+        args = exact_args(cap - 0.5, cap + 1.0, 300, cap=cap)
+        assert len(self.stretches(args)) == 1
+        acct = assert_matches_reference(args)
+        assert acct.dropped_packets > 0
+
+    def test_carried_backlog_partly_delivered(self):
+        # 120 carried packets with spread arrival ticks and 0.25 packets
+        # served per tick: 75 of them leave, the rest carry on ahead of the
+        # interval's own arrivals.
+        qs = SliceQueueState(np.arange(-238, 1, 2, dtype=np.int64))
+        per_s = EXACT_PACKET_BITS / EXACT_TICK_S
+        args = (qs, 0.1 * per_s, 0.25 * per_s, 300, EXACT_TICK_S, EXACT_PACKET_BITS, 256, 1)
+        got = _advance_slice(*args)
+        assert 0 < got[3] < len(qs.arrival_ticks)
+        assert got[0].arrival_ticks[0] == qs.arrival_ticks[got[3]]
+        acct = assert_matches_reference(args)
+        assert acct.queued_after > acct.queued_before - acct.delivered_packets
 
     def test_carried_fifo_owns_only_its_backlog(self):
         # A loaded interval leaves a backlog; the carried FIFO must not be

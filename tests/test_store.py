@@ -256,15 +256,45 @@ class TestRecord:
         with pytest.raises(ValueError, match="KPM summary"):
             ExperienceStore.load(path, 2)
 
-    def test_load_names_a_truncated_last_line(self, tmp_path):
-        # A crash mid-write leaves the last line cut short.
+    def test_load_drops_a_torn_last_line(self, tmp_path, caplog):
+        # A crash mid-write leaves the last line cut short, without its newline.
+        path = tmp_path / "store.jsonl"
+        writer = ExperienceStore(2, path=path)
+        for sigma in (-0.1, -0.2, -0.3):
+            writer.record(**make_record_args([80.0, 95.0], sigma))
+        whole = path.read_bytes()
+        complete = whole[:whole.index(b"\n", whole.index(b"\n") + 1) + 1]
+        path.write_bytes(whole[:-20])
+        with caplog.at_level("WARNING", logger="sliceloop.store"):
+            store = ExperienceStore.load(path, 2)
+        assert len(store) == 2
+        assert path.read_bytes() == complete
+        assert f"torn last line 3 ({len(whole) - 20 - len(complete)} bytes)" in caplog.text
+        # The next record takes the dropped one's id, and the file reloads whole.
+        assert store.record(**make_record_args([90.0, 90.0], -0.4)) == 2
+        reloaded = ExperienceStore.load(path, 2)
+        assert [r.resulting_sigma for r in reloaded.retrieve([80.0, 95.0], 3)] == [-0.1, -0.2, -0.4]
+
+    def test_load_drops_a_last_line_cut_only_before_its_newline(self, tmp_path):
         path = tmp_path / "store.jsonl"
         write_lines(path, [line_obj(0)])
         with open(path, "a") as fh:
-            fh.write(json.dumps(line_obj(1))[:30])
+            fh.write(json.dumps(line_obj(1)))
+        assert len(ExperienceStore.load(path, 2)) == 1
+        assert path.read_text() == json.dumps(line_obj(0)) + "\n"
+
+    def test_load_names_a_truncated_line_that_has_its_newline(self, tmp_path):
+        # Only a last line without a newline is torn; a cut-short line
+        # followed by a newline is a corrupt history.
+        path = tmp_path / "store.jsonl"
+        write_lines(path, [line_obj(0)])
+        with open(path, "a") as fh:
+            fh.write(json.dumps(line_obj(1))[:30] + "\n")
+        before = path.read_bytes()
         with pytest.raises(ValueError, match="line 2: Expecting") as exc:
             ExperienceStore.load(path, 2)
         assert str(path) in str(exc.value)
+        assert path.read_bytes() == before
 
     def test_load_names_a_line_without_a_field(self, tmp_path):
         path = tmp_path / "store.jsonl"
