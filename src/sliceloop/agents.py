@@ -284,11 +284,17 @@ class Predictor:
             max_rbs = self.radio_cfg.total_rbs - n + 1
             kpms = slice_kpm_tables(self.offered_mbps, self.channels, self.radio_cfg,
                                     self.queue_cfg, self._state, max_rbs)
-            risks = [[slice_risk(spec, kpm) for kpm in row] for spec, row in zip(self.specs, kpms)]
-            self._rhos = np.array([[r.rho for r in row] for row in risks])
-            self._excess = np.array([[_excess(spec, r.epsilon) for r in row]
-                                     for spec, row in zip(self.specs, risks)])
-            self._thr = np.array([[s.mean_throughput_mbps for s in row] for row in kpms])
+            rows = []
+            for spec, row in zip(self.specs, kpms):
+                # RB counts with equal packet books share one KPM object.
+                terms: dict[int, tuple[float, float, float]] = {}
+                for kpm in row:
+                    if id(kpm) not in terms:
+                        risk = slice_risk(spec, kpm)
+                        terms[id(kpm)] = (risk.rho, _excess(spec, risk.epsilon),
+                                          kpm.mean_throughput_mbps)
+                rows.append([terms[id(kpm)] for kpm in row])
+            self._rhos, self._excess, self._thr = np.array(rows).transpose(2, 0, 1)
             self._kpms = kpms
         return self._kpms
 

@@ -38,7 +38,10 @@ Predictions need no new state, only KPMs: ``slice_kpm_tables`` steps
 the same recursion for every RB count of every slice at once, as the
 columns of one stacked tick loop (``_advance_slice_batch``),
 bit-identical to the scalar loop, so the KPMs of any candidate split
-are a lookup into one table per slice.  Both loops take mean latency
+are a lookup into one table per slice.  RB counts of a slice with equal
+packet books share one ``SliceKpm`` in that table, so whatever is
+derived per entry (``agents.Predictor`` takes its risks) is taken once
+per distinct book.  Both loops take mean latency
 from one identity over cumulative admissions, the area between a FIFO's
 arrival and departure curves (Le Boudec and Thiran, *Network Calculus*,
 Springer 2001).  For a column over n ticks, let C_t be the admissions
@@ -52,10 +55,14 @@ n*(A - q) + sum_t q_t - sum_t max(C_t, N), where the last sum is
 T*N + sum_{t>=T} C_t with T the first tick where C_t >= N.  The carried
 ones delivered are the FIFO's first min(D, b).  Mean latency is
 (departures - arrivals + D) / D, 0.0 when D = 0: one exact integer sum
-and one rounding.  ``_fifo_latency`` sums the stacked columns a block
-of ticks at a time, ``_column_latency`` one column with a
-``searchsorted`` for T and Python ints; both divide in float64, so they
-give the same bits.
+and one rounding.  ``_column_latency`` takes one column's sum with a
+``searchsorted`` for T and Python ints, and builds the carried FIFO from
+tick T on.  ``_fifo_latency`` writes it as n*N + K + sum_t max(K - R_t, 0),
+with K = A - N the new packets carried out and R_t the admissions from
+tick t to the end: only the ticks back to the first carried packet's
+arrival count, so it walks the stacked columns from the interval's end
+and a column whose queue drained costs nothing.  Both divide in
+float64, so they give the same bits.
 """
 from __future__ import annotations
 
@@ -408,14 +415,7 @@ def _advance_slice(
         queue_sum += q
     admitted[t0:t0 + len(tail)] = tail
 
-    delivered, latency = _column_latency(qs, admitted, queue_sum, q, start_tick)
-    carried = np.empty(0, dtype=np.int64)
-    if q:
-        # The undelivered packets: what is left of the carried backlog,
-        # then the last admitted ones, copied out of the interval's.
-        new_arrivals = np.repeat(start_tick + np.arange(n_ticks, dtype=np.int64), admitted)
-        carried = np.concatenate([qs.arrival_ticks[delivered:],
-                                  new_arrivals[max(delivered - queued_before, 0):]])
+    delivered, latency, carried = _column_latency(qs, admitted, queue_sum, q, start_tick)
     new_state = SliceQueueState(
         arrival_ticks=carried,
         arrival_carry=carry_out,
@@ -432,10 +432,8 @@ def _advance_slice(
 
 
 # Ticks widened to all columns at a time: arrivals in the stacked tick
-# loop, admitted counts to int64 for latency.  Latency takes more ticks
-# at a time while a block stays within _BLOCK_CELLS tick-column cells.
+# loop, and the first block of a latency tail, which doubles from there.
 _BLOCK_TICKS = 64
-_BLOCK_CELLS = 1 << 13
 
 
 def _fifo_latency(
@@ -450,8 +448,11 @@ def _fifo_latency(
     ``admitted`` holds the admissions per tick (rows) of every column,
     slice-major blocks of equal width, one per carried queue;
     ``queue_sum`` is each column's queue length after service summed
-    over the ticks and ``q`` its last.  The module docstring's identity,
-    with sum_t max(C_t, N) taken a block of ticks at a time, in int64.
+    over the ticks and ``q`` its last.  The module docstring's identity
+    in int64, with the tail sum sum_t max(K - R_t, 0) walked from the
+    interval's end in blocks that double in size: a column leaves once K
+    admissions lie behind it, and one that carries no new packet never
+    enters.
     """
     n_ticks, width = admitted.shape
     m = width // len(queues)
@@ -465,23 +466,34 @@ def _fifo_latency(
         carried = np.concatenate(([0], np.cumsum(qs.arrival_ticks - start_tick)))
         arrival_sum[k] = carried[np.minimum(delivered.reshape(-1, m)[k], queued_before[k])]
     arrival_sum = arrival_sum.reshape(width)
-    tick_sum = np.zeros(width, dtype=np.int64)  # sum_t max(C_t, N)
-    before = np.zeros(width, dtype=np.int64)  # admitted before the block
-    block_ticks = max(_BLOCK_TICKS, _BLOCK_CELLS // width)
-    for lo in range(0, n_ticks, block_ticks):
-        upto = np.cumsum(admitted[lo:lo + block_ticks], axis=0, dtype=np.int64)
-        upto += before
-        before = upto[-1].copy()
-        tick_sum += np.maximum(upto, new_delivered, out=upto).sum(axis=0)
-    latency_sum = n_ticks * (total - q) + queue_sum - tick_sum - arrival_sum + delivered
+    carried_new = total - new_delivered
+    tail_sum = carried_new.copy()  # K + sum_t max(K - R_t, 0)
+    live = np.flatnonzero(carried_new)  # columns whose tail goes on
+    short = carried_new[live]  # K - R_hi
+    hi, block_ticks = n_ticks, _BLOCK_TICKS
+    while live.size and hi:
+        lo = max(hi - block_ticks, 0)
+        # K - R_t for t from hi - 1 down to lo.
+        short = short - np.cumsum(admitted[lo:hi, live][::-1], axis=0, dtype=np.int64)
+        tail_sum[live] += np.maximum(short, 0, out=short).sum(axis=0)
+        on = short[-1] > 0
+        live, short = live[on], short[-1, on]
+        hi, block_ticks = lo, 2 * block_ticks
+    latency_sum = (n_ticks * (total - q - new_delivered) + queue_sum - tail_sum - arrival_sum
+                   + delivered)
     mean_latency = np.zeros(width)
     np.divide(latency_sum, delivered, out=mean_latency, where=delivered > 0)
     return delivered, mean_latency
 
 
 def _column_latency(qs: SliceQueueState, admitted: np.ndarray, queue_sum: int, q: int,
-                    start_tick: int) -> tuple[int, float]:
-    """``_fifo_latency`` of one column, as (delivered, mean latency in ticks)."""
+                    start_tick: int) -> tuple[int, float, np.ndarray]:
+    """``_fifo_latency`` of one column, as (delivered, mean latency in ticks, carried FIFO).
+
+    The carried FIFO holds the undelivered packets' arrival ticks: what
+    is left of the carried backlog, then the new packets from the cut
+    tick T on, less the first N - C_{T-1} of them, which were delivered.
+    """
     n_ticks, backlog = len(admitted), len(qs.arrival_ticks)
     cum = admitted.cumsum()
     total = int(cum[-1])
@@ -492,7 +504,12 @@ def _column_latency(qs: SliceQueueState, admitted: np.ndarray, queue_sum: int, q
     # Rounded to float64 before dividing, as numpy divides int64 arrays.
     latency_sum = (n_ticks * (total - q) + queue_sum - cut * new - int(cum[cut:].sum())
                    - arrival_sum + delivered)
-    return delivered, float(latency_sum) / float(delivered) if delivered else 0.0
+    fifo = np.empty(0, dtype=np.int64)
+    if q:
+        ticks = np.arange(start_tick + cut, start_tick + n_ticks, dtype=np.int64)
+        new_fifo = np.repeat(ticks, admitted[cut:])[new - (int(cum[cut - 1]) if cut else 0):]
+        fifo = np.concatenate([qs.arrival_ticks[delivered:], new_fifo])
+    return delivered, float(latency_sum) / float(delivered) if delivered else 0.0, fifo
 
 
 @dataclass(frozen=True)
@@ -712,7 +729,8 @@ def slice_kpm_tables(
     Entry ``[k][i]`` equals the KPMs ``simulate_interval`` reports for
     slice ``k`` from ``state`` with ``i + 1`` RBs, whatever the other
     slices hold, since slices share nothing but the RB total.  All slices
-    and RB counts run in one stacked queue recursion.  Raises
+    and RB counts run in one stacked queue recursion.  RB counts of a
+    slice with equal packet books share one ``SliceKpm`` object.  Raises
     ``InternalStateError`` unless there is one offered rate per carried
     queue.
     """
@@ -732,15 +750,16 @@ def slice_kpm_tables(
         queue_cfg.buffer_capacity_packets,
         state.tick,
     )
-    return [
-        [
-            _slice_kpm(mbps, batch.offered_packets, delivered, dropped, lat_ticks,
-                       queue_cfg, interval_s)
-            for delivered, dropped, lat_ticks in zip(
-                batch.delivered_packets.tolist(),
-                batch.dropped_packets.tolist(),
-                batch.mean_latency_ticks.tolist(),
-            )
-        ]
-        for mbps, batch in zip(offered_mbps, batches)
-    ]
+    tables = []
+    for mbps, batch in zip(offered_mbps, batches):
+        kpms: dict[tuple[int, int, float], SliceKpm] = {}  # by packet book
+        row = []
+        for book in zip(batch.delivered_packets.tolist(), batch.dropped_packets.tolist(),
+                        batch.mean_latency_ticks.tolist()):
+            kpm = kpms.get(book)
+            if kpm is None:
+                kpm = kpms[book] = _slice_kpm(mbps, batch.offered_packets, *book, queue_cfg,
+                                              interval_s)
+            row.append(kpm)
+        tables.append(row)
+    return tables

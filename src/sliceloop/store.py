@@ -4,15 +4,15 @@ Records are append-only JSON lines (one object per line, flushed per
 write) so the history is human-inspectable and survives crashes.  A
 line holds the record's id, which is its 0-based position in the file,
 its arrival rates, allocation shares, sigma, per-slice KPM summary and
-interval, all built here from one interval's ``SliceKpm`` tuple.  A line
-whose write failed is written ahead of the next record's line, so each
-id stays its line's position.  In memory the store keeps only the
-columns that retrieval and the prompt read: one row of arrival rates and
-one of shares per slice and one array of sigmas, record ``i`` in column
-``i``.  The KPM summary and the interval are written but not kept.
-``load`` streams a history into the columns and ``record`` appends to
-spare ones; the arrays double when full, so an append costs amortised
-O(1).
+interval, all built here from one interval's ``SliceKpm`` tuple.  A
+write that fails is cut back off the file, and its lines are written
+ahead of the next record's line, so each id stays its line's position.
+In memory the store keeps only the columns that retrieval and the
+prompt read: one row of arrival rates and one of shares per slice and
+one array of sigmas, record ``i`` in column ``i``.  The KPM summary
+and the interval are written but not kept.  ``load`` streams a history
+into the columns and ``record`` appends to spare ones; the arrays
+double when full, so an append costs amortised O(1).
 
 Retrieval is exact.  Shortlist the ``3 * k`` records nearest to the
 query traffic vector by Euclidean distance, ties to the lower record id,
@@ -147,8 +147,9 @@ class ExperienceStore:
 
         ``kpm`` holds the interval's KPMs, one per slice; the record's
         arrival rates are their offered loads.  If the write fails, the
-        record stays in memory, its line waits to be written ahead of
-        the next one, and ``StorageError`` is raised.
+        file is truncated back to its size before the write, the record
+        stays in memory, its line waits to be written ahead of the next
+        one, and ``StorageError`` is raised.
         """
         obj = {
             "id": self._n,
@@ -163,15 +164,26 @@ class ExperienceStore:
         if self.path is not None:
             self._pending.append(json.dumps(obj) + "\n")
             try:
-                with open(self.path, "a") as fh:
-                    fh.write("".join(self._pending))
-                    fh.flush()
+                self._write_pending()
             except OSError as exc:
                 # Keep the record and its pending line so the loop can continue.
                 log.warning("experience store write failed: %s", exc)
                 raise StorageError(str(exc)) from exc
             self._pending.clear()
         return obj["id"]
+
+    def _write_pending(self) -> None:
+        """Append the pending lines, unbuffered; on failure, cut off what was written."""
+        data = memoryview("".join(self._pending).encode())
+        with open(self.path, "ab", buffering=0) as fh:
+            size = fh.tell()
+            try:
+                while data:
+                    data = data[fh.write(data):]
+            except OSError:
+                # A partial line would sit ahead of the pending lines.
+                fh.truncate(size)
+                raise
 
     def _append(self, rates: Sequence[float], shares: Sequence[float], sigma: float, n_kpm: int) -> None:
         """Check one record against the slice count and add it as the next column."""

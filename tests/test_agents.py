@@ -19,6 +19,7 @@ from sliceloop.agents import (
     ParseError,
     Predictor,
     RemoteBackend,
+    _excess,
     ScriptedBackend,
     build_meta_prompt,
     count_tokens,
@@ -43,7 +44,7 @@ from sliceloop.radio import (
     generate_traffic,
     simulate_interval,
 )
-from sliceloop.sla import assess, starved
+from sliceloop.sla import assess, slice_risk, starved
 from sliceloop.store import ExperienceRecord, ExperienceStore
 from split_reference import reference_splits
 
@@ -261,6 +262,38 @@ class TestPredictor:
                 branches.update(self.risk_branch(spec, s)
                                 for spec, s in zip(specs, got.kpm))
         assert branches == {"starved", "latency", "floor", "idle", "capped"}
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_slices=st.integers(2, 3), total_rbs=st.integers(3, 24),
+           heavy=st.lists(st.floats(0.0, 60.0), min_size=3, max_size=3),
+           offered=st.lists(st.sampled_from([0.0, 2.0]) | st.floats(0.0, 60.0),
+                            min_size=3, max_size=3),
+           sinrs=st.lists(st.sampled_from([0.0, SINR]) | st.floats(0.0, 10_000.0),
+                          min_size=3, max_size=3),
+           targets=st.lists(st.floats(0.5, 80.0), min_size=3, max_size=3),
+           warmup=st.integers(0, 2))
+    def test_tables_equal_each_entrys_risk(self, n_slices, total_rbs, heavy, offered, sinrs,
+                                           targets, warmup):
+        """The rho, excess and throughput tables, taken once per shared KPM
+        object, equal ``slice_risk`` and ``_excess`` of every entry."""
+        radio, queue = RadioConfig(total_rbs=total_rbs), QueueConfig()
+        channels = [UeChannelState(k, k, x) for k, x in enumerate(sinrs[:n_slices])]
+        specs = [replace(SPECS[0], sla_target=targets[0])] + [
+            replace(SPECS[1], slice_id=k, sla_target=targets[k]) for k in range(1, n_slices)]
+        counts = ratio_to_rb_counts(AllocationRatio([1.0 / n_slices] * n_slices), total_rbs)
+        state = SimState.fresh(n_slices)
+        for _ in range(warmup):
+            state = simulate_interval(heavy[:n_slices], counts, channels, radio, queue,
+                                      state).state
+        predictor = Predictor(offered[:n_slices], channels, radio, queue, specs, state)
+        tables = predictor.kpm_tables()
+        for k, (spec, row) in enumerate(zip(specs, tables)):
+            risks = [slice_risk(spec, kpm) for kpm in row]
+            assert [x.hex() for x in predictor._rhos[k].tolist()] == [r.rho.hex() for r in risks]
+            assert [x.hex() for x in predictor._excess[k].tolist()] == [
+                _excess(spec, r.epsilon).hex() for r in risks]
+            assert [x.hex() for x in predictor._thr[k].tolist()] == [
+                kpm.mean_throughput_mbps.hex() for kpm in row]
 
     def test_split_off_the_pool_rejected(self):
         predictor = make_predictor()

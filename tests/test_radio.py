@@ -376,7 +376,8 @@ def column_books(backlog, admitted, served):
 
 
 def per_packet_latency(qs, start, admitted, served):
-    """Delivered packets and their mean latency, packet by packet through a FIFO."""
+    """Delivered packets, their mean latency and the undelivered packets'
+    arrival ticks, packet by packet through a FIFO."""
     fifo = deque((qs.arrival_ticks - start).tolist())
     latency_sum = delivered = 0
     for t, (adm, s) in enumerate(zip(admitted, served)):
@@ -384,22 +385,36 @@ def per_packet_latency(qs, start, admitted, served):
         for _ in range(s):
             latency_sum += t - fifo.popleft() + 1
         delivered += s
-    return delivered, float(latency_sum) / float(delivered) if delivered else 0.0
+    mean = float(latency_sum) / float(delivered) if delivered else 0.0
+    return delivered, mean, [start + t for t in fifo]
 
 
 def carried_fifo(ages, start):
     return SliceQueueState(np.array(sorted(start - 1 - a for a in ages), dtype=np.int64))
 
 
+def per_tick(draw, n_ticks, hi, sparse):
+    """Counts of 0..hi per tick: every tick drawn, or a few drawn ticks
+    and zeros elsewhere."""
+    if not sparse:
+        return draw(st.lists(st.integers(0, hi), min_size=n_ticks, max_size=n_ticks))
+    counts = [0] * n_ticks
+    for t, x in draw(st.dictionaries(st.integers(0, n_ticks - 1), st.integers(1, hi),
+                                     max_size=12)).items():
+        counts[t] = x
+    return counts
+
+
 @st.composite
-def fifo_columns(draw, n_ticks, backlog):
+def fifo_columns(draw, n_ticks, backlog, sparse=False):
     """(admitted, served) per tick of a FIFO that starts with ``backlog``
     packets: any admissions, and every tick serving none of its queue, all
-    of it, or a drawn count capped by it."""
-    admitted = draw(st.lists(st.integers(0, 4), min_size=n_ticks, max_size=n_ticks))
-    service = draw(st.one_of(
-        st.sampled_from([[0] * n_ticks, [math.inf] * n_ticks]),
-        st.lists(st.integers(0, 6), min_size=n_ticks, max_size=n_ticks)))
+    of it, or a drawn count capped by it.  ``sparse`` admits and serves on
+    a few ticks only, so that in a long interval the ticks back to the
+    carried packets' first arrival can span any stretch of it."""
+    admitted = per_tick(draw, n_ticks, 4, sparse)
+    service = draw(st.sampled_from([0, math.inf, None]))
+    service = per_tick(draw, n_ticks, 6, sparse) if service is None else [service] * n_ticks
     served, q = [], backlog
     for adm, s in zip(admitted, service):
         served.append(min(q + adm, s))
@@ -409,11 +424,19 @@ def fifo_columns(draw, n_ticks, backlog):
 
 def check_column(qs, start, admitted, served):
     """The one-column and stacked latency forms against the packet-by-packet
-    FIFO, bit for bit; returns the delivered count."""
+    FIFO, bit for bit, and the one-column carried FIFO against it and
+    against every admitted packet's tick, repeated; returns the delivered
+    count."""
     queue_sum, q = column_books(len(qs.arrival_ticks), admitted, served)
-    delivered, latency = per_packet_latency(qs, start, admitted, served)
+    delivered, latency, fifo = per_packet_latency(qs, start, admitted, served)
     column = np.array(admitted, dtype=np.int64)
-    assert _column_latency(qs, column, queue_sum, q, start) == (delivered, latency)
+    got = _column_latency(qs, column, queue_sum, q, start)
+    assert got[:2] == (delivered, latency)
+    repeated = np.repeat(start + np.arange(len(column), dtype=np.int64), column)
+    want = np.concatenate([qs.arrival_ticks[delivered:],
+                           repeated[max(delivered - len(qs.arrival_ticks), 0):]])
+    assert got[2].dtype == np.int64
+    assert got[2].tolist() == want.tolist() == fifo
     got_delivered, got_latency = _fifo_latency([qs], column[:, None], np.array([queue_sum]),
                                                 np.array([q]), start)
     assert got_delivered.tolist() == [delivered]
@@ -432,32 +455,35 @@ class TestFifoLatency:
         ([3, 1], [1, 3, 0, 2], [3, 3, 0, 2], 8),  # every admitted packet
         ([], [2, 0, 0, 3, 0], [0, 0, 1, 1, 0], 2),  # zero ticks after the cut
         ([4], [0, 0, 2, 0, 1], [0, 0, 0, 0, 3], 3),  # zero ticks before the cut
+        ([], [2, 0, 2, 1], [1, 1, 1, 0], 3),  # the cut tick's packets split
     ])
     def test_cases(self, ages, admitted, served, delivered):
         assert check_column(carried_fifo(ages, 100), 100, admitted, served) == delivered
 
     @settings(max_examples=500, deadline=None)
     @given(data=st.data(), ages=st.lists(st.integers(0, 400), max_size=20),
-           n_ticks=st.integers(1, 100))
-    def test_one_column_matches_packet_fifo(self, data, ages, n_ticks):
+           sparse=st.booleans())
+    def test_one_column_matches_packet_fifo(self, data, ages, sparse):
+        n_ticks = data.draw(st.integers(1, 300 if sparse else 100))
         start = data.draw(st.integers(max(ages, default=-1) + 1, 5000))
-        admitted, served = data.draw(fifo_columns(n_ticks, len(ages)))
+        admitted, served = data.draw(fifo_columns(n_ticks, len(ages), sparse))
         check_column(carried_fifo(ages, start), start, admitted, served)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), n_slices=st.integers(1, 3), m=st.integers(1, 3),
-           n_ticks=st.integers(1, 100), block_ticks=st.integers(1, 40))
-    def test_stacked_columns_match_each_column_alone(self, data, n_slices, m, n_ticks,
-                                                     block_ticks):
+           n_ticks=st.integers(1, 300), sparse=st.booleans())
+    def test_stacked_columns_match_each_column_alone(self, data, n_slices, m, n_ticks, sparse):
         ages = [data.draw(st.lists(st.integers(0, 400), max_size=20)) for _ in range(n_slices)]
         start = data.draw(st.integers(max(max(a, default=-1) for a in ages) + 1, 5000))
         queues = [carried_fifo(a, start) for a in ages]
-        columns = [data.draw(fifo_columns(n_ticks, len(a))) for a in ages for _ in range(m)]
+        columns = [data.draw(fifo_columns(n_ticks, len(a), sparse))
+                   for a in ages for _ in range(m)]
         books = [column_books(len(qs.arrival_ticks), *col)
                  for qs, col in zip(np.repeat(queues, m), columns)]
         admitted = np.array([adm for adm, _ in columns], dtype=np.uint8).T
-        # Blocks of as few as one tick, so the sums run across blocks.
-        with mock.patch.multiple(radio, _BLOCK_TICKS=block_ticks, _BLOCK_CELLS=0):
+        # The tail's first block is one tick, so tails cross up to nine
+        # doubling blocks, and columns leave the walk at different blocks.
+        with mock.patch.object(radio, "_BLOCK_TICKS", 1):
             delivered, latency = _fifo_latency(
                 queues, admitted, np.array([s for s, _ in books]),
                 np.array([q for _, q in books]), start)
@@ -502,6 +528,44 @@ class TestStarvation:
             for count, kpm in enumerate(table, 1):
                 acct = interval([count if j == k else 1 for j in range(n)]).accounting[k]
                 assert starved(kpm) == (acct.delivered_packets == 0 and offered[k] > 0)
+
+
+class TestSharedKpms:
+    """``slice_kpm_tables`` builds one ``SliceKpm`` per distinct packet book
+    of a slice, and RB counts with equal books share it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(stacked=stacked_slices(),
+           sinrs=st.lists(st.sampled_from([0.0, 1e-4, 0.05]) | st.floats(0.0, 100.0),
+                          min_size=3, max_size=3),
+           rbs=st.integers(1, 12))
+    def test_equal_packet_books_share_one_kpm(self, stacked, sinrs, rbs):
+        cap, start, queues, offered, _ = stacked
+        n = len(queues)
+        queue = QueueConfig(buffer_capacity_packets=cap)
+        radio = RadioConfig(total_rbs=n * rbs, monitoring_interval_s=0.1)
+        channels = [UeChannelState(k, k, x) for k, x in enumerate(sinrs[:n])]
+        tables = slice_kpm_tables(offered, channels, radio, queue, SimState(start, queues), rbs)
+        tick_s, n_ticks, _ = _interval_ticks(radio, queue)
+        service = np.array([channel_capacity(ue, np.arange(1, rbs + 1), radio.rb_bandwidth_hz)
+                            for ue in channels])
+        batches = _advance_slice_batch(queues, [x * 1e6 for x in offered], service, n_ticks,
+                                       tick_s, queue.packet_bits, cap, start)
+        for table, batch in zip(tables, batches):
+            books = list(zip(batch.delivered_packets.tolist(), batch.dropped_packets.tolist(),
+                             batch.mean_latency_ticks.tolist()))
+            for kpm, book in zip(table, books):
+                for other, other_book in zip(table, books):
+                    assert (kpm is other) == (book == other_book)
+
+    def test_light_load_shares_kpms(self):
+        # At 2 Mbps, 3 to 5 RBs deliver at 2 ticks and 6 to 9 RBs in the
+        # arrival tick: 9 RB counts, 4 packet books.
+        radio, queue, channels = make_env()
+        tables = slice_kpm_tables([2.0, 2.0], channels, radio, queue, SimState.fresh(2), 9)
+        for row in tables:
+            assert len({id(kpm) for kpm in row}) == 4
+            assert row[2] is row[4] and row[5] is row[8]
 
 
 def reference_advance_slice(qs, offered_bps, service_bps, n_ticks, tick_s,

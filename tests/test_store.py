@@ -1,8 +1,10 @@
+import errno
 import json
 import math
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -60,6 +62,44 @@ def every_record(store):
     """All of a store's records, by id, as ``retrieve`` builds them."""
     hits = store.retrieve([0.0] * store.n_slices, max(len(store), 1))
     return sorted(hits, key=lambda r: r.record_id)
+
+
+class FailingDisk:
+    """``open`` for the store whose appends take at most ``chunk`` bytes a
+    call and fail with ENOSPC once ``budget`` bytes are written."""
+
+    def __init__(self, budget, chunk):
+        self.budget, self.chunk, self.written = budget, chunk, 0
+
+    def open(self, path, mode="r", **kwargs):
+        fh = open(path, mode, **kwargs)
+        if "a" not in mode:
+            return fh
+        disk = self
+
+        class File:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                fh.close()
+
+            def tell(self):
+                return fh.tell()
+
+            def truncate(self, size):
+                return fh.truncate(size)
+
+            def write(self, data):
+                n = min(len(data), disk.chunk)
+                if disk.budget is not None and disk.written + n > disk.budget:
+                    fh.write(data[:disk.budget - disk.written])
+                    disk.written = disk.budget
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                disk.written += n
+                return fh.write(data[:n])
+
+        return File()
 
 
 def write_lines(path, objs):
@@ -345,6 +385,36 @@ class TestRecord:
         reloaded = ExperienceStore.load(path, 2)
         assert [r.record_id for r in every_record(reloaded)] == list(range(failures + 2))
         assert every_record(reloaded) == every_record(store)
+
+    @settings(max_examples=150, deadline=None)
+    @given(records=st.lists(st.tuples(
+               st.lists(st.floats(0.0, 200.0), min_size=2, max_size=2),
+               st.floats(-10.0, 0.0),
+               st.none() | st.integers(0, 700)),  # bytes written before a failure
+               min_size=1, max_size=8),
+           chunk=st.integers(1, 300))
+    def test_load_reads_the_records_written_in_full(self, records, chunk):
+        """Writes that fail partway leave the file as it was, and a later
+        write puts every pending line after the last complete one."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "store.jsonl"
+            store = ExperienceStore(2, path=path)
+            durable = []  # (rates, sigma) of the records written in full
+            for rates, sigma, budget in records:
+                disk = FailingDisk(budget, chunk)
+                with mock.patch("sliceloop.store.open", disk.open, create=True):
+                    try:
+                        store.record(**make_record_args(rates, sigma))
+                    except StorageError:
+                        assert budget is not None and disk.written == budget
+                    else:
+                        durable = [(r.arrival_rates_mbps, r.resulting_sigma)
+                                   for r in every_record(store)]
+                data = path.read_bytes() if path.exists() else b""
+                assert data.endswith(b"\n") or not data
+                loaded = every_record(ExperienceStore.load(path, 2)) if data else []
+                assert [r.record_id for r in loaded] == list(range(len(durable)))
+                assert [(r.arrival_rates_mbps, r.resulting_sigma) for r in loaded] == durable
 
     def test_jsonl_field_names_are_stable(self, tmp_path):
         path = tmp_path / "store.jsonl"
