@@ -40,6 +40,7 @@ from .core import (
     SliceKind,
     SliceKpm,
     SliceSpec,
+    check_pool,
     ratio_to_rb_counts,
     rb_splits,
 )
@@ -281,6 +282,7 @@ class Predictor:
         """Per slice, its predicted KPMs for 1 .. ``total_rbs - n + 1`` RBs."""
         if self._kpms is None:
             n = len(self._state.queues)
+            check_pool(self.radio_cfg.total_rbs, n)
             max_rbs = self.radio_cfg.total_rbs - n + 1
             kpms = slice_kpm_tables(self.offered_mbps, self.channels, self.radio_cfg,
                                     self.queue_cfg, self._state, max_rbs)

@@ -4,9 +4,12 @@ Records are append-only JSON lines (one object per line, flushed per
 write) so the history is human-inspectable and survives crashes.  A
 line holds the record's id, which is its 0-based position in the file,
 its arrival rates, allocation shares, sigma, per-slice KPM summary and
-interval, all built here from one interval's ``SliceKpm`` tuple.  A
-write that fails is cut back off the file, and its lines are written
-ahead of the next record's line, so each id stays its line's position.
+interval, all built here from one interval's ``SliceKpm`` tuple.  The
+store notes the file's durable size, at load and after each write, and
+cuts the file back to it before every write and after one that fails.
+A failed write's lines are written ahead of the next record's line, so
+each id stays its line's position, and a partial line that a failed
+cut left behind is cut off by the next write, not buried mid-file.
 In memory the store keeps only the columns that retrieval and the
 prompt read: one row of arrival rates and one of shares per slice and
 one array of sigmas, record ``i`` in column ``i``.  The KPM summary
@@ -14,7 +17,7 @@ and the interval are written but not kept.  ``load`` streams a history
 into the columns and ``record`` appends to spare ones; the arrays
 double when full, so an append costs amortised O(1).
 
-Retrieval is exact.  Shortlist the ``3 * k`` records nearest to the
+Retrieval is exact.  Shortlist the ``m = 3 * k`` records nearest to the
 query traffic vector by Euclidean distance, ties to the lower record id,
 then keep the ``k`` with the best (least negative) historical sigma.
 Final ordering is descending sigma, then ascending distance, then
@@ -24,18 +27,31 @@ The squared differences are summed one slice at a time, in slice order,
 which is bit for bit what ``np.sum`` over a row of up to 7 slices
 gives.  A store of 8 or more slices keeps the slice-ordered sum, where
 numpy would switch to pairwise summation and could differ in the last
-bit.  The shortlist selects the ``m``-th smallest distance with
-``np.partition`` and ranks only the ``m`` records it keeps, so no
-retrieve sorts the whole store.  Rates must be finite: a NaN distance
-would fall outside both the shortlist's ``<`` and ``==`` tests.
+bit.  Rates must be finite: a NaN distance would fall outside every
+comparison the shortlist makes.
 
-A first query scans every record, in O(n).  The store remembers the last
-shortlist, and a retrieve with the same query bytes and ``k`` (the loop
-asks again whenever traffic has not changed) scans only the records
-appended since, in O(new records + 3k): it picks from the old shortlist
-plus those records.  That is exact because records are only appended: a
-record left out of a shortlist of ``3 * k`` has that many records ahead
-of it by (distance, id), and keeps them.
+Retrieval is fast because a history holds few distinct traffic vectors:
+offered rates come from step profiles and grids, so many records share
+each vector.  The store groups records by the exact bits of their rate
+vector and computes a query's distance once per group, from the same
+floats, so each record's distance is bit for bit what a scan of every
+record gives.  Each group keeps its first record and each record the
+next one of its group, so a group's lowest ids are reached one link at
+a time.  The ``m`` nearest records lie in the first ``m`` records of
+the ``m`` groups that come first by (distance, first id): a group
+behind ``m`` others has ``m`` records ahead of its first one.  Those
+groups are walked in that order until ``m`` records are in hand and the
+next group is farther.  For ``G`` groups a retrieve costs
+O(G + m log m) plus at most m * m link steps, whatever the store's
+size; only groups tied at the ``m``-th nearest distance add a sort of
+the tied ones.  A history of all-distinct vectors has one group per record and
+costs one O(n) scan per retrieve.  ``load`` groups the records in one
+vectorised sort after parsing.  ``record`` only appends: the next
+retrieve links each record appended since to the end of its group, in
+amortised O(1) a record, through a map from rate bytes to each group's
+last record.  A store that is never asked groups nothing, and a loaded
+store holds no Python object per group until its first retrieve builds
+that map.
 """
 from __future__ import annotations
 
@@ -71,7 +87,7 @@ class ExperienceRecord:
 
 def _grown(column: np.ndarray, n: int, capacity: int) -> np.ndarray:
     """``column`` with its first ``n`` entries on the last axis kept and room for ``capacity``."""
-    out = np.empty(column.shape[:-1] + (capacity,))
+    out = np.empty(column.shape[:-1] + (capacity,), dtype=column.dtype)
     out[..., :n] = column[..., :n]
     return out
 
@@ -87,11 +103,21 @@ class ExperienceStore:
         self._rates = np.empty((n_slices, 0))
         self._shares = np.empty((n_slices, 0))
         self._sigmas = np.empty(0)
+        # Rate-vector groups of the first `_grouped` records: each group's
+        # first record, in order of first appearance, and per record the
+        # next record of its group, -1 after the group's last.
+        self._grouped = 0
+        self._groups = 0
+        self._heads = np.empty(0, dtype=np.int64)
+        self._next = np.empty(0, dtype=np.int64)
+        # Rate bytes -> the group's last record; built by the first
+        # retrieve that has records to group.
+        self._tails: Optional[dict[bytes, int]] = None
         # Lines of records whose durable write failed, oldest first.
         self._pending: list[str] = []
-        # The last retrieve: ((query bytes, k), store size, shortlist ids
-        # ascending, their distances).
-        self._last: Optional[tuple] = None
+        # The history file's size up to its last complete line; None
+        # until a load or the first write notes it.
+        self._size: Optional[int] = None
 
     def __len__(self) -> int:
         return self._n
@@ -119,8 +145,9 @@ class ExperienceStore:
                         store._append(obj["rates"], obj["shares"], obj["sigma"], len(obj["kpm"]))
                     except KeyError as exc:
                         raise ValueError(f"{path}, line {lineno}: no {exc} field") from None
-                    except (ValueError, TypeError) as exc:
-                        # A truncated line is a JSONDecodeError, a ValueError.
+                    except (ValueError, TypeError, OverflowError) as exc:
+                        # A truncated line is a JSONDecodeError, a ValueError; an
+                        # integer beyond float range is an OverflowError.
                         raise ValueError(f"{path}, line {lineno}: {exc}") from None
             except ValueError:
                 if line.endswith("\n"):
@@ -134,6 +161,8 @@ class ExperienceStore:
             with open(path, "rb+") as fh:
                 fh.truncate(fh.seek(0, 2) - torn)
             log.warning("%s: dropped torn last line %d (%d bytes)", path, lineno, torn)
+        store._size = store.path.stat().st_size
+        store._group_loaded()
         return store
 
     def record(
@@ -147,9 +176,9 @@ class ExperienceStore:
 
         ``kpm`` holds the interval's KPMs, one per slice; the record's
         arrival rates are their offered loads.  If the write fails, the
-        file is truncated back to its size before the write, the record
-        stays in memory, its line waits to be written ahead of the next
-        one, and ``StorageError`` is raised.
+        file is truncated back to its durable size, the record stays in
+        memory, its line waits to be written ahead of the next one, and
+        ``StorageError`` is raised.
         """
         obj = {
             "id": self._n,
@@ -173,17 +202,23 @@ class ExperienceStore:
         return obj["id"]
 
     def _write_pending(self) -> None:
-        """Append the pending lines, unbuffered; on failure, cut off what was written."""
-        data = memoryview("".join(self._pending).encode())
+        """Append the pending lines after the durable size, unbuffered; on failure, cut off what was written."""
+        data = "".join(self._pending).encode()
         with open(self.path, "ab", buffering=0) as fh:
-            size = fh.tell()
+            if self._size is None:
+                self._size = fh.tell()
+            # Whatever lies past the durable size is a partial line that an
+            # earlier failed write could not cut off.
+            fh.truncate(self._size)
+            rest = memoryview(data)
             try:
-                while data:
-                    data = data[fh.write(data):]
+                while rest:
+                    rest = rest[fh.write(rest):]
             except OSError:
                 # A partial line would sit ahead of the pending lines.
-                fh.truncate(size)
+                fh.truncate(self._size)
                 raise
+        self._size += len(data)
 
     def _append(self, rates: Sequence[float], shares: Sequence[float], sigma: float, n_kpm: int) -> None:
         """Check one record against the slice count and add it as the next column."""
@@ -204,10 +239,57 @@ class ExperienceStore:
             self._rates = _grown(self._rates, n, capacity)
             self._shares = _grown(self._shares, n, capacity)
             self._sigmas = _grown(self._sigmas, n, capacity)
+            self._next = _grown(self._next, n, capacity)
         self._rates[:, n] = rates
         self._shares[:, n] = shares
         self._sigmas[n] = sigma
         self._n = n + 1
+
+    def _group_loaded(self) -> None:
+        """Group the loaded records by the bits of their rate vectors, in one sort."""
+        n = self._n
+        if n == 0:
+            return
+        bits = self._rates[:, :n].view(np.int64)
+        order = np.lexsort(bits)  # stable: each group's ids stay ascending
+        # same[p]: the record at order[p + 1] has the vector of the one at
+        # order[p].  The links' own room holds each sorted row meanwhile.
+        same = np.ones(n - 1, dtype=bool)
+        row = self._next[:n]
+        for bits_k in bits:
+            np.take(bits_k, order, out=row)
+            same &= row[1:] == row[:-1]
+        cut = np.flatnonzero(~same) + 1  # where each group but the first starts
+        self._next[order[:-1]] = order[1:]
+        self._next[order[cut - 1]] = -1
+        self._next[order[-1]] = -1
+        self._heads = np.sort(np.append(order[0], order[cut]))
+        self._groups = len(self._heads)
+        self._grouped = n
+
+    def _group_appended(self) -> None:
+        """Link each record appended since the last retrieve to the end of its group, or start one."""
+        start, n = self._grouped, self._n
+        links = self._next
+        if self._tails is None:
+            last = np.flatnonzero(links[:start] < 0)
+            rows = np.ascontiguousarray(self._rates[:, last].T)
+            self._tails = dict(zip(map(bytes, rows), last.tolist()))
+        tails = self._tails
+        links[start:n] = -1
+        rows = np.ascontiguousarray(self._rates[:, start:n].T)
+        for i, key in enumerate(map(bytes, rows), start):
+            tail = tails.get(key)
+            if tail is None:
+                g = self._groups
+                if g == len(self._heads):
+                    self._heads = _grown(self._heads, g, max(2 * g, 16))
+                self._heads[g] = i
+                self._groups = g + 1
+            else:
+                links[tail] = i
+            tails[key] = i
+        self._grouped = n
 
     def retrieve(self, query_rates: Sequence[float], k: int) -> list[ExperienceRecord]:
         """Two-stage nearest/best lookup, deterministic for any store state."""
@@ -221,45 +303,51 @@ class ExperienceStore:
         n = self._n
         if n == 0:
             return []
-        key = (q.tobytes(), k)
-        last = self._last
-        if last is not None and last[0] == key:
-            _, seen, old_ids, old_dist = last
-            cand = np.concatenate((old_ids, np.arange(seen, n)))
-            dist = np.concatenate((old_dist, self._distances(q, seen)))
-        else:
-            cand, dist = None, self._distances(q)
-        # Shortlist: m nearest by distance, ties to the lower record id.
-        # Everything below the m-th smallest distance is in; the lowest
-        # ids at exactly that distance fill the rest.  Candidates are in
-        # ascending id order, so their positions order them by id.
         m = min(SHORTLIST_MULTIPLIER * k, n)
-        kth = np.partition(dist, m - 1)[m - 1]
-        inside = dist < kth
-        inside[np.flatnonzero(dist == kth)[: m - np.count_nonzero(inside)]] = True
-        keep = np.flatnonzero(inside)
-        shortlist = keep if cand is None else cand[keep]
-        dist = dist[keep]
-        self._last = (key, n, shortlist, dist)
-        # Rank: best sigma first, then nearest, then lowest id.
-        order = np.lexsort((shortlist, dist, -self._sigmas[shortlist]))[:k]
+        dist = self._distances(q)
+        # The m nearest records lie in the m groups first by (distance,
+        # first id), all of them no farther than the m-th nearest group.
+        # Those groups are walked in that order, each in id order, until m
+        # records are in hand and the next group is farther.
+        j = min(m, len(dist)) - 1
+        near = np.flatnonzero(dist <= np.partition(dist, j)[j])
+        dist, heads = dist[near], self._heads[near]
+        first = np.lexsort((heads, dist))[:m]
+        links = self._next
+        found: list[tuple[float, int]] = []
+        for d, i in zip(dist[first].tolist(), heads[first].tolist()):
+            if len(found) >= m and d > found[-1][0]:
+                break
+            for _ in range(m):
+                found.append((d, i))
+                i = links.item(i)
+                if i < 0:
+                    break
+        # Shortlist the m nearest, ties to the lower id; rank best sigma
+        # first, then nearest, then lowest id.
+        sigmas = self._sigmas
+        ranked = sorted((-sigmas.item(i), d, i) for d, i in sorted(found)[:m])[:k]
         return [
             ExperienceRecord(
-                int(i),
+                i,
                 tuple(self._rates[:, i].tolist()),
                 tuple(self._shares[:, i].tolist()),
-                float(self._sigmas[i]),
+                -neg_sigma,
             )
-            for i in shortlist[order]
+            for neg_sigma, _, i in ranked
         ]
 
-    def _distances(self, q: np.ndarray, start: int = 0) -> np.ndarray:
-        """Euclidean distance from ``q`` to records ``start`` onward, summed in slice order."""
-        n = self._n
-        dist = np.zeros(n - start)
-        d = np.empty(n - start)
-        for row, q_k in zip(self._rates, q):
-            np.subtract(row[start:n], q_k, out=d)
-            d *= d
-            dist += d
+    def _distances(self, q: np.ndarray) -> np.ndarray:
+        """Euclidean distance from ``q`` to each group's rate vector, summed in slice order.
+
+        Records appended since the last call join their groups first.
+        """
+        if self._grouped < self._n:
+            self._group_appended()
+        squares = self._rates[:, self._heads[:self._groups]]
+        squares -= q[:, None]
+        squares *= squares
+        dist = squares[0]
+        for row in squares[1:]:
+            dist += row
         return np.sqrt(dist, out=dist)

@@ -28,6 +28,7 @@ from sliceloop.agents import (
 )
 from sliceloop.core import (
     AllocationRatio,
+    InfeasibleAllocationError,
     RadioConfig,
     SliceKind,
     SliceKpm,
@@ -312,6 +313,15 @@ class TestPredictor:
             predictor.score_splits(np.array([[3, 3, 4]]))
         with pytest.raises(InternalStateError):
             predictor.score_splits(np.array([5, 5]))
+
+    def test_pool_of_fewer_rbs_than_slices_rejected(self):
+        radio, queue = RadioConfig(total_rbs=1), QueueConfig()
+        channels = [UeChannelState(k, k, SINR) for k in range(2)]
+        predictor = Predictor([5.0, 5.0], channels, radio, queue, SPECS, SimState.fresh(2))
+        with pytest.raises(InfeasibleAllocationError, match="total_rbs"):
+            predictor.kpm_tables()
+        with pytest.raises(InfeasibleAllocationError, match="total_rbs"):
+            predictor.score_splits(np.empty((0, 2), dtype=int))
 
     def test_throughput_of_no_throughput_slice_is_a_float(self):
         radio, queue = RadioConfig(total_rbs=10), QueueConfig()

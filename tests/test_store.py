@@ -66,10 +66,12 @@ def every_record(store):
 
 class FailingDisk:
     """``open`` for the store whose appends take at most ``chunk`` bytes a
-    call and fail with ENOSPC once ``budget`` bytes are written."""
+    call and fail with ENOSPC once ``budget`` bytes are written; with
+    ``cut_fails``, a truncate after that failure fails with EIO too."""
 
-    def __init__(self, budget, chunk):
+    def __init__(self, budget, chunk, cut_fails=False):
         self.budget, self.chunk, self.written = budget, chunk, 0
+        self.cut_fails = cut_fails
 
     def open(self, path, mode="r", **kwargs):
         fh = open(path, mode, **kwargs)
@@ -88,6 +90,8 @@ class FailingDisk:
                 return fh.tell()
 
             def truncate(self, size):
+                if disk.cut_fails and disk.written == disk.budget:
+                    raise OSError(errno.EIO, "Input/output error")
                 return fh.truncate(size)
 
             def write(self, data):
@@ -100,6 +104,20 @@ class FailingDisk:
                 return fh.write(data[:n])
 
         return File()
+
+
+def count_distances(store):
+    """A list that gets the number of distances each later retrieve computes."""
+    computed = []
+    distances = store._distances
+
+    def spy(q):
+        out = distances(q)
+        computed.append(len(out))
+        return out
+
+    store._distances = spy
+    return computed
 
 
 def write_lines(path, objs):
@@ -139,8 +157,8 @@ def repeated_query_cases(draw):
     """A slice count and interleaved record, load and retrieve steps.
 
     Retrieves draw from at most three (query, k) pairs over at most two
-    query vectors, so most of them repeat the last one after appends
-    (the incremental path), and some change only ``k``.
+    query vectors, so most of them repeat the last one after appends,
+    and some change only ``k``.
     """
     n_slices = draw(st.integers(1, 7))
     rates = draw(st.sampled_from([GRID_RATES, ANY_RATES]))
@@ -158,6 +176,34 @@ def repeated_query_cases(draw):
         else:
             steps.append((kind, None))
     return n_slices, steps
+
+
+# Vectors over this grid hold many records each; (3, 4), (4, 3), (0, 5) and
+# (5, 0) tie at distance 5 from the origin, and so does (3 + 1 ulp, 4),
+# whose squared distance is 25 + 1 ulp; 0.0 and -0.0 are different bits.
+TIE_GRID = st.sampled_from([0.0, -0.0, 3.0, 4.0, 5.0, 3.0000000000000004])
+
+
+@st.composite
+def grouped_history_cases(draw):
+    """A slice count and interleaved record, load and retrieve steps over ``TIE_GRID``."""
+    n_slices = draw(st.integers(1, 3))
+    vector = st.lists(TIE_GRID, min_size=n_slices, max_size=n_slices)
+    queries = draw(st.lists(st.tuples(vector, st.integers(1, 5)), min_size=1, max_size=3))
+    steps = []
+    for _ in range(draw(st.integers(0, 80))):
+        kind = draw(st.sampled_from(["record"] * 4 + ["retrieve"] * 2 + ["load"]))
+        if kind == "record":
+            steps.append((kind, draw(st.tuples(vector, SIGMAS))))
+        elif kind == "retrieve":
+            steps.append((kind, draw(st.sampled_from(queries))))
+        else:
+            steps.append((kind, None))
+    return n_slices, steps
+
+
+def hex_rates(rates):
+    return tuple(float(x).hex() for x in rates)
 
 
 def record_step(rates, sigma):
@@ -315,6 +361,19 @@ class TestRecord:
         reloaded = ExperienceStore.load(path, 2)
         assert [r.resulting_sigma for r in reloaded.retrieve([80.0, 95.0], 3)] == [-0.1, -0.2, -0.4]
 
+    def test_a_dropped_torn_record_enters_no_group(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        writer = ExperienceStore(2, path=path)
+        for rates in ([80.0, 95.0], [80.0, 95.0], [90.0, 90.0]):
+            writer.record(**make_record_args(rates, -0.5))
+        path.write_bytes(path.read_bytes()[:-1])  # the [90, 90] line loses its newline
+        store = ExperienceStore.load(path, 2)
+        computed = count_distances(store)
+        assert [r.record_id for r in store.retrieve([90.0, 90.0], 3)] == [0, 1]
+        store.record(**make_record_args([85.0, 95.0], -0.1))
+        assert [r.arrival_rates_mbps for r in store.retrieve([90.0, 90.0], 1)] == [(85.0, 95.0)]
+        assert computed == [1, 2]
+
     def test_load_drops_a_last_line_cut_only_before_its_newline(self, tmp_path):
         path = tmp_path / "store.jsonl"
         write_lines(path, [line_obj(0)])
@@ -335,6 +394,17 @@ class TestRecord:
             ExperienceStore.load(path, 2)
         assert str(path) in str(exc.value)
         assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("field", ["rates", "shares", "sigma"])
+    def test_load_names_an_integer_beyond_float_range(self, tmp_path, field):
+        path = tmp_path / "store.jsonl"
+        huge = -10 ** 400 if field == "sigma" else 10 ** 400
+        bad = line_obj(1)
+        bad[field] = huge if field == "sigma" else [huge, 1.0]
+        write_lines(path, [line_obj(0), bad, line_obj(2)])
+        with pytest.raises(ValueError, match="line 2: int too large") as exc:
+            ExperienceStore.load(path, 2)
+        assert str(path) in str(exc.value)
 
     def test_load_names_a_line_without_a_field(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -392,16 +462,21 @@ class TestRecord:
                st.floats(-10.0, 0.0),
                st.none() | st.integers(0, 700)),  # bytes written before a failure
                min_size=1, max_size=8),
-           chunk=st.integers(1, 300))
-    def test_load_reads_the_records_written_in_full(self, records, chunk):
-        """Writes that fail partway leave the file as it was, and a later
-        write puts every pending line after the last complete one."""
+           chunk=st.integers(1, 300),
+           cut_fails=st.lists(st.booleans(), min_size=8, max_size=8))
+    def test_load_reads_the_records_written_in_full(self, records, chunk, cut_fails):
+        """Writes that fail partway leave the file as it was, or, when the
+        cut back fails too, the durable lines and a part of the pending
+        ones; a later write cuts that part off and puts every pending line
+        after the last complete one."""
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "store.jsonl"
+            copy = Path(tmp) / "copy.jsonl"
             store = ExperienceStore(2, path=path)
             durable = []  # (rates, sigma) of the records written in full
-            for rates, sigma, budget in records:
-                disk = FailingDisk(budget, chunk)
+            durable_bytes = b""
+            for (rates, sigma, budget), cut_fails_now in zip(records, cut_fails):
+                disk = FailingDisk(budget, chunk, cut_fails_now)
                 with mock.patch("sliceloop.store.open", disk.open, create=True):
                     try:
                         store.record(**make_record_args(rates, sigma))
@@ -411,10 +486,20 @@ class TestRecord:
                         durable = [(r.arrival_rates_mbps, r.resulting_sigma)
                                    for r in every_record(store)]
                 data = path.read_bytes() if path.exists() else b""
-                assert data.endswith(b"\n") or not data
-                loaded = every_record(ExperienceStore.load(path, 2)) if data else []
-                assert [r.record_id for r in loaded] == list(range(len(durable)))
-                assert [(r.arrival_rates_mbps, r.resulting_sigma) for r in loaded] == durable
+                if len(durable) == len(store):
+                    durable_bytes = data
+                    assert data.endswith(b"\n") or not data
+                else:
+                    assert data.startswith(durable_bytes)
+                    assert data == durable_bytes or cut_fails_now
+                # Load a copy: a load cuts a torn line off the file it reads.
+                copy.write_bytes(data)
+                loaded = every_record(ExperienceStore.load(copy, 2)) if data else []
+                assert [r.record_id for r in loaded] == list(range(len(loaded)))
+                # Pending lines left whole by a failed cut are the store's next records.
+                kept = [(r.arrival_rates_mbps, r.resulting_sigma) for r in every_record(store)]
+                assert [(r.arrival_rates_mbps, r.resulting_sigma) for r in loaded] == kept[:len(loaded)]
+                assert len(loaded) == len(durable) or cut_fails_now and len(loaded) > len(durable)
 
     def test_jsonl_field_names_are_stable(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -590,40 +675,72 @@ class TestRetrieve:
                         rebuilt.record(**make_record_args(rates, sigma))
                     assert got == rebuilt.retrieve(query, k)
 
-    def test_repeated_query_scans_only_appended_records(self):
+    def test_a_retrieve_computes_one_distance_per_distinct_vector(self, tmp_path):
+        path = tmp_path / "store.jsonl"
         rng = np.random.default_rng(23)
-        store = ExperienceStore(2)
+        grid = [[80.0, 95.0], [85.0, 95.0], [95.0, 80.0], [0.0, 90.0], [-0.0, 90.0]]
         history = []
 
-        def record(count):
-            for _ in range(count):
-                args = make_record_args(list(rng.choice(np.arange(80.0, 130.0, 5.0), size=2)),
-                                        -float(rng.uniform(0, 2)))
+        def record(store, vectors):
+            for rates in vectors:
+                args = make_record_args(rates, -float(rng.uniform(0, 2)))
                 store.record(**args)
                 history.append(args)
 
-        scanned = []
-        distances = store._distances
+        store = ExperienceStore(2, path=path)
+        computed = count_distances(store)
+        q = [84.0, 93.0]
+        # (vectors appended first, distances a retrieve computes); 0.0 and
+        # -0.0 are different vectors.
+        plan = [([grid[0]] * 20 + [grid[1]] * 10, 2), ([grid[1], grid[0]] * 3, 2),
+                ([grid[2]], 3), ([grid[3]] * 4, 4), ([grid[4]], 5), (grid * 6, 5)]
+        for vectors, want in plan:
+            record(store, vectors)
+            for k in (1, 3):
+                computed.clear()
+                got = store.retrieve(q, k)
+                assert computed == [want]
+                rebuilt = ExperienceStore(2)
+                for args in history:
+                    rebuilt.record(**args)
+                assert got == rebuilt.retrieve(q, k)
+        store = ExperienceStore.load(path, 2)
+        computed = count_distances(store)
+        assert [r.record_id for r in store.retrieve(q, 3)] == [
+            r.record_id for r in rebuilt.retrieve(q, 3)]
+        record(store, grid[::-1])
+        store.retrieve(q, 3)
+        assert computed == [5, 5]
 
-        def spy(q, start=0):
-            out = distances(q, start)
-            scanned.append(len(out))
-            return out
-
-        store._distances = spy
-        q, other = [100.0, 95.0], [95.0, 100.0]
-        # (records appended first, query, k, records whose distance is computed)
-        plan = [(30, q, 2, 30), (3, q, 2, 3), (0, q, 2, 0), (2, q, 3, 35),
-                (1, other, 3, 36), (0, q, 3, 36), (4, q, 3, 4)]
-        for appended, query, k, want in plan:
-            record(appended)
-            scanned.clear()
-            got = store.retrieve(query, k)
-            assert scanned == [want]
-            rebuilt = ExperienceStore(2)
-            for args in history:
-                rebuilt.record(**args)
-            assert got == rebuilt.retrieve(query, k)
+    @settings(max_examples=200, deadline=None)
+    @given(case=grouped_history_cases())
+    @example(case=(2, [record_step([3.0000000000000004, 4.0], -0.5),
+                       record_step([3.0, 4.0], -0.5), record_step([-0.0, 5.0], -0.5),
+                       record_step([0.0, 5.0], -0.5), ("retrieve", ([0.0, -0.0], 1)),
+                       ("load", None), ("retrieve", ([0.0, -0.0], 1))]))
+    def test_grouped_histories_match_stable_argsort_reference(self, case):
+        """Few vectors with many records each, ties between vectors, and
+        signed zeros: ids against the argsort reference, rates as written."""
+        n_slices, steps = case
+        history = []
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "store.jsonl"
+            path.touch()
+            store = ExperienceStore(n_slices, path=path)
+            for kind, arg in steps:
+                if kind == "record":
+                    store.record(**make_record_args(*arg))
+                    history.append(arg)
+                elif kind == "load":
+                    store = ExperienceStore.load(path, n_slices)
+                else:
+                    query, k = arg
+                    got = store.retrieve(query, k)
+                    assert [r.record_id for r in got] == argsort_retrieve_ids(history, query, k)
+                    assert [hex_rates(r.arrival_rates_mbps) for r in got] == [
+                        hex_rates(history[r.record_id][0]) for r in got]
+                    assert [r.resulting_sigma for r in got] == [
+                        history[r.record_id][1] for r in got]
 
     @pytest.mark.parametrize("n_slices", range(1, 8))
     def test_slice_ordered_distance_equals_row_sums_bit_for_bit(self, n_slices):
