@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence, Tuple
@@ -151,8 +152,11 @@ class SliceKpm:
     offered_load_mbps: float
 
     def __post_init__(self) -> None:
-        if self.mean_latency_ms < 0 or self.mean_throughput_mbps < 0 or self.offered_load_mbps < 0:
-            raise ValueError("KPM fields must be nonnegative")
+        for name in ("mean_latency_ms", "mean_throughput_mbps", "offered_load_mbps"):
+            value = getattr(self, name)
+            # An int compares with a float exactly, so 10**400 is out of range.
+            if not 0 <= value <= sys.float_info.max:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if not 0.0 <= self.drop_ratio <= 1.0:
             raise ValueError(f"drop_ratio {self.drop_ratio} outside [0, 1]")
         if self.mean_throughput_mbps > self.offered_load_mbps + SUM_TOLERANCE:

@@ -11,10 +11,14 @@ every KPM timeline is exactly reproducible; packets arriving to a full
 buffer are dropped.  Latency is enqueue-to-dequeue time at tick
 granularity, so an unloaded slice reports one tick of transmission delay.
 
+Carried state is position-free: a carried packet's arrival tick counts
+from the start of the interval that the state carries into, so it is
+negative, and nothing a slice-interval reads says when it runs.
 ``simulate_interval`` advances the live queues with ``_advance_slice``,
-which also returns the carried FIFO.  It steps an interval a stretch at
-a time, bit-identical to the per-tick loop.  While the queue stays
-non-empty, the service credit follows a free path (``_credit_path``):
+which also returns the carried FIFO, its ticks shifted once to the next
+interval's start.  It steps an interval a stretch at a time,
+bit-identical to the per-tick loop.  While the queue stays non-empty,
+the service credit follows a free path (``_credit_path``):
 each tick adds the service rate c and serves the whole part.  Each sum
 ``credit + c`` is below c + 1, so when c and the credit are multiples of
 w, the ulp of the binade that sum can reach, every sum is exact and the
@@ -32,8 +36,9 @@ exactly its own arrivals, so the rest is filled in at once.
 Slices share nothing but the RB total, so one slice's interval depends
 on its own inputs alone: with a memo that a sweep owns,
 ``simulate_interval`` runs the tick loop once per distinct
-slice-interval, and one scenario2 sweep, which repeats most of them,
-writes byte-identical outputs.
+slice-interval and hands back the stored, immutable result on every
+repeat, and one scenario2 sweep, which repeats most of them, writes
+byte-identical outputs.
 Predictions need no new state, only KPMs: ``slice_kpm_tables`` steps
 the same recursion for every RB count of every slice at once, as the
 columns of one stacked tick loop (``_advance_slice_batch``),
@@ -47,10 +52,10 @@ arrival and departure curves (Le Boudec and Thiran, *Network Calculus*,
 Springer 2001).  For a column over n ticks, let C_t be the admissions
 up to tick t, A = C_{n-1}, b the carried backlog, q the end queue,
 D = b + A - q the delivered packets and N = max(D - b, 0) the delivered
-new ones.  In ticks from the interval's start, the departures sum to
-n*A - sum_t C_t + sum_t q_t - n*q, as tick t serves
-adm_t + q_{t-1} - q_t, and the N new ones arrived at ticks summing to
-sum_t max(N - C_t, 0).  The difference is
+new ones.  In ticks from the interval's start, as the carried FIFO
+counts them, the departures sum to n*A - sum_t C_t + sum_t q_t - n*q,
+as tick t serves adm_t + q_{t-1} - q_t, and the N new ones arrived at
+ticks summing to sum_t max(N - C_t, 0).  The difference is
 n*(A - q) + sum_t q_t - sum_t max(C_t, N), where the last sum is
 T*N + sum_{t>=T} C_t with T the first tick where C_t >= N.  The carried
 ones delivered are the FIFO's first min(D, b).  Mean latency is
@@ -163,18 +168,30 @@ def _slice_ue(channels: Sequence[UeChannelState], slice_id: int) -> UeChannelSta
     return ues[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SliceQueueState:
-    """FIFO backlog of one slice: absolute arrival tick per queued packet."""
+    """FIFO backlog of one slice, position-free.
+
+    ``arrival_ticks`` holds the queued packets' arrival ticks in arrival
+    order, counted from the start of the interval that the state carries
+    into, so every one is negative; the array is made read-only.  A last
+    tick >= 0 raises ``InternalStateError``.
+    """
 
     arrival_ticks: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     arrival_carry: float = 0.0
     service_credit: float = 0.0
 
+    def __post_init__(self) -> None:
+        fifo = self.arrival_ticks
+        fifo.setflags(write=False)
+        if fifo.size and fifo.item(-1) >= 0:
+            raise InternalStateError("carried arrival ticks must precede the interval's start")
+
 
 @dataclass
 class SimState:
-    """Carried simulation state: global tick counter plus per-slice queues."""
+    """Carried simulation state: the interval clock, which no step reads, plus per-slice queues."""
 
     tick: int
     queues: list[SliceQueueState]
@@ -193,21 +210,6 @@ class SliceAccounting:
     dropped_packets: int
     queued_before: int
     queued_after: int
-
-
-@dataclass(frozen=True, slots=True)
-class MemoEntry:
-    """One slice's simulated interval, as a ``simulate_interval`` memo keeps it.
-
-    ``tail`` is the carried FIFO's arrival ticks minus the interval's
-    start tick, read-only.
-    """
-
-    kpm: SliceKpm
-    accounting: SliceAccounting
-    tail: np.ndarray
-    arrival_carry: float
-    service_credit: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -351,11 +353,10 @@ def _advance_slice(
     tick_s: float,
     packet_bits: int,
     buffer_cap: int,
-    start_tick: int,
-) -> tuple[SliceQueueState, SliceAccounting, float, int]:
+) -> tuple[SliceQueueState, SliceAccounting, float]:
     """Run one slice's queue over the interval.
 
-    Returns (new state, accounting, mean latency in ticks, delivered).
+    Returns (new state, accounting, mean latency in ticks).
     Within a tick, arrivals join the queue first and service follows, so
     a packet served in its arrival tick experiences one tick of latency.
 
@@ -415,12 +416,7 @@ def _advance_slice(
         queue_sum += q
     admitted[t0:t0 + len(tail)] = tail
 
-    delivered, latency, carried = _column_latency(qs, admitted, queue_sum, q, start_tick)
-    new_state = SliceQueueState(
-        arrival_ticks=carried,
-        arrival_carry=carry_out,
-        service_credit=credit,
-    )
+    delivered, latency, carried = _column_latency(qs, admitted, queue_sum, q)
     acct = SliceAccounting(
         offered_packets=offered,
         delivered_packets=delivered,
@@ -428,7 +424,7 @@ def _advance_slice(
         queued_before=queued_before,
         queued_after=q,
     )
-    return new_state, acct, latency, delivered
+    return SliceQueueState(carried, carry_out, credit), acct, latency
 
 
 # Ticks widened to all columns at a time: arrivals in the stacked tick
@@ -441,7 +437,6 @@ def _fifo_latency(
     admitted: np.ndarray,
     queue_sum: np.ndarray,
     q: np.ndarray,
-    start_tick: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Delivered packets and their mean latency in ticks, per column.
 
@@ -463,7 +458,7 @@ def _fifo_latency(
     new_delivered = np.maximum(delivered - backlog, 0)
     arrival_sum = np.empty((len(queues), m), dtype=np.int64)
     for k, qs in enumerate(queues):
-        carried = np.concatenate(([0], np.cumsum(qs.arrival_ticks - start_tick)))
+        carried = np.concatenate(([0], np.cumsum(qs.arrival_ticks)))
         arrival_sum[k] = carried[np.minimum(delivered.reshape(-1, m)[k], queued_before[k])]
     arrival_sum = arrival_sum.reshape(width)
     carried_new = total - new_delivered
@@ -486,13 +481,14 @@ def _fifo_latency(
     return delivered, mean_latency
 
 
-def _column_latency(qs: SliceQueueState, admitted: np.ndarray, queue_sum: int, q: int,
-                    start_tick: int) -> tuple[int, float, np.ndarray]:
+def _column_latency(qs: SliceQueueState, admitted: np.ndarray, queue_sum: int,
+                    q: int) -> tuple[int, float, np.ndarray]:
     """``_fifo_latency`` of one column, as (delivered, mean latency in ticks, carried FIFO).
 
-    The carried FIFO holds the undelivered packets' arrival ticks: what
-    is left of the carried backlog, then the new packets from the cut
-    tick T on, less the first N - C_{T-1} of them, which were delivered.
+    The carried FIFO holds the undelivered packets' arrival ticks,
+    counted from the next interval's start: what is left of the carried
+    backlog, then the new packets from the cut tick T on, less the first
+    N - C_{T-1} of them, which were delivered.
     """
     n_ticks, backlog = len(admitted), len(qs.arrival_ticks)
     cum = admitted.cumsum()
@@ -500,15 +496,15 @@ def _column_latency(qs: SliceQueueState, admitted: np.ndarray, queue_sum: int, q
     delivered = backlog + total - q
     new, carried = max(delivered - backlog, 0), min(delivered, backlog)
     cut = int(cum.searchsorted(new))
-    arrival_sum = int(qs.arrival_ticks[:carried].sum()) - start_tick * carried if carried else 0
+    arrival_sum = int(qs.arrival_ticks[:carried].sum()) if carried else 0
     # Rounded to float64 before dividing, as numpy divides int64 arrays.
     latency_sum = (n_ticks * (total - q) + queue_sum - cut * new - int(cum[cut:].sum())
                    - arrival_sum + delivered)
     fifo = np.empty(0, dtype=np.int64)
     if q:
-        ticks = np.arange(start_tick + cut, start_tick + n_ticks, dtype=np.int64)
+        ticks = np.arange(cut - n_ticks, 0, dtype=np.int64)
         new_fifo = np.repeat(ticks, admitted[cut:])[new - (int(cum[cut - 1]) if cut else 0):]
-        fifo = np.concatenate([qs.arrival_ticks[delivered:], new_fifo])
+        fifo = np.concatenate([qs.arrival_ticks[delivered:] - n_ticks, new_fifo])
     return delivered, float(latency_sum) / float(delivered) if delivered else 0.0, fifo
 
 
@@ -531,7 +527,6 @@ def _advance_slice_batch(
     tick_s: float,
     packet_bits: int,
     buffer_cap: int,
-    start_tick: int,
 ) -> list[SliceBatch]:
     """``_advance_slice`` for every slice and service rate at once, without the new state.
 
@@ -593,8 +588,7 @@ def _advance_slice_batch(
             queue_sum += q
 
     q = q.astype(np.int64)
-    delivered, mean_latency = _fifo_latency(queues, admitted, queue_sum.astype(np.int64),
-                                            q, start_tick)
+    delivered, mean_latency = _fifo_latency(queues, admitted, queue_sum.astype(np.int64), q)
     dropped = np.repeat(offered, m) + backlog - delivered - q
     rows = zip(*(x.reshape(n, m) for x in (delivered, dropped, q, mean_latency)))
     return [SliceBatch(int(o), *row) for o, row in zip(offered, rows)]
@@ -659,15 +653,14 @@ def simulate_interval(
     delivered + dropped + (queued_after - queued_before) == offered.
 
     ``memo``, a dict that the caller owns, maps each slice-interval
-    simulated with it to a ``MemoEntry``.  The key is the exact bits
-    (``core.exact_key``) of every value a slice's step and KPMs are
-    computed from: its offered rate, its service rate, its carried FIFO
-    relative to ``state.tick``, its arrival carry and service credit, and
-    the interval's tick count, tick length, packet size and buffer.  A
-    slice found in the memo is not simulated again: it gets the stored
-    ``SliceKpm`` and ``SliceAccounting`` objects, and a new carried FIFO,
-    the stored tail rebased to ``state.tick``.  The step reads arrival
-    ticks only relative to the interval's start, so the rebase is exact.
+    simulated with it to its (``SliceKpm``, ``SliceAccounting``, carried
+    ``SliceQueueState``).  The key is the exact bits (``core.exact_key``)
+    of every value a slice's step and KPMs are computed from: its offered
+    rate, its service rate, its carried FIFO, its arrival carry and
+    service credit, and the interval's tick count, tick length, packet
+    size and buffer.  Carried state is position-free, so ``state.tick``
+    is not among them.  A slice found in the memo is not simulated again:
+    it gets the stored objects themselves, whose FIFO is read-only.
     """
     n_slices = len(rb_counts)
     if len(offered_mbps) != n_slices or len(state.queues) != n_slices:
@@ -678,42 +671,30 @@ def simulate_interval(
     tick_s, n_ticks, interval_s = _interval_ticks(radio_cfg, queue_cfg)
     packet_bits, buffer_cap = queue_cfg.packet_bits, queue_cfg.buffer_capacity_packets
     interval_key = (n_ticks, exact_key(queue_cfg.tick_duration_ms), packet_bits, buffer_cap)
-    slice_kpms = []
-    new_queues = []
-    accounting = []
+    results = []  # (KPMs, accounting, carried queue) per slice
     for k in range(n_slices):
         ue = _slice_ue(channels, k)
         service_bps = channel_capacity(ue, rb_counts[k], radio_cfg.rb_bandwidth_hz)
         qs = state.queues[k]
-        key = entry = None
+        key = result = None
         if memo is not None:
-            tail = qs.arrival_ticks - state.tick
-            key = (exact_key(offered_mbps[k]), exact_key(service_bps), tail.dtype.str,
-                   tail.tobytes(), exact_key(qs.arrival_carry), exact_key(qs.service_credit),
+            fifo = qs.arrival_ticks
+            key = (exact_key(offered_mbps[k]), exact_key(service_bps), fifo.dtype.str,
+                   fifo.tobytes(), exact_key(qs.arrival_carry), exact_key(qs.service_credit),
                    interval_key)
-            entry = memo.get(key)
-        if entry is None:
-            new_qs, acct, lat_ticks, delivered = _advance_slice(
-                qs, offered_mbps[k] * 1e6, service_bps, n_ticks, tick_s,
-                packet_bits, buffer_cap, state.tick,
-            )
-            kpm = _slice_kpm(offered_mbps[k], acct.offered_packets, delivered,
+            result = memo.get(key)
+        if result is None:
+            new_qs, acct, lat_ticks = _advance_slice(
+                qs, offered_mbps[k] * 1e6, service_bps, n_ticks, tick_s, packet_bits, buffer_cap)
+            kpm = _slice_kpm(offered_mbps[k], acct.offered_packets, acct.delivered_packets,
                              acct.dropped_packets, lat_ticks, queue_cfg, interval_s)
+            result = kpm, acct, new_qs
             if key is not None:
-                tail = new_qs.arrival_ticks - state.tick
-                tail.flags.writeable = False
-                memo[key] = MemoEntry(kpm, acct, tail, new_qs.arrival_carry,
-                                      new_qs.service_credit)
-        else:
-            kpm, acct = entry.kpm, entry.accounting
-            new_qs = SliceQueueState(entry.tail + state.tick, entry.arrival_carry,
-                                     entry.service_credit)
-        slice_kpms.append(kpm)
-        new_queues.append(new_qs)
-        accounting.append(acct)
+                memo[key] = result
+        results.append(result)
 
-    new_state = SimState(tick=state.tick + n_ticks, queues=new_queues)
-    return IntervalResult(tuple(slice_kpms), new_state, tuple(accounting))
+    kpms, accounting, queues = zip(*results)
+    return IntervalResult(kpms, SimState(state.tick + n_ticks, list(queues)), accounting)
 
 
 def slice_kpm_tables(
@@ -748,7 +729,6 @@ def slice_kpm_tables(
         tick_s,
         queue_cfg.packet_bits,
         queue_cfg.buffer_capacity_packets,
-        state.tick,
     )
     tables = []
     for mbps, batch in zip(offered_mbps, batches):

@@ -85,6 +85,14 @@ class ExperienceRecord:
     resulting_sigma: float
 
 
+def _float(name: str, value) -> float:
+    """``float(value)``, where an integer beyond float range is a ValueError naming ``name``."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer beyond float range") from None
+
+
 def _grown(column: np.ndarray, n: int, capacity: int) -> np.ndarray:
     """``column`` with its first ``n`` entries on the last axis kept and room for ``capacity``."""
     out = np.empty(column.shape[:-1] + (capacity,), dtype=column.dtype)
@@ -127,37 +135,30 @@ class ExperienceStore:
         """Read a JSONL history; later records are appended to the same file.
 
         A last line without its newline is a write that a crash cut short:
-        it is dropped, with its record if it still parsed, and the file is
-        truncated to the last complete line.  Any other bad line is a
-        ``ValueError`` naming the file and the line.
+        it is dropped unparsed, and the file is truncated to the last
+        complete line.  Any other bad line is a ``ValueError`` naming the
+        file and the line.
         """
         store = cls(n_slices, path=path)
-        line = "\n"
+        torn = 0
         with open(path) as fh:
-            try:
-                for lineno, line in enumerate(fh, 1):
-                    if not line.strip():
-                        continue
-                    try:
-                        obj = json.loads(line)
-                        if obj["id"] != store._n:
-                            raise ValueError(f"id must be the record position {store._n}, got {obj['id']!r}")
-                        store._append(obj["rates"], obj["shares"], obj["sigma"], len(obj["kpm"]))
-                    except KeyError as exc:
-                        raise ValueError(f"{path}, line {lineno}: no {exc} field") from None
-                    except (ValueError, TypeError, OverflowError) as exc:
-                        # A truncated line is a JSONDecodeError, a ValueError; an
-                        # integer beyond float range is an OverflowError.
-                        raise ValueError(f"{path}, line {lineno}: {exc}") from None
-            except ValueError:
-                if line.endswith("\n"):
-                    raise
-            else:
-                if not line.endswith("\n") and line.strip():
-                    store._n -= 1  # the torn line parsed; its column is spare again
-            torn = 0 if line.endswith("\n") else len(line.encode(fh.encoding))
+            for lineno, line in enumerate(fh, 1):
+                if not line.endswith("\n"):  # only the last line can lack it
+                    torn = len(line.encode(fh.encoding))
+                    break
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                    if obj["id"] != store._n:
+                        raise ValueError(f"id must be the record position {store._n}, got {obj['id']!r}")
+                    store._append(obj["rates"], obj["shares"], obj["sigma"], len(obj["kpm"]))
+                except KeyError as exc:
+                    raise ValueError(f"{path}, line {lineno}: no {exc} field") from None
+                except (ValueError, TypeError, OverflowError) as exc:
+                    # An integer beyond float range is an OverflowError.
+                    raise ValueError(f"{path}, line {lineno}: {exc}") from None
         if torn:
-            # Only the last line can lack its newline.
             with open(path, "rb+") as fh:
                 fh.truncate(fh.seek(0, 2) - torn)
             log.warning("%s: dropped torn last line %d (%d bytes)", path, lineno, torn)
@@ -183,8 +184,8 @@ class ExperienceStore:
         obj = {
             "id": self._n,
             "rates": [float(s.offered_load_mbps) for s in kpm],
-            "shares": [float(s) for s in allocation_shares],
-            "sigma": float(resulting_sigma),
+            "shares": [_float("allocation_shares", s) for s in allocation_shares],
+            "sigma": _float("resulting_sigma", resulting_sigma),
             "kpm": [{"latency_ms": s.mean_latency_ms, "throughput_mbps": s.mean_throughput_mbps,
                      "drop_ratio": s.drop_ratio} for s in kpm],
             "interval": int(interval),

@@ -88,6 +88,15 @@ class TestSliceKpm:
         with pytest.raises(ValueError):
             SliceKpm(1.0, 10.0, 1.5, 80.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0, 10 ** 400])
+    @pytest.mark.parametrize("field", ["mean_latency_ms", "mean_throughput_mbps",
+                                       "offered_load_mbps"])
+    def test_out_of_range_field_named(self, field, value):
+        fields = {"mean_latency_ms": 1.0, "mean_throughput_mbps": 1.0, "drop_ratio": 0.0,
+                  "offered_load_mbps": 1.0, field: value}
+        with pytest.raises(ValueError, match=field):
+            SliceKpm(**fields)
+
 
 class TestRatioToRbCounts:
     def test_symmetric_split(self):

@@ -39,7 +39,7 @@ def make_env(rates, sla=SLAS[0]):
 
 
 class Queue(NamedTuple):
-    ages: tuple  # ticks before the start tick at which each queued packet arrived
+    ages: tuple  # ticks before the interval's start at which each queued packet arrived
     carry: float
     credit: float
 
@@ -109,26 +109,32 @@ def state_bits(state):
                          float.hex(q.service_credit)) for q in state.queues]
 
 
+def interval_bits(result):
+    """A ``simulate_interval`` result's KPMs, accounting and carried queues, floats as float.hex."""
+    return ([hexes(k.mean_latency_ms, k.mean_throughput_mbps, k.drop_ratio, k.offered_load_mbps)
+             for k in result.kpm], result.accounting, state_bits(result.state)[1])
+
+
+def carried_queue(q):
+    return SliceQueueState(np.array([-1 - a for a in q.ages], dtype=np.int64), q.carry, q.credit)
+
+
 def sweep(runs, memo):
     """Every run's report bits and final state bits, and the distinct slice inputs stepped."""
     stepped = []
     advance = radio._advance_slice
 
-    def recording(qs, offered_bps, service_bps, n_ticks, tick_s, packet_bits, cap, start):
+    def recording(qs, offered_bps, service_bps, n_ticks, tick_s, packet_bits, cap):
         stepped.append((float.hex(offered_bps), float.hex(service_bps),
-                        (qs.arrival_ticks - start).tobytes(),
+                        qs.arrival_ticks.tobytes(),
                         float.hex(qs.arrival_carry), float.hex(qs.service_credit)))
-        return advance(qs, offered_bps, service_bps, n_ticks, tick_s, packet_bits, cap, start)
+        return advance(qs, offered_bps, service_bps, n_ticks, tick_s, packet_bits, cap)
 
     out = []
     with mock.patch.object(radio, "_advance_slice", recording):
         for run in runs:
             env = make_env(run.rates, run.sla)
-            sim = SimState(run.start, [
-                SliceQueueState(np.array([run.start - 1 - a for a in q.ages], dtype=np.int64),
-                                q.carry, q.credit)
-                for q in run.queues
-            ])
+            sim = SimState(run.start, [carried_queue(q) for q in run.queues])
             state = LoopState(AllocationRatio(run.shares), 0, sim)
             store = ExperienceStore(2)
             backend = HeuristicOracleBackend() if run.oracle else None
@@ -158,40 +164,38 @@ class TestSweepMemo:
         # inputs of different bits would step fewer.
         assert len(stepped) == len(set(stepped)) == len(set(every_input))
 
-    def test_hit_at_a_later_tick_rebases_the_fifo(self):
-        env = make_env((30.0, 30.0))
-        backlog = [SliceQueueState(np.array([95, 97, 99], dtype=np.int64), 0.25, 0.5),
-                   SliceQueueState()]
-        args = ([30.0, 30.0], [5, 5], env.channels, env.radio_cfg, env.queue_cfg)
+    @settings(max_examples=60, deadline=None)
+    @given(carried=st.tuples(queues, queues),
+           rates=st.tuples(st.sampled_from(RATES), st.sampled_from(RATES)),
+           rbs=st.integers(1, 9),
+           ticks=st.tuples(st.sampled_from([0, 100]) | st.integers(0, 10 ** 9),
+                           st.sampled_from([0, 100]) | st.integers(0, 10 ** 9)))
+    @example(carried=(HALF, EMPTY), rates=(30.0, 30.0), rbs=5, ticks=(100, 7100))
+    def test_result_does_not_depend_on_the_tick(self, carried, rates, rbs, ticks):
+        env = make_env(rates)
+        args = (list(rates), [rbs, 10 - rbs], env.channels, env.radio_cfg, env.queue_cfg)
         memo = {}
-        first = radio.simulate_interval(*args, SimState(100, backlog), memo=memo)
-        shift = 7000
-        later = SimState(100 + shift, [
-            SliceQueueState(q.arrival_ticks + shift, q.arrival_carry, q.service_credit)
-            for q in backlog
-        ])
+        earlier = SimState(ticks[0], [carried_queue(q) for q in carried])
+        first = radio.simulate_interval(*args, earlier, memo=memo)
+        # Equal queue states, as new objects, at the other tick.
+        later = SimState(ticks[1], [carried_queue(q) for q in carried])
+        plain = radio.simulate_interval(*args, later)
+        assert interval_bits(plain) == interval_bits(first)
         with mock.patch.object(radio, "_advance_slice", side_effect=AssertionError("missed")):
             hit = radio.simulate_interval(*args, later, memo=memo)
-        expected = radio.simulate_interval(*args, later)
-        assert hit.kpm == expected.kpm and hit.accounting == expected.accounting
-        assert all(a is b for a, b in zip(hit.kpm + hit.accounting,
-                                          first.kpm + first.accounting))
-        assert hit.state.tick == expected.state.tick
-        for h, f, e in zip(hit.state.queues, first.state.queues, expected.state.queues):
-            assert len(f.arrival_ticks) > 0
-            np.testing.assert_array_equal(h.arrival_ticks, f.arrival_ticks + shift)
-            np.testing.assert_array_equal(h.arrival_ticks, e.arrival_ticks)
-            assert (h.arrival_carry, h.service_credit) == (e.arrival_carry, e.service_credit)
-
-        # What the memo stores is read-only, and no returned FIFO is a view of it.
-        assert len(memo) == 2
-        for entry in memo.values():
-            assert not entry.tail.flags.writeable
-            with pytest.raises(ValueError):
-                entry.tail[:] = 0
-            for result in (first, hit):
-                for q in result.state.queues:
-                    assert not np.shares_memory(q.arrival_ticks, entry.tail)
+        assert hit.state.tick == plain.state.tick == ticks[1] + 100
+        # A hit hands back the stored objects themselves, FIFOs read-only.
+        stored = list(memo.values())
+        for k in range(2):
+            kpm, acct, qs = hit.kpm[k], hit.accounting[k], hit.state.queues[k]
+            assert any(kpm is a and acct is b and qs is c for a, b, c in stored)
+            assert kpm is first.kpm[k] and acct is first.accounting[k]
+            assert qs is first.state.queues[k]
+        for result in (first, plain, hit):
+            for q in result.state.queues:
+                assert not q.arrival_ticks.flags.writeable
+                with pytest.raises(ValueError):
+                    q.arrival_ticks[:] = 0
 
     def test_nothing_survives_a_sweep(self):
         config = HarnessConfig(total_rbs=10, scenario2_grid=(4.0, 8.0, 16.0),

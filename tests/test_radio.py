@@ -264,31 +264,29 @@ class TestSimulateInterval:
 
 @st.composite
 def carried_queues(draw):
-    """(buffer capacity, start tick, carried state): any backlog, carry, credit."""
+    """(buffer capacity, carried state): any backlog, carry, credit."""
     cap = draw(st.integers(1, 64))
     ages = draw(st.lists(st.integers(0, 400), max_size=cap))
-    start = draw(st.integers(max(ages, default=-1) + 1, 5000))
     qs = SliceQueueState(
-        arrival_ticks=np.array(sorted(start - 1 - a for a in ages), dtype=np.int64),
+        arrival_ticks=np.array(sorted(-1 - a for a in ages), dtype=np.int64),
         arrival_carry=draw(st.floats(0.0, 1.0, exclude_max=True)),
         service_credit=draw(st.floats(0.0, 1.0, exclude_max=True)),
     )
-    return cap, start, qs
+    return cap, qs
 
 
 @st.composite
 def stacked_slices(draw):
-    """(buffer capacity, start tick, carried states, offered Mbps, service Mbps)
-    for 1-3 slices sharing one buffer capacity, each with its own backlog,
-    carries and rates, and the same number of service rates per slice."""
+    """(buffer capacity, carried states, offered Mbps, service Mbps) for 1-3
+    slices sharing one buffer capacity, each with its own backlog, carries
+    and rates, and the same number of service rates per slice."""
     cap = draw(st.integers(1, 64))
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 6))
     ages = [draw(st.lists(st.integers(0, 400), max_size=cap)) for _ in range(n)]
-    start = draw(st.integers(max(max(a, default=-1) for a in ages) + 1, 5000))
     queues = [
         SliceQueueState(
-            arrival_ticks=np.array(sorted(start - 1 - a for a in slice_ages), dtype=np.int64),
+            arrival_ticks=np.array(sorted(-1 - a for a in slice_ages), dtype=np.int64),
             arrival_carry=draw(st.floats(0.0, 1.0, exclude_max=True)),
             service_credit=draw(st.floats(0.0, 1.0, exclude_max=True)),
         )
@@ -297,7 +295,7 @@ def stacked_slices(draw):
     offered = draw(st.lists(st.floats(0.0, 40.0), min_size=n, max_size=n))
     service = draw(st.lists(st.lists(st.floats(0.0, 40.0), min_size=m, max_size=m),
                             min_size=n, max_size=n))
-    return cap, start, queues, offered, service
+    return cap, queues, offered, service
 
 
 class TestBatchedQueue:
@@ -312,43 +310,41 @@ class TestBatchedQueue:
     )
     def test_matches_scalar_loop_bit_for_bit(self, carried, offered_mbps,
                                              service_mbps, n_ticks):
-        cap, start, qs = carried
+        cap, qs = carried
         tick_s, packet_bits = 0.001, 12_000
         batch = _advance_slice_batch([qs], [offered_mbps * 1e6],
                                      np.array([service_mbps]) * 1e6, n_ticks,
-                                     tick_s, packet_bits, cap, start)[0]
+                                     tick_s, packet_bits, cap)[0]
         for i, mbps in enumerate(service_mbps):
-            _, acct, latency, delivered = _advance_slice(
-                qs, offered_mbps * 1e6, mbps * 1e6, n_ticks, tick_s,
-                packet_bits, cap, start)
+            _, acct, latency = _advance_slice(
+                qs, offered_mbps * 1e6, mbps * 1e6, n_ticks, tick_s, packet_bits, cap)
             assert (batch.offered_packets, int(batch.delivered_packets[i]),
                     int(batch.dropped_packets[i]), int(batch.queued_after[i])) == (
-                acct.offered_packets, delivered, acct.dropped_packets,
+                acct.offered_packets, acct.delivered_packets, acct.dropped_packets,
                 acct.queued_after)
             assert float(batch.mean_latency_ticks[i]).hex() == latency.hex()
 
     def test_backlog_beyond_buffer_rejected(self):
-        qs = SliceQueueState(arrival_ticks=np.zeros(5, dtype=np.int64))
+        qs = SliceQueueState(arrival_ticks=np.full(5, -1, dtype=np.int64))
         with pytest.raises(InternalStateError):
-            _advance_slice_batch([qs], [1e6], np.array([[1e6]]), 10, 0.001, 12_000, 4, 1)
+            _advance_slice_batch([qs], [1e6], np.array([[1e6]]), 10, 0.001, 12_000, 4)
 
     @settings(max_examples=300, deadline=None)
     @given(stacked=stacked_slices(), n_ticks=st.integers(1, 300))
     def test_stacked_slices_match_scalar_loop_bit_for_bit(self, stacked, n_ticks):
-        cap, start, queues, offered_mbps, service_mbps = stacked
+        cap, queues, offered_mbps, service_mbps = stacked
         tick_s, packet_bits = 0.001, 12_000
         batches = _advance_slice_batch(queues, [r * 1e6 for r in offered_mbps],
                                        np.array(service_mbps) * 1e6, n_ticks,
-                                       tick_s, packet_bits, cap, start)
+                                       tick_s, packet_bits, cap)
         assert len(batches) == len(queues)
         for qs, offered, rates, batch in zip(queues, offered_mbps, service_mbps, batches):
             for i, mbps in enumerate(rates):
-                _, acct, latency, delivered = _advance_slice(
-                    qs, offered * 1e6, mbps * 1e6, n_ticks, tick_s,
-                    packet_bits, cap, start)
+                _, acct, latency = _advance_slice(
+                    qs, offered * 1e6, mbps * 1e6, n_ticks, tick_s, packet_bits, cap)
                 assert (batch.offered_packets, int(batch.delivered_packets[i]),
                         int(batch.dropped_packets[i]), int(batch.queued_after[i])) == (
-                    acct.offered_packets, delivered, acct.dropped_packets,
+                    acct.offered_packets, acct.delivered_packets, acct.dropped_packets,
                     acct.queued_after)
                 assert float(batch.mean_latency_ticks[i]).hex() == latency.hex()
                 assert (batch.delivered_packets[i] + batch.dropped_packets[i]
@@ -361,7 +357,7 @@ class TestBatchedQueue:
             slice_kpm_tables([5.0], channels, radio, queue, SimState.fresh(2), 9)
         with pytest.raises(InternalStateError):
             _advance_slice_batch([SliceQueueState()] * 2, [1e6, 1e6], np.array([[1e6]]),
-                                 10, 0.001, 12_000, 4, 1)
+                                 10, 0.001, 12_000, 4)
 
 
 def column_books(backlog, admitted, served):
@@ -375,10 +371,11 @@ def column_books(backlog, admitted, served):
     return queue_sum, q
 
 
-def per_packet_latency(qs, start, admitted, served):
+def per_packet_latency(qs, admitted, served):
     """Delivered packets, their mean latency and the undelivered packets'
-    arrival ticks, packet by packet through a FIFO."""
-    fifo = deque((qs.arrival_ticks - start).tolist())
+    arrival ticks counted from the next interval's start, packet by packet
+    through a FIFO."""
+    fifo = deque(qs.arrival_ticks.tolist())
     latency_sum = delivered = 0
     for t, (adm, s) in enumerate(zip(admitted, served)):
         fifo.extend([t] * adm)
@@ -386,11 +383,11 @@ def per_packet_latency(qs, start, admitted, served):
             latency_sum += t - fifo.popleft() + 1
         delivered += s
     mean = float(latency_sum) / float(delivered) if delivered else 0.0
-    return delivered, mean, [start + t for t in fifo]
+    return delivered, mean, [t - len(admitted) for t in fifo]
 
 
-def carried_fifo(ages, start):
-    return SliceQueueState(np.array(sorted(start - 1 - a for a in ages), dtype=np.int64))
+def carried_fifo(ages):
+    return SliceQueueState(np.array(sorted(-1 - a for a in ages), dtype=np.int64))
 
 
 def per_tick(draw, n_ticks, hi, sparse):
@@ -422,23 +419,23 @@ def fifo_columns(draw, n_ticks, backlog, sparse=False):
     return admitted, served
 
 
-def check_column(qs, start, admitted, served):
+def check_column(qs, admitted, served):
     """The one-column and stacked latency forms against the packet-by-packet
     FIFO, bit for bit, and the one-column carried FIFO against it and
     against every admitted packet's tick, repeated; returns the delivered
     count."""
     queue_sum, q = column_books(len(qs.arrival_ticks), admitted, served)
-    delivered, latency, fifo = per_packet_latency(qs, start, admitted, served)
+    delivered, latency, fifo = per_packet_latency(qs, admitted, served)
     column = np.array(admitted, dtype=np.int64)
-    got = _column_latency(qs, column, queue_sum, q, start)
+    got = _column_latency(qs, column, queue_sum, q)
     assert got[:2] == (delivered, latency)
-    repeated = np.repeat(start + np.arange(len(column), dtype=np.int64), column)
-    want = np.concatenate([qs.arrival_ticks[delivered:],
+    repeated = np.repeat(np.arange(-len(column), 0, dtype=np.int64), column)
+    want = np.concatenate([qs.arrival_ticks[delivered:] - len(column),
                            repeated[max(delivered - len(qs.arrival_ticks), 0):]])
     assert got[2].dtype == np.int64
     assert got[2].tolist() == want.tolist() == fifo
     got_delivered, got_latency = _fifo_latency([qs], column[:, None], np.array([queue_sum]),
-                                                np.array([q]), start)
+                                                np.array([q]))
     assert got_delivered.tolist() == [delivered]
     assert float(got_latency[0]).hex() == latency.hex()
     return delivered
@@ -458,24 +455,22 @@ class TestFifoLatency:
         ([], [2, 0, 2, 1], [1, 1, 1, 0], 3),  # the cut tick's packets split
     ])
     def test_cases(self, ages, admitted, served, delivered):
-        assert check_column(carried_fifo(ages, 100), 100, admitted, served) == delivered
+        assert check_column(carried_fifo(ages), admitted, served) == delivered
 
     @settings(max_examples=500, deadline=None)
     @given(data=st.data(), ages=st.lists(st.integers(0, 400), max_size=20),
            sparse=st.booleans())
     def test_one_column_matches_packet_fifo(self, data, ages, sparse):
         n_ticks = data.draw(st.integers(1, 300 if sparse else 100))
-        start = data.draw(st.integers(max(ages, default=-1) + 1, 5000))
         admitted, served = data.draw(fifo_columns(n_ticks, len(ages), sparse))
-        check_column(carried_fifo(ages, start), start, admitted, served)
+        check_column(carried_fifo(ages), admitted, served)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), n_slices=st.integers(1, 3), m=st.integers(1, 3),
            n_ticks=st.integers(1, 300), sparse=st.booleans())
     def test_stacked_columns_match_each_column_alone(self, data, n_slices, m, n_ticks, sparse):
         ages = [data.draw(st.lists(st.integers(0, 400), max_size=20)) for _ in range(n_slices)]
-        start = data.draw(st.integers(max(max(a, default=-1) for a in ages) + 1, 5000))
-        queues = [carried_fifo(a, start) for a in ages]
+        queues = [carried_fifo(a) for a in ages]
         columns = [data.draw(fifo_columns(n_ticks, len(a), sparse))
                    for a in ages for _ in range(m)]
         books = [column_books(len(qs.arrival_ticks), *col)
@@ -486,10 +481,10 @@ class TestFifoLatency:
         with mock.patch.object(radio, "_BLOCK_TICKS", 1):
             delivered, latency = _fifo_latency(
                 queues, admitted, np.array([s for s, _ in books]),
-                np.array([q for _, q in books]), start)
+                np.array([q for _, q in books]))
         for i, ((adm, _), (queue_sum, q)) in enumerate(zip(columns, books)):
             want = _column_latency(queues[i // m], np.array(adm, dtype=np.int64),
-                                   queue_sum, q, start)
+                                   queue_sum, q)
             assert (int(delivered[i]), float(latency[i]).hex()) == (want[0], want[1].hex())
 
 
@@ -508,12 +503,12 @@ class TestStarvation:
         rbs=st.integers(1, 6),
     )
     def test_starved_iff_nothing_delivered(self, stacked, offered, sinrs, rbs):
-        cap, start, queues, _, _ = stacked
+        cap, queues, _, _ = stacked
         n = len(queues)
         offered = offered[:n]
         queue = QueueConfig(buffer_capacity_packets=cap)
         channels = [UeChannelState(k, k, x) for k, x in enumerate(sinrs[:n])]
-        state = SimState(start, queues)
+        state = SimState(0, queues)
 
         def interval(counts):
             radio = RadioConfig(total_rbs=sum(counts), monitoring_interval_s=0.1)
@@ -540,17 +535,17 @@ class TestSharedKpms:
                           min_size=3, max_size=3),
            rbs=st.integers(1, 12))
     def test_equal_packet_books_share_one_kpm(self, stacked, sinrs, rbs):
-        cap, start, queues, offered, _ = stacked
+        cap, queues, offered, _ = stacked
         n = len(queues)
         queue = QueueConfig(buffer_capacity_packets=cap)
         radio = RadioConfig(total_rbs=n * rbs, monitoring_interval_s=0.1)
         channels = [UeChannelState(k, k, x) for k, x in enumerate(sinrs[:n])]
-        tables = slice_kpm_tables(offered, channels, radio, queue, SimState(start, queues), rbs)
+        tables = slice_kpm_tables(offered, channels, radio, queue, SimState(0, queues), rbs)
         tick_s, n_ticks, _ = _interval_ticks(radio, queue)
         service = np.array([channel_capacity(ue, np.arange(1, rbs + 1), radio.rb_bandwidth_hz)
                             for ue in channels])
         batches = _advance_slice_batch(queues, [x * 1e6 for x in offered], service, n_ticks,
-                                       tick_s, queue.packet_bits, cap, start)
+                                       tick_s, queue.packet_bits, cap)
         for table, batch in zip(tables, batches):
             books = list(zip(batch.delivered_packets.tolist(), batch.dropped_packets.tolist(),
                              batch.mean_latency_ticks.tolist()))
@@ -569,7 +564,7 @@ class TestSharedKpms:
 
 
 def reference_advance_slice(qs, offered_bps, service_bps, n_ticks, tick_s,
-                            packet_bits, buffer_cap, start_tick):
+                            packet_bits, buffer_cap):
     """``_advance_slice`` as a plain per-tick loop over the whole interval,
     with every delivered packet's latency found by ``searchsorted``."""
     queued_before = len(qs.arrival_ticks)
@@ -597,19 +592,19 @@ def reference_advance_slice(qs, offered_bps, service_bps, n_ticks, tick_s,
         admitted[t] = adm
         served[t] = s
 
-    new_arrivals = np.repeat(start_tick + np.arange(n_ticks, dtype=np.int64), admitted)
+    new_arrivals = np.repeat(np.arange(n_ticks, dtype=np.int64), admitted)
     all_arrivals = np.concatenate([qs.arrival_ticks, new_arrivals])
     cum_served = np.cumsum(served)
     delivered = int(cum_served[-1])
     if delivered > 0:
         dep_idx = np.searchsorted(cum_served, np.arange(delivered), side="right")
-        latency_ticks = (start_tick + dep_idx) - all_arrivals[:delivered] + 1
+        latency_ticks = dep_idx - all_arrivals[:delivered] + 1
         mean_latency_ticks = float(latency_ticks.mean())
     else:
         mean_latency_ticks = 0.0
-    new_state = SliceQueueState(all_arrivals[delivered:], carry_out, credit)
+    new_state = SliceQueueState(all_arrivals[delivered:] - n_ticks, carry_out, credit)
     acct = SliceAccounting(offered, delivered, dropped, queued_before, q)
-    return new_state, acct, mean_latency_ticks, delivered
+    return new_state, acct, mean_latency_ticks
 
 
 # A tick of 2**-10 s and packets of 2**13 bits turn a service rate in
@@ -636,7 +631,7 @@ def live_slices(draw):
     brings, anywhere up to twice that, at a binade edge, or below one.
     The credit is any in [0, 1), or the one an earlier interval at the
     same ``c`` left, which lies on the grid of ``c``'s closed form."""
-    cap, start, qs = draw(carried_queues())
+    cap, qs = draw(carried_queues())
     offered_bps = draw(st.floats(0.0, 40.0)) * 1e6
     n_ticks = draw(st.integers(1, 300))
     tick_s, packet_bits = draw(st.sampled_from([(0.001, 12_000),
@@ -653,9 +648,9 @@ def live_slices(draw):
         earlier = _advance_slice(SliceQueueState(arrival_carry=qs.arrival_carry,
                                                  service_credit=qs.service_credit),
                                  draw(st.floats(0.0, 40.0)) * 1e6, service_bps,
-                                 draw(st.integers(1, 300)), tick_s, packet_bits, cap, start)[0]
+                                 draw(st.integers(1, 300)), tick_s, packet_bits, cap)[0]
         qs = SliceQueueState(qs.arrival_ticks, qs.arrival_carry, earlier.service_credit)
-    return qs, offered_bps, service_bps, n_ticks, tick_s, packet_bits, cap, start
+    return qs, offered_bps, service_bps, n_ticks, tick_s, packet_bits, cap
 
 
 def sequential_credit_path(x, c, k):
@@ -671,9 +666,9 @@ def sequential_credit_path(x, c, k):
 
 
 def assert_matches_reference(args):
-    got_state, got_acct, got_latency, got_delivered = _advance_slice(*args)
-    ref_state, ref_acct, ref_latency, ref_delivered = reference_advance_slice(*args)
-    assert (got_acct, got_delivered) == (ref_acct, ref_delivered)
+    got_state, got_acct, got_latency = _advance_slice(*args)
+    ref_state, ref_acct, ref_latency = reference_advance_slice(*args)
+    assert got_acct == ref_acct
     assert got_latency.hex() == ref_latency.hex()
     assert np.array_equal(got_state.arrival_ticks, ref_state.arrival_ticks)
     assert got_state.arrival_ticks.dtype == np.int64
@@ -684,10 +679,10 @@ def assert_matches_reference(args):
 
 def exact_args(c, offered_per_tick, n_ticks, cap=256, backlog=0, credit=0.0):
     """``_advance_slice`` arguments with per-tick rates that convert exactly."""
-    qs = SliceQueueState(np.zeros(backlog, dtype=np.int64), 0.0, credit)
+    qs = SliceQueueState(np.full(backlog, -1, dtype=np.int64), 0.0, credit)
     per_s = EXACT_PACKET_BITS / EXACT_TICK_S
     return (qs, offered_per_tick * per_s, c * per_s, n_ticks, EXACT_TICK_S,
-            EXACT_PACKET_BITS, cap, 1)
+            EXACT_PACKET_BITS, cap)
 
 
 class TestCreditPath:
@@ -826,19 +821,29 @@ class TestLiveQueue:
         # 120 carried packets with spread arrival ticks and 0.25 packets
         # served per tick: 75 of them leave, the rest carry on ahead of the
         # interval's own arrivals.
-        qs = SliceQueueState(np.arange(-238, 1, 2, dtype=np.int64))
+        qs = SliceQueueState(np.arange(-239, 0, 2, dtype=np.int64))
         per_s = EXACT_PACKET_BITS / EXACT_TICK_S
-        args = (qs, 0.1 * per_s, 0.25 * per_s, 300, EXACT_TICK_S, EXACT_PACKET_BITS, 256, 1)
-        got = _advance_slice(*args)
-        assert 0 < got[3] < len(qs.arrival_ticks)
-        assert got[0].arrival_ticks[0] == qs.arrival_ticks[got[3]]
+        args = (qs, 0.1 * per_s, 0.25 * per_s, 300, EXACT_TICK_S, EXACT_PACKET_BITS, 256)
+        carried, acct, _ = _advance_slice(*args)
+        assert 0 < acct.delivered_packets < len(qs.arrival_ticks)
+        # The first undelivered one, counted from the next interval's start.
+        assert carried.arrival_ticks[0] == qs.arrival_ticks[acct.delivered_packets] - 300
         acct = assert_matches_reference(args)
         assert acct.queued_after > acct.queued_before - acct.delivered_packets
 
     def test_carried_fifo_owns_only_its_backlog(self):
         # A loaded interval leaves a backlog; the carried FIFO must not be
         # a view of the whole interval's packets.
-        qs, acct, _, _ = _advance_slice(SliceQueueState(), 30e6, 11e6, 1000, 0.001,
-                                        12_000, 256, 0)
+        qs, acct, _ = _advance_slice(SliceQueueState(), 30e6, 11e6, 1000, 0.001, 12_000, 256)
         assert len(qs.arrival_ticks) == acct.queued_after > 0
         assert qs.arrival_ticks.base is None
+        assert not qs.arrival_ticks.flags.writeable
+        # Counted from the next interval's start: the interval's ticks are -1000..-1.
+        assert -1000 <= qs.arrival_ticks[0] <= qs.arrival_ticks[-1] < 0
+
+    @pytest.mark.parametrize("ticks", [[0], [-5, -2, 7], [95, 97, 99]])
+    def test_arrival_tick_at_or_after_the_start_rejected(self, ticks):
+        # Arrival ticks count from the start of the interval the state
+        # carries into, so absolute ticks of an earlier clock are refused.
+        with pytest.raises(InternalStateError):
+            SliceQueueState(np.array(ticks, dtype=np.int64))

@@ -222,7 +222,7 @@ class TestRecord:
             store.record(**make_record_args([80.0, 80.0], 0.5))
         assert len(store) == 0
 
-    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, -10 ** 400])
     def test_non_finite_sigma_rejected(self, tmp_path, bad):
         path = tmp_path / "store.jsonl"
         store = ExperienceStore(2, path=path)
@@ -265,7 +265,7 @@ class TestRecord:
         with pytest.raises(ValueError, match="2 entries"):
             ExperienceStore.load(path, 2)
 
-    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("bad", NON_FINITE + [10 ** 400])
     def test_non_finite_rates_rejected(self, tmp_path, bad):
         path = tmp_path / "store.jsonl"
         store = ExperienceStore(2, path=path)
@@ -320,7 +320,8 @@ class TestRecord:
             ExperienceStore.load(path, 2)
 
     @pytest.mark.parametrize("shares", [(0.5, 0.5), (1.0,), (0.25, 0.25, 0.25, 0.25),
-                                        (0.5, math.nan, 0.5), (0.5, math.inf, 0.5)])
+                                        (0.5, math.nan, 0.5), (0.5, math.inf, 0.5),
+                                        (0.5, 10 ** 400, 0.5)])
     def test_record_rejects_shares_that_do_not_fit_the_slices(self, tmp_path, shares):
         path = tmp_path / "store.jsonl"
         store = ExperienceStore(3, path=path)
