@@ -103,10 +103,11 @@ class RadioConfig:
 
     def __post_init__(self) -> None:
         check_counts(self, "total_rbs")
+        # An int compares with a float exactly, so 10**400 is out of range.
         for name in ("rb_bandwidth_hz", "monitoring_interval_s"):
-            if not 0 < getattr(self, name) < math.inf:
+            if not 0 < getattr(self, name) <= sys.float_info.max:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if not 0 <= self.wait_period_s < math.inf:
+        if not 0 <= self.wait_period_s <= sys.float_info.max:
             raise ValueError(f"wait_period_s must be finite and >= 0, got {self.wait_period_s}")
         if not 0.0 < self.violation_threshold < 1.0:
             raise ValueError("violation_threshold must lie in (0, 1)")

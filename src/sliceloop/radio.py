@@ -72,6 +72,7 @@ float64, so they give the same bits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from typing import Sequence, Tuple
@@ -102,7 +103,8 @@ class QueueConfig:
 
     def __post_init__(self) -> None:
         check_counts(self, "packet_size_bytes", "buffer_capacity_packets")
-        if not 0 < self.tick_duration_ms < math.inf:
+        # An int compares with a float exactly, so 10**400 is out of range.
+        if not 0 < self.tick_duration_ms <= sys.float_info.max:
             raise ValueError("tick_duration_ms must be positive and finite")
 
     @property
@@ -168,14 +170,15 @@ def _slice_ue(channels: Sequence[UeChannelState], slice_id: int) -> UeChannelSta
     return ues[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SliceQueueState:
     """FIFO backlog of one slice, position-free.
 
     ``arrival_ticks`` holds the queued packets' arrival ticks in arrival
     order, counted from the start of the interval that the state carries
     into, so every one is negative; the array is made read-only.  A last
-    tick >= 0 raises ``InternalStateError``.
+    tick >= 0 raises ``InternalStateError``.  States compare by identity:
+    a memo hit hands back the stored state itself.
     """
 
     arrival_ticks: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))

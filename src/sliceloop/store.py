@@ -17,6 +17,21 @@ and the interval are written but not kept.  ``load`` streams a history
 into the columns and ``record`` appends to spare ones; the arrays
 double when full, so an append costs amortised O(1).
 
+``load`` reads a block of whole lines at a time and takes the lines
+that ``record`` wrote without ``json``: one regular-expression match
+per block checks that every line has ``record``'s exact layout for the
+store's slice count and captures the id, rates, shares and sigma, which
+``float`` reads as ``json`` does.  The pattern takes only what ``json``
+reads to the same values: digits ``[0-9]`` only, rates, shares and
+sigma with a fraction or an exponent (``json`` reads ``-0`` as an int,
+whose float is 0.0, not -0.0), and ints of at most 16 digits, below any
+limit ``json`` puts on an int's digits.  A block whose lines all match,
+whose ids run on from the records before it and whose values pass the
+checks of a single append is added in one step; any other block is read
+line by line through ``json``, with the same records, errors and line
+numbers, so the block path changes how fast a history loads, never what
+it loads.
+
 Retrieval is exact.  Shortlist the ``m = 3 * k`` records nearest to the
 query traffic vector by Euclidean distance, ties to the lower record id,
 then keep the ``k`` with the best (least negative) historical sigma.
@@ -55,12 +70,15 @@ that map.
 """
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
+import re
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,6 +87,39 @@ from .core import SliceKpm
 log = logging.getLogger(__name__)
 
 SHORTLIST_MULTIPLIER = 3
+
+# ``load`` reads this many characters of whole lines at a time.  A
+# larger block saves no time and raises peak RSS: perfbench long_history
+# (a 10^5-record history) peaked at 52.9 MB with 1 MiB blocks and 49.0 MB
+# with 256 KiB, against 47.2-47.3 MB with 64 KiB, as when json read each
+# line, and set-up took 0.36-0.39 s with each.
+_BLOCK_BYTES = 64 * 1024
+
+# JSON number tokens: a float as ``json.dumps`` writes one, with a
+# fraction or an exponent (``json`` reads a token without either as an
+# int), and an int of at most 16 digits, far below the fewest digits
+# (640) that ``sys.get_int_max_str_digits`` may let ``json`` read.
+# Digits are ``[0-9]``, as ``\d`` also takes digits that ``float``
+# reads and ``json`` rejects.
+_FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
+_INT = r"-?(?:0|[1-9][0-9]{0,15})"
+
+
+@functools.cache
+def _line_pattern(n_slices: int) -> re.Pattern:
+    """The whole line, newline included, that ``record`` writes for ``n_slices`` slices.
+
+    It captures the id, each rate, each share and sigma, in that order;
+    the KPM numbers and the interval are only checked to be JSON numbers.
+    """
+    floats = ", ".join([f"({_FLOAT})"] * n_slices)
+    number = f"(?:{_FLOAT}|{_INT})"
+    kpm = f'\\{{"latency_ms": {number}, "throughput_mbps": {number}, "drop_ratio": {number}\\}}'
+    return re.compile(
+        f'^\\{{"id": (0|[1-9][0-9]*), "rates": \\[{floats}\\], "shares": \\[{floats}\\], '
+        f'"sigma": ({_FLOAT}), "kpm": \\[{", ".join([kpm] * n_slices)}\\], "interval": {_INT}\\}}\n',
+        re.MULTILINE,
+    )
 
 
 class StorageError(RuntimeError):
@@ -138,33 +189,72 @@ class ExperienceStore:
         it is dropped unparsed, and the file is truncated to the last
         complete line.  Any other bad line is a ``ValueError`` naming the
         file and the line.
+
+        The file is read ``_BLOCK_BYTES`` of whole lines at a time.  A
+        block whose lines are all as ``record`` writes them, for this
+        slice count and with ids that run on from the records before it,
+        is read by one ``findall`` of ``_line_pattern``.  Its rates,
+        shares and sigmas are the captured tokens through ``float``, the
+        conversion ``json`` makes; the pattern takes only ``[0-9]``
+        digits, a fraction or exponent in each of those tokens, and ints
+        of at most 16 digits, so each token it takes ``json`` reads to
+        the same value.  The block is added whole if every record passes
+        ``_append``'s checks, and otherwise not at all.  Any other block,
+        a block ending in a torn line included, is read line by line
+        through ``json``, so what a load gives or raises does not depend
+        on the block path.
         """
         store = cls(n_slices, path=path)
-        torn = 0
+        pattern = _line_pattern(n_slices)
+        start = 0  # lines in the blocks before this one
+        torn = None
         with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                if not line.endswith("\n"):  # only the last line can lack it
-                    torn = len(line.encode(fh.encoding))
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                    if obj["id"] != store._n:
-                        raise ValueError(f"id must be the record position {store._n}, got {obj['id']!r}")
-                    store._append(obj["rates"], obj["shares"], obj["sigma"], len(obj["kpm"]))
-                except KeyError as exc:
-                    raise ValueError(f"{path}, line {lineno}: no {exc} field") from None
-                except (ValueError, TypeError, OverflowError) as exc:
-                    # An integer beyond float range is an OverflowError.
-                    raise ValueError(f"{path}, line {lineno}: {exc}") from None
+            try:
+                while lines := fh.readlines(_BLOCK_BYTES):
+                    if not store._append_matched(pattern.findall("".join(lines)), len(lines)):
+                        torn = store._load_lines(enumerate(lines, start + 1), path, fh.encoding)
+                    start += len(lines)
+            except UnicodeDecodeError:
+                # Bytes the encoding rejects.  A block decodes further ahead
+                # than a line does, so the lines after the loaded ones are
+                # read again one at a time, from the file's start, to raise
+                # the bad line's error if reading line by line meets it first.
+                with open(path) as again:
+                    store._load_lines(islice(enumerate(again, 1), start, None), path, again.encoding)
+                raise
         if torn:
+            lineno, size = torn
             with open(path, "rb+") as fh:
-                fh.truncate(fh.seek(0, 2) - torn)
-            log.warning("%s: dropped torn last line %d (%d bytes)", path, lineno, torn)
+                fh.truncate(fh.seek(0, 2) - size)
+            log.warning("%s: dropped torn last line %d (%d bytes)", path, lineno, size)
         store._size = store.path.stat().st_size
         store._group_loaded()
         return store
+
+    def _load_lines(
+        self, numbered: Iterable[tuple[int, str]], path: Path, encoding: str
+    ) -> Optional[tuple[int, int]]:
+        """Add the records of numbered lines one at a time, through ``json``.
+
+        Returns the number and byte length of a last line without its
+        newline, which is left unread, or None.
+        """
+        for lineno, line in numbered:
+            if not line.endswith("\n"):  # only the last line can lack it
+                return lineno, len(line.encode(encoding))
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+                if obj["id"] != self._n:
+                    raise ValueError(f"id must be the record position {self._n}, got {obj['id']!r}")
+                self._append(obj["rates"], obj["shares"], obj["sigma"], len(obj["kpm"]))
+            except KeyError as exc:
+                raise ValueError(f"{path}, line {lineno}: no {exc} field") from None
+            except (ValueError, TypeError, OverflowError) as exc:
+                # An integer beyond float range is an OverflowError.
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
+        return None
 
     def record(
         self,
@@ -234,17 +324,49 @@ class ExperienceStore:
             raise ValueError(f"resulting_sigma must be finite and <= 0, got {sigma}")
         if n_kpm != n_slices:
             raise ValueError("arrival rates and KPM summary disagree on slice count")
+        self._extend(np.array(rates, dtype=np.float64)[:, None],
+                     np.array(shares, dtype=np.float64)[:, None], [sigma])
+
+    def _append_matched(self, matches: list[tuple[str, ...]], n_lines: int) -> bool:
+        """Add the records that ``_line_pattern`` captured from a block of ``n_lines`` lines, or return False.
+
+        They are added only when every line matched, the ids run on from
+        ``len(self)`` and every record passes ``_append``'s checks;
+        otherwise nothing is added.
+        """
+        n, k = self._n, len(matches)
+        if k != n_lines:
+            return False
+        ids, *tokens = zip(*matches)
+        if ids != tuple(map(str, range(n, n + k))):
+            return False
+        values = np.array([list(map(float, column)) for column in tokens])
+        n_slices = self.n_slices
+        sigmas = values[2 * n_slices]
+        if not (np.isfinite(values[:2 * n_slices]).all() and ((-np.inf < sigmas) & (sigmas <= 0)).all()):
+            return False
+        self._extend(values[:n_slices], values[n_slices:2 * n_slices], sigmas)
+        return True
+
+    def _extend(self, rates, shares, sigmas) -> None:
+        """Write ``k`` records' rate and share columns (``n_slices x k``) and sigmas after the last record.
+
+        A full store doubles its capacity, from 16, until they fit.
+        """
         n = self._n
-        if n == len(self._sigmas):
-            capacity = max(2 * n, 16)
+        end = n + len(sigmas)
+        capacity = len(self._sigmas)
+        if end > capacity:
+            while capacity < end:
+                capacity = max(2 * capacity, 16)
             self._rates = _grown(self._rates, n, capacity)
             self._shares = _grown(self._shares, n, capacity)
             self._sigmas = _grown(self._sigmas, n, capacity)
             self._next = _grown(self._next, n, capacity)
-        self._rates[:, n] = rates
-        self._shares[:, n] = shares
-        self._sigmas[n] = sigma
-        self._n = n + 1
+        self._rates[:, n:end] = rates
+        self._shares[:, n:end] = shares
+        self._sigmas[n:end] = sigmas
+        self._n = end
 
     def _group_loaded(self) -> None:
         """Group the loaded records by the bits of their rate vectors, in one sort."""

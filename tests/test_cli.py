@@ -185,6 +185,9 @@ class TestErrors:
     @pytest.mark.parametrize("field, value", [
         ("wait_period_s", float("nan")), ("wait_period_s", float("inf")),
         ("rb_bandwidth_hz", float("inf")),
+        # Integers beyond float range, which compare with inf as finite.
+        *(pytest.param(field, 10 ** 400, id=f"{field}-int-beyond-float")
+          for field in ("wait_period_s", "rb_bandwidth_hz", "tick_duration_ms")),
     ])
     def test_non_finite_radio_field_names_the_field(self, tmp_path, capsys, field, value):
         cfg = tmp_path / "radio.json"

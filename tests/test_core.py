@@ -50,8 +50,9 @@ class TestRadioConfig:
         cfg = RadioConfig()
         assert cfg.total_rbs == 106
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["rb_bandwidth_hz", "wait_period_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       pytest.param(10 ** 400, id="int-beyond-float")])
+    @pytest.mark.parametrize("field", ["rb_bandwidth_hz", "wait_period_s", "monitoring_interval_s"])
     def test_rejects_non_finite_field(self, field, value):
         with pytest.raises(ValueError, match=field):
             RadioConfig(**{field: value})

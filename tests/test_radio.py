@@ -847,3 +847,22 @@ class TestLiveQueue:
         # carries into, so absolute ticks of an earlier clock are refused.
         with pytest.raises(InternalStateError):
             SliceQueueState(np.array(ticks, dtype=np.int64))
+
+
+class TestStateEquality:
+    @pytest.mark.parametrize("ticks", [[], [-1], [-3, -2, -1]])
+    def test_queue_states_compare_by_identity(self, ticks):
+        qs = SliceQueueState(np.array(ticks, dtype=np.int64))
+        assert qs == qs
+        assert qs != SliceQueueState(np.array(ticks, dtype=np.int64))
+
+    def test_states_and_results_compare_without_raising(self):
+        # A loaded interval carries a backlog of many packets into the state.
+        radio_cfg, queue, channels = make_env()
+        res = simulate_interval([30.0, 0.0], [5, 5], channels, radio_cfg, queue, SimState.fresh(2))
+        assert len(res.state.queues[0].arrival_ticks) > 1
+        same_state = SimState(res.state.tick, list(res.state.queues))
+        assert res.state == same_state
+        assert res.state != SimState.fresh(2)
+        assert res == radio.IntervalResult(res.kpm, same_state, res.accounting)
+        assert SimState.fresh(2) != SimState.fresh(2)

@@ -1,6 +1,7 @@
 import errno
 import json
 import math
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sliceloop import store as store_module
 from sliceloop.core import SliceKpm
 from sliceloop.store import ExperienceRecord, ExperienceStore, StorageError
 
@@ -129,6 +131,94 @@ def write_lines(path, objs):
 def line_obj(record_id, rates=(80.0, 95.0), shares=(0.5, 0.5), sigma=-0.25, kpm=({}, {})):
     return {"id": record_id, "rates": list(rates), "shares": list(shares),
             "sigma": sigma, "kpm": list(kpm), "interval": record_id}
+
+
+def recorded_history(path, n_records, n_slices):
+    """Write a history through ``record``: float and int KPM values, rates
+    in plain and exponent notation, repeated traffic vectors and -0.0."""
+    rng = np.random.default_rng(n_slices)
+    store = ExperienceStore(n_slices, path=path)
+    for i in range(n_records):
+        rates = rng.choice([80.0, 95.0, 1e-05, 2.5e16, 0.1], size=n_slices).tolist()
+        kpm = tuple(SliceKpm(int(rng.integers(0, 50)) if i % 3 else float(rng.uniform(0.0, 50.0)),
+                             r / 2, 0.0 if i % 2 else 0.25, r) for r in rates)
+        shares = rng.dirichlet(np.ones(n_slices)).tolist()
+        sigma = -0.0 if i % 7 == 0 else -float(rng.uniform(0.0, 2.0))
+        store.record(kpm, shares, sigma, i)
+
+
+def loaded_state(store):
+    """A loaded store's columns, groups and column capacity."""
+    n, g = len(store), store._groups
+    return (store._rates[:, :n].tobytes(), store._shares[:, :n].tobytes(),
+            store._sigmas[:n].tobytes(), store._heads[:g].tolist(), store._next[:n].tolist(),
+            len(store._sigmas))
+
+
+def load_outcome(path, n_slices):
+    """What loading ``path`` gives: the loaded state, or the ValueError's text."""
+    try:
+        return loaded_state(ExperienceStore.load(path, n_slices))
+    except ValueError as exc:
+        return str(exc).replace(str(path), "<path>")
+
+
+def json_only_outcome(path, n_slices):
+    """``load_outcome`` with every block read line by line through ``json``."""
+    with mock.patch.object(ExperienceStore, "_append_matched", return_value=False):
+        return load_outcome(path, n_slices)
+
+
+def blocks_taken(monkeypatch):
+    """A list that gets, per block that ``load`` reads, whether the block path took it."""
+    taken = []
+    append_matched = ExperienceStore._append_matched
+
+    def spy(self, matches, n_lines):
+        taken.append(append_matched(self, matches, n_lines))
+        return taken[-1]
+
+    monkeypatch.setattr(ExperienceStore, "_append_matched", spy)
+    return taken
+
+
+def with_obj(change):
+    """A line perturbation that edits the line's parsed object and writes it back as ``record`` does."""
+    def perturb(line):
+        obj = json.loads(line)
+        change(obj)
+        return json.dumps(obj) + "\n"
+    return perturb
+
+
+def with_token(field, token):
+    """A line perturbation that writes ``token`` in place of the first number after ``field``."""
+    def perturb(line):
+        return re.sub(rf'("{field}": \[?)[^,\]}}]+', lambda m: m.group(1) + token, line, count=1) + "\n"
+    return perturb
+
+
+# Each turns one line written by ``record`` (without its newline) into
+# the text that replaces it.
+PERTURBATIONS = {
+    "unchanged": lambda line: line + "\n",
+    "other spacing": lambda line: json.dumps(json.loads(line), separators=(",", ":")) + "\n",
+    "int rate": with_token("rates", "80"),
+    # json reads -0 as the int 0, which gives sigma 0.0, not -0.0.
+    "int sigma -0": with_token("sigma", "-0"),
+    "17-digit KPM int": with_token("latency_ms", "1" + "0" * 16),
+    "5,000-digit KPM int": with_token("drop_ratio", "1" + "0" * 4999),
+    "17-digit interval": with_token("interval", "1" + "0" * 16),
+    # float reads it as 180.0.
+    "Unicode digit": with_token("rates", "1\u0668\u0660.0"),
+    "NaN rate": with_token("rates", "NaN"),
+    "rate beyond float range": with_token("rates", "1e400"),
+    "positive sigma": with_token("sigma", "0.5"),
+    "share beyond float range": with_token("shares", "-1e400"),
+    "id gap": with_obj(lambda obj: obj.update(id=obj["id"] + 1)),
+    "blank line": lambda line: "\n" + line + "\n",
+    "CRLF": lambda line: line + "\r\n",
+}
 
 
 GRID_RATES = st.sampled_from([80.0, 85.0, 90.0, 95.0, 100.0])
@@ -508,6 +598,93 @@ class TestRecord:
         store.record(**make_record_args([80.0, 95.0], -0.25))
         obj = json.loads(path.read_text().splitlines()[0])
         assert set(obj) == {"id", "rates", "shares", "sigma", "kpm", "interval"}
+
+
+class TestBlockLoad:
+    """``load``'s block path against reading every line through ``json``."""
+
+    @pytest.mark.parametrize("n_slices", [1, 3])
+    @pytest.mark.parametrize("case", sorted(PERTURBATIONS))
+    def test_a_perturbed_line_loads_as_json_reads_it(self, tmp_path, monkeypatch, case, n_slices):
+        monkeypatch.setattr(store_module, "_BLOCK_BYTES", 1500)
+        source = tmp_path / "source.jsonl"
+        recorded_history(source, 120, n_slices)
+        lines = source.read_text().splitlines()
+        lines[60] = PERTURBATIONS[case](lines[60])
+        text = "".join(line if line.endswith("\n") else line + "\n" for line in lines)
+        path = tmp_path / "store.jsonl"
+        path.write_bytes(text.encode())
+        want = json_only_outcome(path, n_slices)
+        taken = blocks_taken(monkeypatch)
+        assert load_outcome(path, n_slices) == want
+        if case in ("unchanged", "CRLF"):
+            # Text mode reads "\r\n" as "\n", so the line is as written.
+            assert all(taken) and len(taken) > 10
+            assert want[-1] == 128
+            return
+        # Only the block of the perturbed line, in the middle, goes through json.
+        assert taken.count(False) == 1 and 3 < taken.index(False)
+        if isinstance(want, str):
+            assert want.startswith("<path>, line 61: ")
+            assert taken[-1] is False
+        else:
+            assert len(taken) > 10 and taken[-1] is True
+
+    @pytest.mark.parametrize("cut", [1, 40, -1])
+    def test_a_torn_line_at_a_block_boundary_is_dropped(self, tmp_path, monkeypatch, caplog, cut):
+        monkeypatch.setattr(store_module, "_BLOCK_BYTES", 1500)
+        path = tmp_path / "store.jsonl"
+        recorded_history(path, 60, 2)
+        with open(path) as fh:
+            blocks = list(iter(lambda: fh.readlines(store_module._BLOCK_BYTES), []))
+        # The torn line is the first line of a block of its own.
+        complete = "".join(line for block in blocks[:3] for line in block)
+        path.write_text(complete + blocks[3][0][:cut])
+        reference = tmp_path / "reference.jsonl"
+        reference.write_text(complete)
+        taken = blocks_taken(monkeypatch)
+        with caplog.at_level("WARNING", logger="sliceloop.store"):
+            store = ExperienceStore.load(path, 2)
+        assert taken == [True] * 3 + [False]
+        assert path.read_text() == complete
+        n_lines = complete.count("\n")
+        assert f"torn last line {n_lines + 1} " in caplog.text
+        assert loaded_state(store) == json_only_outcome(reference, 2)
+        assert len(store) == n_lines
+
+    @pytest.mark.parametrize("bad_line, undecodable_line", [(11, 100), (100, 11)])
+    def test_undecodable_bytes_raise_what_reading_line_by_line_meets_first(
+            self, tmp_path, bad_line, undecodable_line):
+        # A block decodes up to 64 KiB ahead, a line at most about 8 KiB;
+        # the two lines lie about 25 KB apart.
+        path = tmp_path / "store.jsonl"
+        recorded_history(path, 200, 2)
+        lines = path.read_bytes().split(b"\n")
+        lines[bad_line - 1] = lines[bad_line - 1][:30]
+        lines[undecodable_line - 1] = b"\xff" + lines[undecodable_line - 1]
+        path.write_bytes(b"\n".join(lines))
+        if bad_line < undecodable_line:
+            with pytest.raises(ValueError, match=f"line {bad_line}: Expecting"):
+                ExperienceStore.load(path, 2)
+        else:
+            with open(path) as fh, pytest.raises(UnicodeDecodeError) as read_error:
+                list(fh)
+            with pytest.raises(UnicodeDecodeError) as load_error:
+                ExperienceStore.load(path, 2)
+            assert str(load_error.value) == str(read_error.value)
+
+    def test_blocks_after_a_json_read_block_take_the_block_path(self, tmp_path, monkeypatch):
+        # Ids in the block path run on from records that json read.
+        monkeypatch.setattr(store_module, "_BLOCK_BYTES", 1500)
+        path = tmp_path / "store.jsonl"
+        recorded_history(path, 60, 2)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[0] = json.dumps(json.loads(lines[0]), separators=(", ", ":")) + "\n"
+        path.write_text("".join(lines))
+        taken = blocks_taken(monkeypatch)
+        store = ExperienceStore.load(path, 2)
+        assert taken[0] is False and all(taken[1:]) and len(taken) > 2
+        assert loaded_state(store) == json_only_outcome(path, 2)
 
 
 class TestRetrieve:
