@@ -29,6 +29,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional, Protocol, Sequence
 
 import numpy as np
@@ -48,6 +49,7 @@ from .radio import (
     InternalStateError,
     QueueConfig,
     SimState,
+    SliceKpmTable,
     UeChannelState,
     slice_kpm_tables,
 )
@@ -219,11 +221,16 @@ class SplitScore:
     throughput_mbps: float
 
 
-def _excess(spec: SliceSpec, epsilon: float) -> float:
-    """One slice's term of ``SplitScore.excess``."""
+def _excess(spec: SliceSpec, epsilon) -> np.ndarray:
+    """One slice's terms of ``SplitScore.excess``, entry by entry.
+
+    ``max(0.0, x)`` is ``np.maximum(x, 0.0)``: numpy returns its second
+    argument on ties, so -0.0 gives 0.0 as Python's ``max`` does.
+    """
     if spec.kind is SliceKind.LATENCY:
-        return max(0.0, 1e6 if math.isinf(epsilon) else epsilon)
-    return max(0.0, -epsilon)
+        # Only a starved latency slice has epsilon = inf.
+        return np.maximum(np.where(np.isinf(epsilon), 1e6, epsilon), 0.0)
+    return np.maximum(-epsilon, 0.0)
 
 
 class Predictor:
@@ -232,13 +239,15 @@ class Predictor:
     Slices share only the RB total, so a split's predicted KPMs and SLA
     risks are one entry per slice from that slice's response table: for
     every RB count it can hold, 1 to ``total_rbs - n + 1`` for n slices,
-    one interval's KPMs, their ``sla.slice_risk`` and its term of the
-    violation excess.  One stacked queue recursion,
-    ``radio.slice_kpm_tables``, steps every slice's RB counts at once.
-    The tables are computed on first use; each prediction is then a
-    lookup, and ``score_splits`` scores a whole array of splits by numpy
-    gathers from the tables and sums slice by slice.  The carried state
-    is never mutated.
+    one interval's KPMs as arrays (``radio.SliceKpmTable``), from one
+    stacked queue recursion, ``radio.slice_kpm_tables``, that steps every
+    slice's RB counts at once.  From each table, one ``sla.slice_risk``
+    call gives the rho of every entry, and with it the excess and the
+    throughput that score a split.  The tables are computed on first
+    use; ``predict`` builds the ``SliceKpm``s of its one split, and
+    ``score_splits`` scores a whole array of splits by numpy gathers from
+    the tables and sums slice by slice.  The carried state is never
+    mutated.
     """
 
     def __init__(
@@ -260,8 +269,9 @@ class Predictor:
         self._throughput_slices = [
             k for k, spec in enumerate(self.specs) if spec.kind is SliceKind.THROUGHPUT
         ]
-        # Response tables: one row per slice, indexed by RB count - 1.
-        self._kpms: Optional[list[list[SliceKpm]]] = None
+        # Response tables, one per slice, and from them the rho, excess
+        # and throughput of each slice (rows) and RB count - 1 (columns).
+        self._tables: Optional[list[SliceKpmTable]] = None
         self._rhos = self._excess = self._thr = np.empty((0, 0))
 
     def predict(self, rb_counts: Sequence[int]) -> tuple[SliceKpm, ...]:
@@ -276,29 +286,24 @@ class Predictor:
             raise InternalStateError("RB counts must sum to the configured pool")
         if min(rb_counts) < 1:
             raise ValueError("every slice needs at least one RB")
-        return tuple(row[c - 1] for row, c in zip(self.kpm_tables(), rb_counts))
+        return tuple(table.kpm(c) for table, c in zip(self.kpm_tables(), rb_counts))
 
-    def kpm_tables(self) -> list[list[SliceKpm]]:
+    def kpm_tables(self) -> list[SliceKpmTable]:
         """Per slice, its predicted KPMs for 1 .. ``total_rbs - n + 1`` RBs."""
-        if self._kpms is None:
+        if self._tables is None:
             n = len(self._state.queues)
             check_pool(self.radio_cfg.total_rbs, n)
             max_rbs = self.radio_cfg.total_rbs - n + 1
-            kpms = slice_kpm_tables(self.offered_mbps, self.channels, self.radio_cfg,
-                                    self.queue_cfg, self._state, max_rbs)
-            rows = []
-            for spec, row in zip(self.specs, kpms):
-                # RB counts with equal packet books share one KPM object.
-                terms: dict[int, tuple[float, float, float]] = {}
-                for kpm in row:
-                    if id(kpm) not in terms:
-                        risk = slice_risk(spec, kpm)
-                        terms[id(kpm)] = (risk.rho, _excess(spec, risk.epsilon),
-                                          kpm.mean_throughput_mbps)
-                rows.append([terms[id(kpm)] for kpm in row])
-            self._rhos, self._excess, self._thr = np.array(rows).transpose(2, 0, 1)
-            self._kpms = kpms
-        return self._kpms
+            tables = slice_kpm_tables(self.offered_mbps, self.channels, self.radio_cfg,
+                                      self.queue_cfg, self._state, max_rbs)
+            self._rhos, self._excess, self._thr = np.empty((3, n, max_rbs))
+            for k, (spec, table) in enumerate(zip(self.specs, tables)):
+                risk = slice_risk(spec, table)
+                # A float risk, that of an idle slice, fills its whole row.
+                self._rhos[k], self._excess[k], self._thr[k] = (
+                    risk.rho, _excess(spec, risk.epsilon), table.mean_throughput_mbps)
+            self._tables = tables
+        return self._tables
 
     def score(self, rb_counts: Sequence[int]) -> SplitScore:
         """Predicted KPMs, and ``score_splits`` of the one split rb_counts."""
@@ -369,17 +374,14 @@ def heuristic_oracle_decide(
     total = predictor.radio_cfg.total_rbs
     current_lat = ratio_to_rb_counts(current_allocation, total)[latency_idx]
     splits = rb_splits(total, 2)
+    sigma, excess, thr = (x.tolist() for x in predictor.score_splits(splits))
+    lat = splits[:, latency_idx].tolist()
     # round() of Python floats: np.round differs on some halfway cases,
-    # and the rounding decides ties.
-    scores = zip(*(x.tolist() for x in predictor.score_splits(splits)),
-                 splits[:, latency_idx].tolist())
-
-    def key(score):
-        sigma, excess, thr, lat = score
-        return (round(sigma, 6), -round(excess, 3), round(thr, 1),
-                -abs(lat - current_lat), -lat)
-
-    chosen = max(scores, key=key)[3]
+    # and the rounding decides ties.  Every key ends in a distinct -lat.
+    keys = zip(map(round, sigma, repeat(6)), [-round(x, 3) for x in excess],
+               map(round, thr, repeat(1)), [-abs(x - current_lat) for x in lat],
+               [-x for x in lat])
+    chosen = -max(keys)[4]
     shares = [0.0, 0.0]
     shares[latency_idx] = chosen / total
     shares[1 - latency_idx] = 1.0 - chosen / total

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
@@ -151,7 +151,8 @@ class HarnessConfig:
 def _check_rates(name: str, rates) -> None:
     """Raise ValueError, naming the field, unless every rate is finite and >= 0."""
     for rate in rates:
-        if not 0 <= rate < math.inf:
+        # An int compares with a float exactly, so 10**400 is out of range.
+        if not 0 <= rate <= sys.float_info.max:
             raise ValueError(f"{name} rates must be finite and nonnegative, got {rate}")
 
 

@@ -43,10 +43,14 @@ Predictions need no new state, only KPMs: ``slice_kpm_tables`` steps
 the same recursion for every RB count of every slice at once, as the
 columns of one stacked tick loop (``_advance_slice_batch``),
 bit-identical to the scalar loop, so the KPMs of any candidate split
-are a lookup into one table per slice.  RB counts of a slice with equal
-packet books share one ``SliceKpm`` in that table, so whatever is
-derived per entry (``agents.Predictor`` takes its risks) is taken once
-per distinct book.  Both loops take mean latency
+are a lookup into one table per slice.  Each table holds arrays over the
+RB counts (``SliceKpmTable``), every entry from ``_slice_kpm``'s float
+operations, and no per-entry object is built.  The stacked loop serves
+with the identity m = min(credit, q), served = trunc(m),
+credit <- m - served, for the queue q after admissions: where the queue
+empties m = q and the credit is 0.0; elsewhere q is whole and above the
+credit, so m is the credit and the float operations are the scalar
+loop's.  Both loops take mean latency
 from one identity over cumulative admissions, the area between a FIFO's
 arrival and departure curves (Le Boudec and Thiran, *Network Calculus*,
 Springer 2001).  For a column over n ticks, let C_t be the admissions
@@ -91,8 +95,9 @@ class UeChannelState:
     sinr: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.sinr < math.inf:
-            raise ValueError(f"SINR must be finite and nonnegative (linear), got {self.sinr}")
+        # An int compares with a float exactly, so 10**400 is out of range.
+        if not 0.0 <= self.sinr <= sys.float_info.max:
+            raise ValueError(f"sinr must be finite and nonnegative (linear), got {self.sinr}")
 
 
 @dataclass(frozen=True)
@@ -129,8 +134,10 @@ class StepProfile:
             starts = [s for s, _ in slice_steps]
             if starts != sorted(set(starts)):
                 raise ValueError("step intervals must be strictly increasing")
-            if not all(0 <= r < math.inf for _, r in slice_steps):
-                raise ValueError("rates must be finite and nonnegative")
+            for _, rate in slice_steps:
+                # An int compares with a float exactly, so 10**400 is out of range.
+                if not 0 <= rate <= sys.float_info.max:
+                    raise ValueError(f"steps rates must be finite and nonnegative, got {rate}")
 
 
 def generate_traffic(profile: StepProfile, interval_index: int) -> list[float]:
@@ -511,17 +518,6 @@ def _column_latency(qs: SliceQueueState, admitted: np.ndarray, queue_sum: int,
     return delivered, float(latency_sum) / float(delivered) if delivered else 0.0, fifo
 
 
-@dataclass(frozen=True)
-class SliceBatch:
-    """One slice's packet books over one interval, one entry per service rate."""
-
-    offered_packets: int
-    delivered_packets: np.ndarray
-    dropped_packets: np.ndarray
-    queued_after: np.ndarray
-    mean_latency_ticks: np.ndarray
-
-
 def _advance_slice_batch(
     queues: Sequence[SliceQueueState],
     offered_bps: Sequence[float],
@@ -530,7 +526,7 @@ def _advance_slice_batch(
     tick_s: float,
     packet_bits: int,
     buffer_cap: int,
-) -> list[SliceBatch]:
+) -> tuple[np.ndarray, ...]:
     """``_advance_slice`` for every slice and service rate at once, without the new state.
 
     Row ``k`` of ``service_bps`` holds slice ``k``'s service rates; every
@@ -539,8 +535,10 @@ def _advance_slice_batch(
     operations in its order, so every count equals the scalar loop's bit
     for bit, and latency comes from the same ``_fifo_latency``.  Besides
     per-column state, only the admitted counts per tick are kept, in the
-    smallest integer type that holds one tick's arrivals.  Returns one
-    ``SliceBatch`` per slice.
+    smallest integer type that holds one tick's arrivals.  Returns the
+    packet books: each slice's offered packets, shape (n,), then the
+    delivered, dropped and queued-after packets and the mean latency in
+    ticks, each of shape (n, M) in the order of ``service_bps``.
     """
     n = len(queues)
     c = np.asarray(service_bps, dtype=np.float64) * tick_s / packet_bits
@@ -580,21 +578,20 @@ def _advance_slice_batch(
             np.subtract(cap, q, out=adm)
             np.minimum(adm, a, out=adm)
             books += step  # q += adm; credit += c
-            # int(credit) capped by q, as min(credit, q) truncated: q is whole
-            np.minimum(credit, q, out=served)
-            np.trunc(served, out=served)
+            # int(credit) capped by q is trunc(m), m = min(credit, q) as q
+            # is whole, and the credit left is m - trunc(m): 0.0 where the
+            # queue empties, as m = q there, and otherwise the scalar loop's.
+            np.minimum(credit, q, out=credit)
+            np.trunc(credit, out=served)
             q -= served
             credit -= served
-            # credit = 0 where the queue is empty: otherwise q >= 1 > credit
-            np.minimum(credit, q, out=credit)
             admitted[t] = adm
             queue_sum += q
 
     q = q.astype(np.int64)
     delivered, mean_latency = _fifo_latency(queues, admitted, queue_sum.astype(np.int64), q)
     dropped = np.repeat(offered, m) + backlog - delivered - q
-    rows = zip(*(x.reshape(n, m) for x in (delivered, dropped, q, mean_latency)))
-    return [SliceBatch(int(o), *row) for o, row in zip(offered, rows)]
+    return offered, *(x.reshape(n, m) for x in (delivered, dropped, q, mean_latency))
 
 
 def _interval_ticks(radio_cfg: RadioConfig, queue_cfg: QueueConfig) -> tuple[float, int, float]:
@@ -626,9 +623,9 @@ def _slice_kpm(
     """One slice's KPMs from its packet books over one interval."""
     delivered_mbps = delivered * queue_cfg.packet_bits / interval_s / 1e6
     # Backlog drain can push delivered bits past this interval's offered
-    # bits; the KPM reports at most the offered rate and the accounting
-    # keeps the exact counts.
-    throughput = min(delivered_mbps, offered_mbps)
+    # bits; the KPM reports at most the offered rate, as a float even for
+    # an int rate, and the accounting keeps the exact counts.
+    throughput = float(min(delivered_mbps, offered_mbps))
     drop_ratio = dropped / offered_packets if offered_packets else 0.0
     return SliceKpm(
         mean_latency_ms=latency_ticks * queue_cfg.tick_duration_ms,
@@ -700,6 +697,26 @@ def simulate_interval(
     return IntervalResult(kpms, SimState(state.tick + n_ticks, list(queues)), accounting)
 
 
+@dataclass(frozen=True)
+class SliceKpmTable:
+    """One slice's KPMs over one interval, one entry per RB count 1..M.
+
+    The fields of ``core.SliceKpm``: latency (ms), throughput and drop
+    ratio as float64 arrays, the offered load as the one rate offered.
+    """
+
+    mean_latency_ms: np.ndarray
+    mean_throughput_mbps: np.ndarray
+    drop_ratio: np.ndarray
+    offered_load_mbps: float
+
+    def kpm(self, rbs: int) -> SliceKpm:
+        """The ``SliceKpm`` of ``rbs`` RBs, its fields Python floats."""
+        i = rbs - 1
+        return SliceKpm(self.mean_latency_ms.item(i), self.mean_throughput_mbps.item(i),
+                        self.drop_ratio.item(i), self.offered_load_mbps)
+
+
 def slice_kpm_tables(
     offered_mbps: Sequence[float],
     channels: Sequence[UeChannelState],
@@ -707,16 +724,16 @@ def slice_kpm_tables(
     queue_cfg: QueueConfig,
     state: SimState,
     max_rbs: int,
-) -> list[list[SliceKpm]]:
+) -> list[SliceKpmTable]:
     """Every slice's KPMs over the next interval for 1..max_rbs RBs.
 
-    Entry ``[k][i]`` equals the KPMs ``simulate_interval`` reports for
-    slice ``k`` from ``state`` with ``i + 1`` RBs, whatever the other
-    slices hold, since slices share nothing but the RB total.  All slices
-    and RB counts run in one stacked queue recursion.  RB counts of a
-    slice with equal packet books share one ``SliceKpm`` object.  Raises
-    ``InternalStateError`` unless there is one offered rate per carried
-    queue.
+    Entry ``i`` of table ``k`` equals the KPMs ``simulate_interval``
+    reports for slice ``k`` from ``state`` with ``i + 1`` RBs, whatever
+    the other slices hold, since slices share nothing but the RB total:
+    all slices and RB counts run in one stacked queue recursion, and each
+    field takes ``_slice_kpm``'s float operations entry by entry.
+    Raises ``InternalStateError`` unless there is one offered rate per
+    carried queue.
     """
     tick_s, n_ticks, interval_s = _interval_ticks(radio_cfg, queue_cfg)
     rbs = np.arange(1, max_rbs + 1)
@@ -724,25 +741,14 @@ def slice_kpm_tables(
         channel_capacity(_slice_ue(channels, k), rbs, radio_cfg.rb_bandwidth_hz)
         for k in range(len(state.queues))
     ])
-    batches = _advance_slice_batch(
-        state.queues,
-        [mbps * 1e6 for mbps in offered_mbps],
-        service_bps,
-        n_ticks,
-        tick_s,
-        queue_cfg.packet_bits,
-        queue_cfg.buffer_capacity_packets,
-    )
-    tables = []
-    for mbps, batch in zip(offered_mbps, batches):
-        kpms: dict[tuple[int, int, float], SliceKpm] = {}  # by packet book
-        row = []
-        for book in zip(batch.delivered_packets.tolist(), batch.dropped_packets.tolist(),
-                        batch.mean_latency_ticks.tolist()):
-            kpm = kpms.get(book)
-            if kpm is None:
-                kpm = kpms[book] = _slice_kpm(mbps, batch.offered_packets, *book, queue_cfg,
-                                              interval_s)
-            row.append(kpm)
-        tables.append(row)
-    return tables
+    offered, delivered, dropped, _, latency_ticks = _advance_slice_batch(
+        state.queues, [mbps * 1e6 for mbps in offered_mbps], service_bps, n_ticks, tick_s,
+        queue_cfg.packet_bits, queue_cfg.buffer_capacity_packets)
+    delivered_mbps = delivered * queue_cfg.packet_bits / interval_s / 1e6
+    # min(delivered_mbps, mbps): np.minimum gives its second argument on ties.
+    throughput = np.minimum(np.array(offered_mbps, dtype=np.float64)[:, None], delivered_mbps)
+    drop_ratio = np.zeros(dropped.shape)
+    np.divide(dropped, offered[:, None], out=drop_ratio, where=offered[:, None] > 0)
+    latency_ms = latency_ticks * queue_cfg.tick_duration_ms
+    return [SliceKpmTable(latency_ms[k], throughput[k], drop_ratio[k], mbps)
+            for k, mbps in enumerate(offered_mbps)]

@@ -19,9 +19,11 @@ Conventions worth knowing:
 ``slice_risk`` is the one per-slice formula and ``compliance_index`` the
 one sigma formula: ``assess`` applies both to one interval's KPMs (the
 interval index lives on ``loop.CycleReport``, not on the assessment), and
-``agents.Predictor`` tables ``slice_risk`` for every RB count a slice can
-hold, then calls ``compliance_index`` once with an array of risks per
-slice to score a whole array of candidate splits.
+``agents.Predictor`` calls ``slice_risk`` once per slice on a table of
+KPM arrays over every RB count the slice can hold, then calls
+``compliance_index`` once with an array of risks per slice to score a
+whole array of candidate splits.  Each takes floats or arrays, and an
+array's every entry is the scalar call on that entry.
 """
 from __future__ import annotations
 
@@ -29,6 +31,8 @@ import math
 import sys
 from dataclasses import dataclass
 from typing import Sequence, Tuple
+
+import numpy as np
 
 from .core import SliceKind, SliceKpm, SliceSpec
 
@@ -59,9 +63,19 @@ def violation_level(measured: float, spec: SliceSpec) -> float:
     return (measured - spec.sla_target) / spec.sla_target
 
 
-def risk_factor(epsilon: float, spec: SliceSpec) -> float:
-    """Sigmoid risk 1 / (1 + exp(-a * (eps - b))), clamped strictly into (0, 1)."""
+def risk_factor(epsilon, spec: SliceSpec):
+    """Sigmoid risk 1 / (1 + exp(-a * (eps - b))), clamped strictly into (0, 1).
+
+    ``epsilon`` is a float, giving a float, or a float64 array, giving the
+    float of each entry: ``math.exp`` runs per entry, as ``np.exp`` can
+    differ from it in the last bit, and numpy's min and max return the
+    same floats as Python's for these arguments.
+    """
     x = spec.shape_a * (epsilon - spec.shape_b)
+    if isinstance(x, np.ndarray):
+        exp = np.fromiter(map(math.exp, np.minimum(-x, _EXP_ARG_MAX).tolist()),
+                          np.float64, x.size)
+        return np.minimum(np.maximum(1.0 / (1.0 + exp), _RHO_MIN), _RHO_MAX)
     rho = 1.0 / (1.0 + math.exp(min(-x, _EXP_ARG_MAX)))
     return min(max(rho, _RHO_MIN), _RHO_MAX)
 
@@ -78,19 +92,29 @@ def compliance_index(rhos: Sequence, weights: Sequence[float]):
     return -sum((w * r * r for r, w in zip(rhos, weights)), 0.0)
 
 
-def starved(kpm: SliceKpm) -> bool:
-    """True when a slice delivered nothing while traffic was offered."""
-    return kpm.mean_throughput_mbps == 0 and kpm.offered_load_mbps > 0
+def starved(kpm: SliceKpm):
+    """True when a slice delivered nothing while traffic was offered.
+
+    Entry by entry, as a bool array, for a table of arrays.
+    """
+    return (kpm.mean_throughput_mbps == 0) & (kpm.offered_load_mbps > 0)
 
 
 def slice_risk(spec: SliceSpec, kpm: SliceKpm) -> SliceRisk:
-    """Violation level and risk of one slice from one interval's KPMs."""
+    """Violation level and risk of one slice from one interval's KPMs.
+
+    ``kpm`` may also be a table (``radio.SliceKpmTable``) whose latency,
+    throughput and drop ratio are arrays and whose offered load is one
+    float.  Each field of the risk is then an array whose every entry is
+    the scalar call's, or one float that every entry shares: the risk of
+    a throughput slice offered nothing.
+    """
     if spec.kind is SliceKind.LATENCY:
-        if starved(kpm):
-            # Starvation: worst possible violation, not missing data.
-            return SliceRisk(math.inf, _RHO_MAX)
-        epsilon = violation_level(kpm.mean_latency_ms, spec)
-    elif spec.sla_target <= kpm.offered_load_mbps:
+        # Starvation: worst possible violation, not missing data.
+        hungry = starved(kpm)
+        epsilon = _select(hungry, math.inf, violation_level(kpm.mean_latency_ms, spec))
+        return SliceRisk(epsilon, _select(hungry, _RHO_MAX, risk_factor(epsilon, spec)))
+    if spec.sla_target <= kpm.offered_load_mbps:
         # A declared floor below current demand binds as written.
         epsilon = violation_level(kpm.mean_throughput_mbps, spec)
     elif kpm.offered_load_mbps <= 0:
@@ -100,6 +124,13 @@ def slice_risk(spec: SliceSpec, kpm: SliceKpm) -> SliceRisk:
         # ratio, which is the metric of record for best-effort slices.
         epsilon = -kpm.drop_ratio
     return SliceRisk(epsilon, risk_factor(epsilon, spec))
+
+
+def _select(condition, if_true, if_false):
+    """``if_true if condition else if_false``, entry by entry for a bool array."""
+    if isinstance(condition, np.ndarray):
+        return np.where(condition, if_true, if_false)
+    return if_true if condition else if_false
 
 
 def assess(

@@ -187,8 +187,8 @@ class ExperienceStore:
 
         A last line without its newline is a write that a crash cut short:
         it is dropped unparsed, and the file is truncated to the last
-        complete line.  Any other bad line is a ``ValueError`` naming the
-        file and the line.
+        complete line.  Any other bad line, bytes the file's encoding
+        rejects included, is a ``ValueError`` naming the file and the line.
 
         The file is read ``_BLOCK_BYTES`` of whole lines at a time.  A
         block whose lines are all as ``record`` writes them, for this
@@ -216,11 +216,16 @@ class ExperienceStore:
                     start += len(lines)
             except UnicodeDecodeError:
                 # Bytes the encoding rejects.  A block decodes further ahead
-                # than a line does, so the lines after the loaded ones are
-                # read again one at a time, from the file's start, to raise
-                # the bad line's error if reading line by line meets it first.
-                with open(path) as again:
-                    store._load_lines(islice(enumerate(again, 1), start, None), path, again.encoding)
+                # than its lines, so the lines after the loaded ones are read
+                # again as bytes and decoded one at a time: a bad line before
+                # the undecodable one raises its own error first.
+                with open(path, "rb") as raw:
+                    for lineno, line in islice(enumerate(raw, 1), start, None):
+                        try:
+                            text = line.decode(fh.encoding)
+                        except UnicodeDecodeError as exc:
+                            raise ValueError(f"{path}, line {lineno}: {exc}") from None
+                        store._load_lines([(lineno, text)], path, fh.encoding)
                 raise
         if torn:
             lineno, size = torn

@@ -1,7 +1,7 @@
 import json
 import math
 import tempfile
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 from unittest import mock
 
@@ -19,7 +19,6 @@ from sliceloop.agents import (
     ParseError,
     Predictor,
     RemoteBackend,
-    _excess,
     ScriptedBackend,
     build_meta_prompt,
     count_tokens,
@@ -34,6 +33,7 @@ from sliceloop.core import (
     SliceKpm,
     SliceSpec,
     ratio_to_rb_counts,
+    rb_splits,
 )
 from sliceloop.loop import Environment, LoopState, run_cycle, run_experiment
 from sliceloop.radio import (
@@ -45,7 +45,7 @@ from sliceloop.radio import (
     generate_traffic,
     simulate_interval,
 )
-from sliceloop.sla import assess, slice_risk, starved
+from sliceloop.sla import assess, risk_factor, slice_risk, starved
 from sliceloop.store import ExperienceRecord, ExperienceStore
 from split_reference import reference_splits
 
@@ -177,6 +177,24 @@ class TestCountTokens:
         assert count_tokens(a + b) >= count_tokens(a)
 
 
+def scalar_excess(spec, epsilon):
+    """One slice's term of ``SplitScore.excess``, from its documented rule."""
+    if spec.kind is SliceKind.LATENCY:
+        return max(0.0, 1e6 if math.isinf(epsilon) else epsilon)
+    return max(0.0, -epsilon)
+
+
+def assessed_score(kpm, specs, theta):
+    """(sigma, excess, throughput) of one interval's KPMs by ``sla.assess``."""
+    a = assess(kpm, specs, theta)
+    excess = 0.0
+    for spec, risk in zip(specs, a.slices):
+        excess += scalar_excess(spec, risk.epsilon)
+    thr = sum(s.mean_throughput_mbps for s, spec in zip(kpm, specs)
+              if spec.kind is SliceKind.THROUGHPUT)
+    return a.sigma, excess, thr
+
+
 class TestPredictor:
     @pytest.mark.parametrize("n_slices", [2, 3])
     @pytest.mark.parametrize("carried", [False, True], ids=["fresh", "carried"])
@@ -205,17 +223,8 @@ class TestPredictor:
     @staticmethod
     def reference_score(predictor, counts):
         """Scores ``predict(counts)`` with a full ``assess`` call."""
-        kpm = predictor.predict(counts)
-        a = assess(kpm, predictor.specs, predictor.radio_cfg.violation_threshold)
-        excess = 0.0
-        for spec, risk in zip(predictor.specs, a.slices):
-            if spec.kind is SliceKind.LATENCY:
-                excess += max(0.0, 1e6 if math.isinf(risk.epsilon) else risk.epsilon)
-            else:
-                excess += max(0.0, -risk.epsilon)
-        thr = sum(s.mean_throughput_mbps for s, spec in zip(kpm, predictor.specs)
-                  if spec.kind is SliceKind.THROUGHPUT)
-        return a.sigma, excess, thr
+        return assessed_score(predictor.predict(counts), predictor.specs,
+                              predictor.radio_cfg.violation_threshold)
 
     @staticmethod
     def risk_branch(spec, kpm):
@@ -275,8 +284,9 @@ class TestPredictor:
            warmup=st.integers(0, 2))
     def test_tables_equal_each_entrys_risk(self, n_slices, total_rbs, heavy, offered, sinrs,
                                            targets, warmup):
-        """The rho, excess and throughput tables, taken once per shared KPM
-        object, equal ``slice_risk`` and ``_excess`` of every entry."""
+        """The rho, excess and throughput tables, taken from one array
+        ``slice_risk`` call per slice, equal the scalar ``slice_risk`` and
+        excess rule of every entry's ``SliceKpm``."""
         radio, queue = RadioConfig(total_rbs=total_rbs), QueueConfig()
         channels = [UeChannelState(k, k, x) for k, x in enumerate(sinrs[:n_slices])]
         specs = [replace(SPECS[0], sla_target=targets[0])] + [
@@ -288,13 +298,106 @@ class TestPredictor:
                                       state).state
         predictor = Predictor(offered[:n_slices], channels, radio, queue, specs, state)
         tables = predictor.kpm_tables()
-        for k, (spec, row) in enumerate(zip(specs, tables)):
-            risks = [slice_risk(spec, kpm) for kpm in row]
+        for k, (spec, table) in enumerate(zip(specs, tables)):
+            kpms = [table.kpm(count) for count in range(1, total_rbs - n_slices + 2)]
+            risks = [slice_risk(spec, kpm) for kpm in kpms]
             assert [x.hex() for x in predictor._rhos[k].tolist()] == [r.rho.hex() for r in risks]
             assert [x.hex() for x in predictor._excess[k].tolist()] == [
-                _excess(spec, r.epsilon).hex() for r in risks]
+                scalar_excess(spec, r.epsilon).hex() for r in risks]
             assert [x.hex() for x in predictor._thr[k].tolist()] == [
-                kpm.mean_throughput_mbps.hex() for kpm in row]
+                kpm.mean_throughput_mbps.hex() for kpm in kpms]
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_slices=st.integers(2, 3), total_rbs=st.integers(3, 10),
+           heavy=st.lists(st.floats(0.0, 60.0), min_size=3, max_size=3),
+           warmup=st.integers(0, 2),
+           offered=st.lists(st.sampled_from([0.0, -0.0, 0.5, 2.0, 5]) | st.floats(0.0, 60.0),
+                            min_size=3, max_size=3),
+           sinrs=st.lists(st.sampled_from([0.0, SINR]) | st.floats(0.0, 10_000.0),
+                          min_size=3, max_size=3),
+           targets=st.lists(st.sampled_from([1.0, 5.0]) | st.floats(0.5, 80.0),
+                            min_size=3, max_size=3),
+           buffer=st.sampled_from([8, 256]),
+           interval_s=st.sampled_from([0.05, 0.2]))
+    # A starved latency slice, an idle slice and one whose KPMs, drop-free,
+    # are the same for every RB count past the first: most splits tie.
+    @example(n_slices=3, total_rbs=8, heavy=[60.0] * 3, warmup=1, offered=[2.0, 0.0, 0.5],
+             sinrs=[0.0, SINR, SINR], targets=[5.0, 5.0, 1.0], buffer=256, interval_s=0.2)
+    # A slice idle at -0.0 Mbps, which min and max must not turn into 0.0.
+    @example(n_slices=2, total_rbs=10, heavy=[0.0] * 3, warmup=0, offered=[0.5, -0.0, 0.0],
+             sinrs=[SINR] * 3, targets=[5.0, 1.0, 1.0], buffer=8, interval_s=0.05)
+    # An int rate below what a carried backlog drains: throughput is its float.
+    @example(n_slices=2, total_rbs=10, heavy=[30.0] * 3, warmup=1, offered=[5, 5, 0.0],
+             sinrs=[SINR] * 3, targets=[5.0, 1.0, 1.0], buffer=256, interval_s=0.2)
+    def test_scores_equal_assess_of_simulated_kpms(self, n_slices, total_rbs, heavy, warmup,
+                                                   offered, sinrs, targets, buffer,
+                                                   interval_s):
+        """``score_splits`` of every split equals ``sla.assess`` and the
+        excess rule applied to ``simulate_interval``'s KPMs for it, and
+        ``predict`` equals those KPMs, bit for bit."""
+        radio = RadioConfig(total_rbs=total_rbs, monitoring_interval_s=interval_s)
+        queue = QueueConfig(buffer_capacity_packets=buffer)
+        channels = [UeChannelState(k, k, x) for k, x in enumerate(sinrs[:n_slices])]
+        specs = [replace(SPECS[0], sla_target=targets[0])] + [
+            replace(SPECS[1], slice_id=k, sla_target=targets[k]) for k in range(1, n_slices)]
+        counts = ratio_to_rb_counts(AllocationRatio([1.0 / n_slices] * n_slices), total_rbs)
+        state = SimState.fresh(n_slices)
+        for _ in range(warmup):
+            state = simulate_interval(heavy[:n_slices], counts, channels, radio, queue,
+                                      state).state
+        offered = offered[:n_slices]
+        predictor = Predictor(offered, channels, radio, queue, specs, state)
+        splits = rb_splits(total_rbs, n_slices)
+        scores = zip(*(x.tolist() for x in predictor.score_splits(splits)))
+        for split, got in zip(splits.tolist(), scores):
+            kpm = simulate_interval(offered, split, channels, radio, queue, state).kpm
+            assert repr(predictor.predict(split)) == repr(kpm)
+            want = assessed_score(kpm, specs, radio.violation_threshold)
+            assert [x.hex() for x in got] == [float(x).hex() for x in want]
+
+    def test_risk_factor_of_an_array_equals_each_floats(self):
+        # With a = -1 and b = 0 the exponent is epsilon itself.  At the
+        # first two, np.exp differs from math.exp in the last bit, and so
+        # does 1 / (1 + exp), on numpy 2.4 with AVX-512; the rest cover
+        # signed zeros, the clamp at exponent 709 and starvation.
+        spec = SliceSpec(1, SliceKind.THROUGHPUT, 10.0, 1.0, -1.0, 0.0)
+        eps = [float.fromhex("0x1.7732162703180p+1"), float.fromhex("0x1.713b7bbb375bcp+3"),
+               0.0, -0.0, 709.0, 800.0, -800.0, math.inf]
+        got = risk_factor(np.array(eps), spec)
+        assert [x.hex() for x in got.tolist()] == [risk_factor(e, spec).hex() for e in eps]
+
+    def test_prediction_of_the_applied_split_is_the_next_intervals_kpms(self):
+        """When the next interval's offered rates are unchanged, the
+        Predictor's KPMs for the split the oracle applied are the KPMs the
+        next cycle measures, bit for bit."""
+        env = Environment(
+            radio_cfg=RadioConfig(total_rbs=20),
+            queue_cfg=QueueConfig(),
+            specs=SPECS,
+            channels=[UeChannelState(k, k, SINR) for k in range(2)],
+            profile=StepProfile(steps=(((0, 16.31), (4, 30.5), (9, 5.0)),
+                                       ((0, 20.0), (6, 2.2)))),
+        )
+        predicted = []
+
+        class RecordingOracle(HeuristicOracleBackend):
+            def propose(self, prompt, current_allocation, predictor=None):
+                outcome = super().propose(prompt, current_allocation, predictor)
+                counts = ratio_to_rb_counts(outcome.allocation, env.radio_cfg.total_rbs)
+                predicted.append((tuple(counts), predictor.predict(counts)))
+                return outcome
+
+        log = run_experiment(env, 12, RecordingOracle(), gate_enabled=False)
+        steps = 0
+        for cycle, (counts, kpm), following in zip(log.cycles, predicted, log.cycles[1:]):
+            assert following.rb_counts == counts
+            if following.offered_mbps == cycle.offered_mbps:
+                assert [astuple(s) for s in kpm] == [astuple(s) for s in following.kpm]
+                assert repr(kpm) == repr(following.kpm)
+            else:
+                steps += 1
+                assert kpm != following.kpm
+        assert steps == 3 and len({c.rb_counts for c in log.cycles}) > 2
 
     def test_split_off_the_pool_rejected(self):
         predictor = make_predictor()

@@ -47,6 +47,13 @@ class TestEnumerateSplits:
         assert len(rows) == math.comb(9, 2)  # compositions of 10 into 3
         assert all(sum(r.rb_counts) == 10 and min(r.rb_counts) >= 1 for r in rows)
 
+    # 10**400 is an int beyond float range, which compares with inf as finite.
+    @pytest.mark.parametrize("rate", [-5.0, math.inf, math.nan, 10 ** 400])
+    def test_bad_offered_rate_names_the_field(self, rate):
+        radio, queue, channels = make_env()
+        with pytest.raises(ValueError, match="offered_mbps"):
+            enumerate_splits([5.0, rate], channels, radio, queue, SPECS)
+
     def test_unsupported_slice_count(self):
         radio, queue, channels = make_env(n_slices=4)
         specs = [SliceSpec(i, SliceKind.THROUGHPUT, 10.0, 1.0, -30.0, -0.02)

@@ -103,6 +103,18 @@ class TestHarnessConfig:
         cfg = HarnessConfig()
         assert HarnessConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
+    # 10**400 is an int beyond float range, which compares with inf as finite.
+    @pytest.mark.parametrize("field, value", [
+        ("scenario2_grid", (80.0, -5.0)),
+        ("scenario2_grid", (80.0, float("inf"))),
+        ("scenario2_grid", (80.0, 10 ** 400)),
+        ("scenario1_steps", (((0, 5.0), (3, 10 ** 400)), ((0, 4.0),))),
+        ("scenario1_steps", (((0, 5.0),), ((0, float("nan")),))),
+    ])
+    def test_bad_rate_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            HarnessConfig(**{field: value})
+
     def test_default_capacity_calibration(self):
         cfg = HarnessConfig()
         per_rb = cfg.rb_bandwidth_hz * np.log2(1 + cfg.ue_sinr) / 1e6

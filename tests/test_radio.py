@@ -1,5 +1,6 @@
 import math
 from collections import deque
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -25,6 +26,7 @@ from sliceloop.radio import (
     _credit_path,
     _fifo_latency,
     _interval_ticks,
+    _slice_kpm,
     channel_capacity,
     generate_traffic,
     simulate_interval,
@@ -63,8 +65,9 @@ class TestChannelCapacity:
             channel_capacity(UeChannelState(0, 0, sinr=1.0), rbs, 180_000.0)
 
     def test_negative_sinr_rejected(self):
-        for sinr in (-0.5, math.inf, math.nan):
-            with pytest.raises(ValueError):
+        # 10**400 is an int beyond float range, which compares with inf as finite.
+        for sinr in (-0.5, math.inf, math.nan, 10 ** 400):
+            with pytest.raises(ValueError, match="sinr"):
                 UeChannelState(0, 0, sinr=sinr)
 
     @given(
@@ -90,6 +93,11 @@ class TestGenerateTraffic:
     def test_step_validation(self):
         with pytest.raises(ValueError):
             StepProfile(steps=(((5, 80.0), (5, 90.0)),))
+
+    @pytest.mark.parametrize("rate", [-5.0, math.inf, math.nan, 10 ** 400])
+    def test_bad_rate_names_the_field(self, rate):
+        with pytest.raises(ValueError, match="steps rates"):
+            StepProfile(steps=(((0, 80.0), (3, rate)), ((0, 5.0),)))
 
 
 def independent_scalar_queue(offered_bps, service_bps, n_ticks, pkt_bits, buffer_cap):
@@ -312,17 +320,17 @@ class TestBatchedQueue:
                                              service_mbps, n_ticks):
         cap, qs = carried
         tick_s, packet_bits = 0.001, 12_000
-        batch = _advance_slice_batch([qs], [offered_mbps * 1e6],
-                                     np.array([service_mbps]) * 1e6, n_ticks,
-                                     tick_s, packet_bits, cap)[0]
+        (offered,), *books = _advance_slice_batch([qs], [offered_mbps * 1e6],
+                                                  np.array([service_mbps]) * 1e6, n_ticks,
+                                                  tick_s, packet_bits, cap)
+        delivered, dropped, queued_after, mean_latency = (x[0].tolist() for x in books)
         for i, mbps in enumerate(service_mbps):
             _, acct, latency = _advance_slice(
                 qs, offered_mbps * 1e6, mbps * 1e6, n_ticks, tick_s, packet_bits, cap)
-            assert (batch.offered_packets, int(batch.delivered_packets[i]),
-                    int(batch.dropped_packets[i]), int(batch.queued_after[i])) == (
+            assert (offered, delivered[i], dropped[i], queued_after[i]) == (
                 acct.offered_packets, acct.delivered_packets, acct.dropped_packets,
                 acct.queued_after)
-            assert float(batch.mean_latency_ticks[i]).hex() == latency.hex()
+            assert mean_latency[i].hex() == latency.hex()
 
     def test_backlog_beyond_buffer_rejected(self):
         qs = SliceQueueState(arrival_ticks=np.full(5, -1, dtype=np.int64))
@@ -334,22 +342,22 @@ class TestBatchedQueue:
     def test_stacked_slices_match_scalar_loop_bit_for_bit(self, stacked, n_ticks):
         cap, queues, offered_mbps, service_mbps = stacked
         tick_s, packet_bits = 0.001, 12_000
-        batches = _advance_slice_batch(queues, [r * 1e6 for r in offered_mbps],
-                                       np.array(service_mbps) * 1e6, n_ticks,
-                                       tick_s, packet_bits, cap)
-        assert len(batches) == len(queues)
-        for qs, offered, rates, batch in zip(queues, offered_mbps, service_mbps, batches):
+        offered_packets, *books = _advance_slice_batch(
+            queues, [r * 1e6 for r in offered_mbps], np.array(service_mbps) * 1e6, n_ticks,
+            tick_s, packet_bits, cap)
+        n, m = len(queues), len(service_mbps[0])
+        assert offered_packets.shape == (n,) and all(x.shape == (n, m) for x in books)
+        for k, (qs, offered, rates) in enumerate(zip(queues, offered_mbps, service_mbps)):
+            delivered, dropped, queued_after, mean_latency = (x[k].tolist() for x in books)
             for i, mbps in enumerate(rates):
                 _, acct, latency = _advance_slice(
                     qs, offered * 1e6, mbps * 1e6, n_ticks, tick_s, packet_bits, cap)
-                assert (batch.offered_packets, int(batch.delivered_packets[i]),
-                        int(batch.dropped_packets[i]), int(batch.queued_after[i])) == (
+                assert (offered_packets[k], delivered[i], dropped[i], queued_after[i]) == (
                     acct.offered_packets, acct.delivered_packets, acct.dropped_packets,
                     acct.queued_after)
-                assert float(batch.mean_latency_ticks[i]).hex() == latency.hex()
-                assert (batch.delivered_packets[i] + batch.dropped_packets[i]
-                        + batch.queued_after[i] - len(qs.arrival_ticks)
-                        == batch.offered_packets)
+                assert mean_latency[i].hex() == latency.hex()
+                assert (delivered[i] + dropped[i] + queued_after[i] - len(qs.arrival_ticks)
+                        == offered_packets[k])
 
     def test_slice_count_mismatch_rejected(self):
         radio, queue, channels = make_env()
@@ -520,47 +528,52 @@ class TestStarvation:
         radio = RadioConfig(total_rbs=n * rbs, monitoring_interval_s=0.1)
         tables = slice_kpm_tables(offered, channels, radio, queue, state, rbs)
         for k, table in enumerate(tables):
-            for count, kpm in enumerate(table, 1):
+            for count, hungry in enumerate(starved(table).tolist(), 1):
                 acct = interval([count if j == k else 1 for j in range(n)]).accounting[k]
-                assert starved(kpm) == (acct.delivered_packets == 0 and offered[k] > 0)
+                assert hungry == starved(table.kpm(count)) == (
+                    acct.delivered_packets == 0 and offered[k] > 0)
 
 
-class TestSharedKpms:
-    """``slice_kpm_tables`` builds one ``SliceKpm`` per distinct packet book
-    of a slice, and RB counts with equal books share it."""
+class TestKpmTables:
+    """``slice_kpm_tables`` gives each slice's KPMs as arrays over its RB
+    counts, every entry ``_slice_kpm`` of that RB count's packet books."""
 
     @settings(max_examples=150, deadline=None)
     @given(stacked=stacked_slices(),
            sinrs=st.lists(st.sampled_from([0.0, 1e-4, 0.05]) | st.floats(0.0, 100.0),
                           min_size=3, max_size=3),
            rbs=st.integers(1, 12))
-    def test_equal_packet_books_share_one_kpm(self, stacked, sinrs, rbs):
+    def test_entries_equal_slice_kpm_of_each_book(self, stacked, sinrs, rbs):
         cap, queues, offered, _ = stacked
         n = len(queues)
         queue = QueueConfig(buffer_capacity_packets=cap)
         radio = RadioConfig(total_rbs=n * rbs, monitoring_interval_s=0.1)
         channels = [UeChannelState(k, k, x) for k, x in enumerate(sinrs[:n])]
         tables = slice_kpm_tables(offered, channels, radio, queue, SimState(0, queues), rbs)
-        tick_s, n_ticks, _ = _interval_ticks(radio, queue)
+        tick_s, n_ticks, interval_s = _interval_ticks(radio, queue)
         service = np.array([channel_capacity(ue, np.arange(1, rbs + 1), radio.rb_bandwidth_hz)
                             for ue in channels])
-        batches = _advance_slice_batch(queues, [x * 1e6 for x in offered], service, n_ticks,
-                                       tick_s, queue.packet_bits, cap)
-        for table, batch in zip(tables, batches):
-            books = list(zip(batch.delivered_packets.tolist(), batch.dropped_packets.tolist(),
-                             batch.mean_latency_ticks.tolist()))
-            for kpm, book in zip(table, books):
-                for other, other_book in zip(table, books):
-                    assert (kpm is other) == (book == other_book)
+        offered_packets, delivered, dropped, _, latency = _advance_slice_batch(
+            queues, [x * 1e6 for x in offered], service, n_ticks, tick_s, queue.packet_bits, cap)
+        for k, (mbps, table) in enumerate(zip(offered, tables)):
+            assert table.offered_load_mbps is mbps
+            books = zip(delivered[k].tolist(), dropped[k].tolist(), latency[k].tolist())
+            for count, book in enumerate(books, 1):
+                want = _slice_kpm(mbps, int(offered_packets[k]), *book, queue, interval_s)
+                got = table.kpm(count)
+                assert all(type(x) is float for x in astuple(got)[:3])
+                assert [x.hex() for x in astuple(got)] == [x.hex() for x in astuple(want)]
 
-    def test_light_load_shares_kpms(self):
+    def test_light_load_entries_repeat(self):
         # At 2 Mbps, 3 to 5 RBs deliver at 2 ticks and 6 to 9 RBs in the
         # arrival tick: 9 RB counts, 4 packet books.
         radio, queue, channels = make_env()
         tables = slice_kpm_tables([2.0, 2.0], channels, radio, queue, SimState.fresh(2), 9)
-        for row in tables:
-            assert len({id(kpm) for kpm in row}) == 4
-            assert row[2] is row[4] and row[5] is row[8]
+        for table in tables:
+            row = [table.kpm(count) for count in range(1, 10)]
+            assert len(set(row)) == 4
+            assert row[2] == row[4] and row[5] == row[8]
+            assert table.drop_ratio.tolist() == [0.0] * 9
 
 
 def reference_advance_slice(qs, offered_bps, service_bps, n_ticks, tick_s,

@@ -667,11 +667,25 @@ class TestBlockLoad:
             with pytest.raises(ValueError, match=f"line {bad_line}: Expecting"):
                 ExperienceStore.load(path, 2)
         else:
-            with open(path) as fh, pytest.raises(UnicodeDecodeError) as read_error:
-                list(fh)
-            with pytest.raises(UnicodeDecodeError) as load_error:
+            with pytest.raises(ValueError, match=f"line {undecodable_line}: .* codec can't") \
+                    as load_error:
                 ExperienceStore.load(path, 2)
-            assert str(load_error.value) == str(read_error.value)
+            assert str(path) in str(load_error.value)
+
+    @pytest.mark.parametrize("undecodable_line", [1, 100, 2000])
+    def test_undecodable_bytes_name_the_file_and_the_line(self, tmp_path, undecodable_line):
+        # Lines 1 and 100 lie in the first 64 KiB block, line 2000 in the
+        # ninth.
+        path = tmp_path / "store.jsonl"
+        recorded_history(path, max(200, undecodable_line), 2)
+        lines = path.read_bytes().split(b"\n")
+        lines[undecodable_line - 1] = b"\xff" + lines[undecodable_line - 1]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValueError) as exc:
+            ExperienceStore.load(path, 2)
+        message = str(exc.value)
+        assert message.startswith(f"{path}, line {undecodable_line}: ")
+        assert "codec can't decode byte 0xff in position 0" in message
 
     def test_blocks_after_a_json_read_block_take_the_block_path(self, tmp_path, monkeypatch):
         # Ids in the block path run on from records that json read.
