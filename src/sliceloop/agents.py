@@ -190,7 +190,7 @@ def parse_allocation_response(text: str, slice_count: int) -> AllocationRatio:
         raise ParseError(f"expected a list of {slice_count} shares", text)
     try:
         values = [float(s) for s in shares]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError("shares must be numbers", text)
     if any(not 0.0 <= v <= 1.0 for v in values):
         raise ParseError("shares outside [0, 1]", text)

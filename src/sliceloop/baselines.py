@@ -18,7 +18,6 @@ first, then the tie-break among the rows that reach it exactly.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Optional, Sequence, Tuple
@@ -26,7 +25,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .agents import Predictor
-from .core import AllocationRatio, RadioConfig, SliceKind, SliceSpec, check_pool, rb_splits
+from .core import (AllocationRatio, RadioConfig, SliceKind, SliceSpec, check_pool, check_range,
+                   rb_splits)
 from .radio import QueueConfig, SimState, UeChannelState
 from .sla import starved
 
@@ -67,11 +67,8 @@ def enumerate_splits(
     n = len(specs)
     if n < 2 or n > 3:
         raise UnsupportedScaleError(f"{n} slices (supported: 2 or 3)")
-    # An int compares with a float exactly, so 10**400 is out of range.
-    if not all(0 <= r <= sys.float_info.max for r in offered_mbps):
-        raise ValueError(
-            f"offered_mbps must be finite and nonnegative, got {list(offered_mbps)}"
-        )
+    for rate in offered_mbps:
+        check_range("offered_mbps", rate, "nonnegative")
     if state is None:
         state = SimState.fresh(n)
     predictor = Predictor(offered_mbps, channels, radio_cfg, queue_cfg, specs, state)

@@ -57,6 +57,29 @@ def check_counts(config, *names: str) -> None:
         check_count(name, getattr(config, name))
 
 
+# Each bound's closed limits and its wording.  "positive" starts at the
+# least positive float, so no float or int above 0 falls below it.
+_BOUNDS = {
+    "finite": (-sys.float_info.max, sys.float_info.max, "finite"),
+    "nonnegative": (0, sys.float_info.max, "finite and nonnegative"),
+    "positive": (math.ulp(0.0), sys.float_info.max, "positive and finite"),
+    "fraction": (0, 1, "in [0, 1]"),
+}
+
+
+def check_range(name: str, value, bound: str) -> None:
+    """Raise ValueError, naming the field and value, unless value lies in ``_BOUNDS[bound]``."""
+    low, high, text = _BOUNDS[bound]
+    # An int compares with a float exactly, so 10**400 is out of range,
+    # NaN fails every comparison, and a string does not compare at all.
+    try:
+        inside = low <= value <= high
+    except TypeError:
+        inside = False
+    if not inside:
+        raise ValueError(f"{name} must be {text}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SliceSpec:
     """Identity and SLA contract of one slice.
@@ -76,13 +99,10 @@ class SliceSpec:
     shape_b: float
 
     def __post_init__(self) -> None:
-        for name in ("sla_target", "weight", "shape_a", "shape_b"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.sla_target <= 0:
-            raise ValueError(f"sla_target must be > 0, got {self.sla_target}")
-        if self.weight < 0:
-            raise ValueError(f"weight must be >= 0, got {self.weight}")
+        check_range("sla_target", self.sla_target, "positive")
+        check_range("weight", self.weight, "nonnegative")
+        check_range("shape_a", self.shape_a, "finite")
+        check_range("shape_b", self.shape_b, "finite")
         if self.shape_a == 0:
             raise ValueError("shape_a must be nonzero (zero slope makes risk constant)")
 
@@ -103,12 +123,9 @@ class RadioConfig:
 
     def __post_init__(self) -> None:
         check_counts(self, "total_rbs")
-        # An int compares with a float exactly, so 10**400 is out of range.
-        for name in ("rb_bandwidth_hz", "monitoring_interval_s"):
-            if not 0 < getattr(self, name) <= sys.float_info.max:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if not 0 <= self.wait_period_s <= sys.float_info.max:
-            raise ValueError(f"wait_period_s must be finite and >= 0, got {self.wait_period_s}")
+        check_range("rb_bandwidth_hz", self.rb_bandwidth_hz, "positive")
+        check_range("monitoring_interval_s", self.monitoring_interval_s, "positive")
+        check_range("wait_period_s", self.wait_period_s, "nonnegative")
         if not 0.0 < self.violation_threshold < 1.0:
             raise ValueError("violation_threshold must lie in (0, 1)")
 
@@ -125,12 +142,11 @@ class AllocationRatio:
     shares: Tuple[float, ...]
 
     def __init__(self, shares: Sequence[float]) -> None:
-        object.__setattr__(self, "shares", tuple(float(s) for s in shares))
+        for s in shares:
+            check_range("shares", s, "fraction")
+        object.__setattr__(self, "shares", tuple(map(float, shares)))
         if not self.shares:
             raise ValueError("shares must be nonempty")
-        for s in self.shares:
-            if not 0.0 <= s <= 1.0 or math.isnan(s):
-                raise ValueError(f"share {s} outside [0, 1]")
         if abs(sum(self.shares) - 1.0) > SUM_TOLERANCE:
             raise ValueError(f"shares sum to {sum(self.shares)}, expected 1.0")
 
@@ -154,12 +170,8 @@ class SliceKpm:
 
     def __post_init__(self) -> None:
         for name in ("mean_latency_ms", "mean_throughput_mbps", "offered_load_mbps"):
-            value = getattr(self, name)
-            # An int compares with a float exactly, so 10**400 is out of range.
-            if not 0 <= value <= sys.float_info.max:
-                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-        if not 0.0 <= self.drop_ratio <= 1.0:
-            raise ValueError(f"drop_ratio {self.drop_ratio} outside [0, 1]")
+            check_range(name, getattr(self, name), "nonnegative")
+        check_range("drop_ratio", self.drop_ratio, "fraction")
         if self.mean_throughput_mbps > self.offered_load_mbps + SUM_TOLERANCE:
             raise ValueError("cannot deliver more than offered")
 

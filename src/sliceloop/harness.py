@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import AllocationRatio, RadioConfig, SliceKind, SliceSpec, check_count, check_counts
+from .core import (AllocationRatio, RadioConfig, SliceKind, SliceSpec, check_count, check_counts,
+                   check_range)
 from .agents import HeuristicOracleBackend, RemoteBackend, ScriptedBackend
 from .loop import TIMELINE_FIELDS, Environment, ExperimentLog, SweepMemo, run_experiment
 from .radio import QueueConfig, StepProfile, UeChannelState
@@ -40,6 +40,9 @@ FIXED_BASELINES = {
 @dataclass
 class HarnessConfig:
     """Fully resolved experiment configuration; JSON round-trippable.
+
+    Construction checks every rate and share and stores them as tuples
+    of floats, so ``from_dict`` builds what direct construction does.
 
     ``interval_duration_s`` is only written to ``config.json``; nothing
     reads it.  The simulator's interval is ``monitoring_interval_s``.
@@ -86,8 +89,17 @@ class HarnessConfig:
         check_counts(self, "scenario1_cycles", "scenario2_cycles", "retrieve_k")
         if not self.scenario2_grid:
             raise ValueError("scenario2_grid must hold at least one rate")
-        _check_rates("scenario2_grid", self.scenario2_grid)
-        _check_rates("scenario1_steps", [r for steps in self.scenario1_steps for _, r in steps])
+        for rate in self.scenario2_grid:
+            check_range("scenario2_grid", rate, "nonnegative")
+        for rate in (r for steps in self.scenario1_steps for _, r in steps):
+            check_range("scenario1_steps", rate, "nonnegative")
+        try:
+            self.initial_shares = AllocationRatio(self.initial_shares).shares
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"initial_shares: {exc}") from None
+        self.scenario2_grid = tuple(map(float, self.scenario2_grid))
+        self.scenario1_steps = tuple(tuple((int(s), float(r)) for s, r in steps)
+                                     for steps in self.scenario1_steps)
         n_slices = len(self.specs())
         for name in ("initial_shares", "scenario1_steps"):
             count = len(getattr(self, name))
@@ -135,25 +147,7 @@ class HarnessConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "HarnessConfig":
-        kwargs = dict(data)
-        if "scenario1_steps" in kwargs:
-            kwargs["scenario1_steps"] = tuple(
-                tuple((int(s), float(r)) for s, r in slice_steps)
-                for slice_steps in kwargs["scenario1_steps"]
-            )
-        if "scenario2_grid" in kwargs:
-            kwargs["scenario2_grid"] = tuple(float(v) for v in kwargs["scenario2_grid"])
-        if "initial_shares" in kwargs:
-            kwargs["initial_shares"] = tuple(float(v) for v in kwargs["initial_shares"])
-        return cls(**kwargs)
-
-
-def _check_rates(name: str, rates) -> None:
-    """Raise ValueError, naming the field, unless every rate is finite and >= 0."""
-    for rate in rates:
-        # An int compares with a float exactly, so 10**400 is out of range.
-        if not 0 <= rate <= sys.float_info.max:
-            raise ValueError(f"{name} rates must be finite and nonnegative, got {rate}")
+        return cls(**data)
 
 
 def make_backend(name: str, config: HarnessConfig):

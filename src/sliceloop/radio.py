@@ -76,14 +76,13 @@ float64, so they give the same bits.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from .core import RadioConfig, SliceKpm, check_counts, exact_key
+from .core import RadioConfig, SliceKpm, check_counts, check_range, exact_key
 
 
 @dataclass(frozen=True)
@@ -95,9 +94,7 @@ class UeChannelState:
     sinr: float
 
     def __post_init__(self) -> None:
-        # An int compares with a float exactly, so 10**400 is out of range.
-        if not 0.0 <= self.sinr <= sys.float_info.max:
-            raise ValueError(f"sinr must be finite and nonnegative (linear), got {self.sinr}")
+        check_range("sinr", self.sinr, "nonnegative")
 
 
 @dataclass(frozen=True)
@@ -108,9 +105,7 @@ class QueueConfig:
 
     def __post_init__(self) -> None:
         check_counts(self, "packet_size_bytes", "buffer_capacity_packets")
-        # An int compares with a float exactly, so 10**400 is out of range.
-        if not 0 < self.tick_duration_ms <= sys.float_info.max:
-            raise ValueError("tick_duration_ms must be positive and finite")
+        check_range("tick_duration_ms", self.tick_duration_ms, "positive")
 
     @property
     def packet_bits(self) -> int:
@@ -135,9 +130,7 @@ class StepProfile:
             if starts != sorted(set(starts)):
                 raise ValueError("step intervals must be strictly increasing")
             for _, rate in slice_steps:
-                # An int compares with a float exactly, so 10**400 is out of range.
-                if not 0 <= rate <= sys.float_info.max:
-                    raise ValueError(f"steps rates must be finite and nonnegative, got {rate}")
+                check_range("steps rates", rate, "nonnegative")
 
 
 def generate_traffic(profile: StepProfile, interval_index: int) -> list[float]:

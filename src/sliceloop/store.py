@@ -17,7 +17,8 @@ and the interval are written but not kept.  ``load`` streams a history
 into the columns and ``record`` appends to spare ones; the arrays
 double when full, so an append costs amortised O(1).
 
-``load`` reads a block of whole lines at a time and takes the lines
+``load`` reads the file as bytes, a block of whole lines at a time,
+and a newline alone ends a line, as in JSON Lines.  It takes the lines
 that ``record`` wrote without ``json``: one regular-expression match
 per block checks that every line has ``record``'s exact layout for the
 store's slice count and captures the id, rates, shares and sigma, which
@@ -28,9 +29,9 @@ whose float is 0.0, not -0.0), and ints of at most 16 digits, below any
 limit ``json`` puts on an int's digits.  A block whose lines all match,
 whose ids run on from the records before it and whose values pass the
 checks of a single append is added in one step; any other block is read
-line by line through ``json``, with the same records, errors and line
-numbers, so the block path changes how fast a history loads, never what
-it loads.
+line by line, each line decoded as UTF-8 and read by ``json``, with the
+same records, errors and line numbers, so the block path changes how
+fast a history loads, never what it loads.
 
 Retrieval is exact.  Shortlist the ``m = 3 * k`` records nearest to the
 query traffic vector by Euclidean distance, ties to the lower record id,
@@ -76,7 +77,6 @@ import logging
 import math
 import re
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -88,7 +88,7 @@ log = logging.getLogger(__name__)
 
 SHORTLIST_MULTIPLIER = 3
 
-# ``load`` reads this many characters of whole lines at a time.  A
+# ``load`` reads this many bytes of whole lines at a time.  A
 # larger block saves no time and raises peak RSS: perfbench long_history
 # (a 10^5-record history) peaked at 52.9 MB with 1 MiB blocks and 49.0 MB
 # with 256 KiB, against 47.2-47.3 MB with 64 KiB, as when json read each
@@ -99,15 +99,13 @@ _BLOCK_BYTES = 64 * 1024
 # fraction or an exponent (``json`` reads a token without either as an
 # int), and an int of at most 16 digits, far below the fewest digits
 # (640) that ``sys.get_int_max_str_digits`` may let ``json`` read.
-# Digits are ``[0-9]``, as ``\d`` also takes digits that ``float``
-# reads and ``json`` rejects.
 _FLOAT = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)"
 _INT = r"-?(?:0|[1-9][0-9]{0,15})"
 
 
 @functools.cache
 def _line_pattern(n_slices: int) -> re.Pattern:
-    """The whole line, newline included, that ``record`` writes for ``n_slices`` slices.
+    """The whole line's bytes, newline included, that ``record`` writes for ``n_slices`` slices.
 
     It captures the id, each rate, each share and sigma, in that order;
     the KPM numbers and the interval are only checked to be JSON numbers.
@@ -115,11 +113,11 @@ def _line_pattern(n_slices: int) -> re.Pattern:
     floats = ", ".join([f"({_FLOAT})"] * n_slices)
     number = f"(?:{_FLOAT}|{_INT})"
     kpm = f'\\{{"latency_ms": {number}, "throughput_mbps": {number}, "drop_ratio": {number}\\}}'
-    return re.compile(
+    line = (
         f'^\\{{"id": (0|[1-9][0-9]*), "rates": \\[{floats}\\], "shares": \\[{floats}\\], '
-        f'"sigma": ({_FLOAT}), "kpm": \\[{", ".join([kpm] * n_slices)}\\], "interval": {_INT}\\}}\n',
-        re.MULTILINE,
+        f'"sigma": ({_FLOAT}), "kpm": \\[{", ".join([kpm] * n_slices)}\\], "interval": {_INT}\\}}\n'
     )
+    return re.compile(line.encode(), re.MULTILINE)
 
 
 class StorageError(RuntimeError):
@@ -185,10 +183,11 @@ class ExperienceStore:
     def load(cls, path: Path, n_slices: int) -> "ExperienceStore":
         """Read a JSONL history; later records are appended to the same file.
 
-        A last line without its newline is a write that a crash cut short:
-        it is dropped unparsed, and the file is truncated to the last
-        complete line.  Any other bad line, bytes the file's encoding
-        rejects included, is a ``ValueError`` naming the file and the line.
+        The file is read as bytes, and a newline alone ends a line, as in
+        JSON Lines.  A last line without its newline is a write that a
+        crash cut short: it is dropped unparsed, and the file is truncated
+        to the last complete line.  Any other bad line, bytes that are not
+        UTF-8 included, is a ``ValueError`` naming the file and the line.
 
         The file is read ``_BLOCK_BYTES`` of whole lines at a time.  A
         block whose lines are all as ``record`` writes them, for this
@@ -208,25 +207,11 @@ class ExperienceStore:
         pattern = _line_pattern(n_slices)
         start = 0  # lines in the blocks before this one
         torn = None
-        with open(path) as fh:
-            try:
-                while lines := fh.readlines(_BLOCK_BYTES):
-                    if not store._append_matched(pattern.findall("".join(lines)), len(lines)):
-                        torn = store._load_lines(enumerate(lines, start + 1), path, fh.encoding)
-                    start += len(lines)
-            except UnicodeDecodeError:
-                # Bytes the encoding rejects.  A block decodes further ahead
-                # than its lines, so the lines after the loaded ones are read
-                # again as bytes and decoded one at a time: a bad line before
-                # the undecodable one raises its own error first.
-                with open(path, "rb") as raw:
-                    for lineno, line in islice(enumerate(raw, 1), start, None):
-                        try:
-                            text = line.decode(fh.encoding)
-                        except UnicodeDecodeError as exc:
-                            raise ValueError(f"{path}, line {lineno}: {exc}") from None
-                        store._load_lines([(lineno, text)], path, fh.encoding)
-                raise
+        with open(path, "rb") as fh:
+            while lines := fh.readlines(_BLOCK_BYTES):
+                if not store._append_matched(pattern.findall(b"".join(lines)), len(lines)):
+                    torn = store._load_lines(enumerate(lines, start + 1), path)
+                start += len(lines)
         if torn:
             lineno, size = torn
             with open(path, "rb+") as fh:
@@ -236,28 +221,27 @@ class ExperienceStore:
         store._group_loaded()
         return store
 
-    def _load_lines(
-        self, numbered: Iterable[tuple[int, str]], path: Path, encoding: str
-    ) -> Optional[tuple[int, int]]:
-        """Add the records of numbered lines one at a time, through ``json``.
+    def _load_lines(self, numbered: Iterable[tuple[int, bytes]], path: Path) -> Optional[tuple[int, int]]:
+        """Add the records of numbered lines one at a time, decoded as UTF-8, through ``json``.
 
         Returns the number and byte length of a last line without its
         newline, which is left unread, or None.
         """
         for lineno, line in numbered:
-            if not line.endswith("\n"):  # only the last line can lack it
-                return lineno, len(line.encode(encoding))
-            if not line.strip():
-                continue
+            if not line.endswith(b"\n"):  # only the last line can lack it
+                return lineno, len(line)
             try:
-                obj = json.loads(line)
+                text = line.decode()
+                if not text.strip():
+                    continue
+                obj = json.loads(text)
                 if obj["id"] != self._n:
                     raise ValueError(f"id must be the record position {self._n}, got {obj['id']!r}")
                 self._append(obj["rates"], obj["shares"], obj["sigma"], len(obj["kpm"]))
             except KeyError as exc:
                 raise ValueError(f"{path}, line {lineno}: no {exc} field") from None
             except (ValueError, TypeError, OverflowError) as exc:
-                # An integer beyond float range is an OverflowError.
+                # Bytes not UTF-8 are a ValueError, an int beyond float range an OverflowError.
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
         return None
 
@@ -332,7 +316,7 @@ class ExperienceStore:
         self._extend(np.array(rates, dtype=np.float64)[:, None],
                      np.array(shares, dtype=np.float64)[:, None], [sigma])
 
-    def _append_matched(self, matches: list[tuple[str, ...]], n_lines: int) -> bool:
+    def _append_matched(self, matches: list[tuple[bytes, ...]], n_lines: int) -> bool:
         """Add the records that ``_line_pattern`` captured from a block of ``n_lines`` lines, or return False.
 
         They are added only when every line matched, the ids run on from
@@ -343,7 +327,7 @@ class ExperienceStore:
         if k != n_lines:
             return False
         ids, *tokens = zip(*matches)
-        if ids != tuple(map(str, range(n, n + k))):
+        if ids != tuple(b"%d" % i for i in range(n, n + k)):
             return False
         values = np.array([list(map(float, column)) for column in tokens])
         n_slices = self.n_slices

@@ -689,6 +689,18 @@ class TestRemoteBackend:
         # token usage accumulates across the retry
         assert outcome.prompt_tokens == 20
 
+    def test_retries_once_on_a_share_beyond_float_range(self):
+        # float() of a 401-digit integer raises OverflowError, a parse error.
+        session = FakeSession(
+            [FakeResponse('{"shares":[1' + "0" * 400 + ',0]}'),
+             FakeResponse('{"shares":[0.6,0.4]}')]
+        )
+        backend = RemoteBackend("https://api.example/v1/chat", "m", session=session)
+        outcome = backend.propose(make_prompt(), CURRENT)
+        assert outcome.allocation.shares == (0.6, 0.4)
+        assert len(session.calls) == 2
+        assert (outcome.prompt_tokens, outcome.completion_tokens) == (20, 10)
+
     def test_gives_up_after_retry(self):
         session = FakeSession([FakeResponse("nope"), FakeResponse("still nope")])
         backend = RemoteBackend("https://api.example/v1/chat", "m", session=session)
@@ -734,6 +746,12 @@ class TestFailStatic:
     def test_scripted_shares_not_summing_to_one(self):
         entries = [{"shares": [0.9, 0.9]}] * 2
         with pytest.raises(ParseError):
+            ScriptedBackend(entries).propose(make_prompt(), CURRENT)
+        self.run_cycles(ScriptedBackend(entries))
+
+    def test_scripted_share_beyond_float_range(self):
+        entries = [{"shares": [10 ** 400, 0]}] * 2
+        with pytest.raises(ParseError, match="shares"):
             ScriptedBackend(entries).propose(make_prompt(), CURRENT)
         self.run_cycles(ScriptedBackend(entries))
 

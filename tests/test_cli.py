@@ -233,6 +233,10 @@ class TestErrors:
         (["scenario2", "--trials", "2"], "scenario2_grid", [80.0, -5.0]),
         (["scenario2", "--trials", "2"], "scenario2_grid", [80.0, float("nan")]),
         (["scenario1"], "scenario1_steps", [[[0, 5.0], [3, -5.0]], [[0, 4.0]]]),
+        # An integer beyond float range, and shares that do not sum to 1.
+        (["scenario2", "--trials", "2"], "scenario2_grid", [80, 10 ** 400]),
+        (["scenario1"], "initial_shares", [0.5, 0.7]),
+        (["oracle-table", "--rates", "120", "80"], "initial_shares", [0.5, 0.7]),
     ])
     def test_bad_config_rate_names_the_field(self, tmp_path, capsys, command, field, value):
         # Rejected before any trial runs, whether or not a trial would draw it.

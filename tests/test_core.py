@@ -30,7 +30,9 @@ class TestSliceSpec:
         with pytest.raises(ValueError):
             SliceSpec(0, SliceKind.LATENCY, 10.0, -1.0, 10.0, 0.2)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       pytest.param(10 ** 400, id="int-beyond-float"),
+                                       pytest.param(-10 ** 400, id="negative-int-beyond-float")])
     @pytest.mark.parametrize("field", ["sla_target", "weight", "shape_a", "shape_b"])
     def test_rejects_non_finite_field(self, field, value):
         fields = dict(sla_target=10.0, weight=1.0, shape_a=10.0, shape_b=0.2)
@@ -78,6 +80,12 @@ class TestAllocationRatio:
     def test_empty(self):
         with pytest.raises(ValueError):
             AllocationRatio([])
+
+    @pytest.mark.parametrize("share", [1.2, -0.2, math.nan, math.inf, "0.5",
+                                       pytest.param(10 ** 400, id="int-beyond-float")])
+    def test_share_outside_unit_interval_named(self, share):
+        with pytest.raises(ValueError, match="shares"):
+            AllocationRatio([share, 0.5])
 
 
 class TestSliceKpm:

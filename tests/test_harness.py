@@ -110,10 +110,16 @@ class TestHarnessConfig:
         ("scenario2_grid", (80.0, 10 ** 400)),
         ("scenario1_steps", (((0, 5.0), (3, 10 ** 400)), ((0, 4.0),))),
         ("scenario1_steps", (((0, 5.0),), ((0, float("nan")),))),
+        ("initial_shares", (10 ** 400, 0.0)),
+        ("scenario2_grid", (80.0, "90")),
+        ("initial_shares", (0.5, 0.7)),
     ])
     def test_bad_rate_names_the_field(self, field, value):
         with pytest.raises(ValueError, match=field):
             HarnessConfig(**{field: value})
+        # A config file's lists, which from_dict checks before any float().
+        with pytest.raises(ValueError, match=field):
+            HarnessConfig.from_dict(json.loads(json.dumps({field: value})))
 
     def test_default_capacity_calibration(self):
         cfg = HarnessConfig()

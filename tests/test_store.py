@@ -218,6 +218,8 @@ PERTURBATIONS = {
     "id gap": with_obj(lambda obj: obj.update(id=obj["id"] + 1)),
     "blank line": lambda line: "\n" + line + "\n",
     "CRLF": lambda line: line + "\r\n",
+    # JSON whitespace inside the line; only a newline ends one.
+    "lone CR": lambda line: line.replace(", ", ",\r", 1) + "\n",
 }
 
 
@@ -617,8 +619,10 @@ class TestBlockLoad:
         want = json_only_outcome(path, n_slices)
         taken = blocks_taken(monkeypatch)
         assert load_outcome(path, n_slices) == want
-        if case in ("unchanged", "CRLF"):
-            # Text mode reads "\r\n" as "\n", so the line is as written.
+        if case in ("CRLF", "lone CR"):
+            # Only a newline ends a line, and a carriage return is JSON whitespace.
+            assert want == load_outcome(source, n_slices)
+        if case == "unchanged":
             assert all(taken) and len(taken) > 10
             assert want[-1] == 128
             return
