@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 
 from .baselines import enumerate_splits
-from .core import check_pool
 from .harness import (
     HarnessConfig,
     run_scenario1,
@@ -61,13 +60,7 @@ def _load_config(path: Path | None) -> HarnessConfig:
     if path is None:
         return HarnessConfig()
     with open(path) as fh:
-        overrides = json.load(fh)
-    base = HarnessConfig().to_dict()
-    unknown = set(overrides) - set(base)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    base.update(overrides)
-    return HarnessConfig.from_dict(base)
+        return HarnessConfig.from_dict(json.load(fh))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -115,15 +108,8 @@ def main(argv: list[str] | None = None) -> int:
                 extra_csvs={"fig5_tokens.csv": (fields, rows)},
             )
         elif args.command == "oracle-table":
-            specs = config.specs()
-            check_pool(config.total_rbs, len(specs))
-            rows = enumerate_splits(
-                list(args.rates),
-                config.channels(),
-                config.radio_cfg(),
-                config.queue_cfg(),
-                specs,
-            )
+            rows = enumerate_splits(list(args.rates), config.channels, config.radio_cfg,
+                                    config.queue_cfg, config.specs)
             out_rows = [
                 {
                     "rb_counts": "-".join(str(c) for c in r.rb_counts),

@@ -28,10 +28,18 @@ class InfeasibleAllocationError(ValueError):
     """The RB pool cannot give every slice its minimum of one RB."""
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or for an int too long for ``repr`` (over 4,300 digits), its size."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an int of {value.bit_length()} bits"
+
+
 def check_count(name: str, value) -> None:
     """Raise ValueError, naming the field, unless value is an int >= 1 (not a bool)."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+        raise ValueError(f"{name} must be an integer of at least 1, got {_shown(value)}")
 
 
 def check_pool(total_rbs: int, n_slices: int) -> None:
@@ -77,7 +85,7 @@ def check_range(name: str, value, bound: str) -> None:
     except TypeError:
         inside = False
     if not inside:
-        raise ValueError(f"{name} must be {text}, got {value!r}")
+        raise ValueError(f"{name} must be {text}, got {_shown(value)}")
 
 
 @dataclass(frozen=True)

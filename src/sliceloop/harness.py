@@ -4,15 +4,18 @@ The bundled defaults are engineering choices sized so that a 50-50 split
 comfortably carries 80 Mbps per slice but not 120 Mbps, which reproduces
 the qualitative step-traffic behaviour the experiments need.  Scenario 1
 timelines are configuration, not code, because the source traffic rates
-are only approximate.  One scenario2 sweep shares a ``loop.SweepMemo``
-across its trials and policies, so it simulates each distinct
-slice-interval once; its outputs are byte-identical to simulating every
-interval.
+are only approximate.  ``HarnessConfig`` checks a config whole when it is
+built, naming the key at fault, and builds the radio, queue, slice and
+channel objects that every run of it shares.  One scenario2 sweep shares
+a ``loop.SweepMemo`` across its trials and policies, so it simulates each
+distinct slice-interval once; its outputs are byte-identical to
+simulating every interval.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
@@ -20,7 +23,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .core import (AllocationRatio, RadioConfig, SliceKind, SliceSpec, check_count, check_counts,
-                   check_range)
+                   check_pool, check_range)
 from .agents import HeuristicOracleBackend, RemoteBackend, ScriptedBackend
 from .loop import TIMELINE_FIELDS, Environment, ExperimentLog, SweepMemo, run_experiment
 from .radio import QueueConfig, StepProfile, UeChannelState
@@ -37,27 +40,53 @@ FIXED_BASELINES = {
 }
 
 
+# Each slice's kind, and the config keys that set its SliceSpec's
+# sla_target, weight, shape_a and shape_b; slice 0 first.
+_SLICE_KEYS = ((SliceKind.LATENCY, ("s1_sla_ms", "s1_weight", "s1_shape_a", "s1_shape_b")),
+               (SliceKind.THROUGHPUT, ("s2_target_mbps", "s2_weight", "s2_shape_a", "s2_shape_b")))
+
+
+@contextmanager
+def _naming(key):
+    """Re-raise a TypeError or ValueError of the block as a ValueError naming config ``key``.
+
+    ``key`` may instead map a type's fields to the keys that set them: the
+    type's checks start their message with the field they reject.
+    """
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        if isinstance(key, dict):
+            key = key[str(exc).split()[0]]
+        raise ValueError(f"{key}: {exc}") from None
+
+
 @dataclass
 class HarnessConfig:
     """Fully resolved experiment configuration; JSON round-trippable.
 
-    Construction checks every rate and share and stores them as tuples
-    of floats, so ``from_dict`` builds what direct construction does.
+    Construction checks the config, naming the key at fault, stores rates
+    and shares as tuples of floats, and builds the simulator's objects
+    once: ``radio_cfg``, ``queue_cfg``, ``specs``, ``channels``,
+    ``scenario1_profile`` and ``initial_allocation``.  These are plain
+    attributes, not fields, so ``to_dict`` and ``config.json`` hold the
+    keys alone.  Nothing assigns to a config after construction, so they
+    cannot go stale; build a new config to change one.
 
     ``interval_duration_s`` is only written to ``config.json``; nothing
     reads it.  The simulator's interval is ``monitoring_interval_s``.
     """
 
-    total_rbs: int = 106
-    rb_bandwidth_hz: float = 180_000.0
+    total_rbs: int = RadioConfig.total_rbs
+    rb_bandwidth_hz: float = RadioConfig.rb_bandwidth_hz
     interval_duration_s: float = 1.0
-    monitoring_interval_s: float = 1.0
-    wait_period_s: float = 5.0
-    violation_threshold: float = 0.7
+    monitoring_interval_s: float = RadioConfig.monitoring_interval_s
+    wait_period_s: float = RadioConfig.wait_period_s
+    violation_threshold: float = RadioConfig.violation_threshold
 
-    packet_size_bytes: int = 1500
-    buffer_capacity_packets: int = 256
-    tick_duration_ms: float = 1.0
+    packet_size_bytes: int = QueueConfig.packet_size_bytes
+    buffer_capacity_packets: int = QueueConfig.buffer_capacity_packets
+    tick_duration_ms: float = QueueConfig.tick_duration_ms
     ue_sinr: float = DEFAULT_UE_SINR
 
     s1_sla_ms: float = 10.0
@@ -87,20 +116,32 @@ class HarnessConfig:
 
     def __post_init__(self) -> None:
         check_counts(self, "scenario1_cycles", "scenario2_cycles", "retrieve_k")
+        self.radio_cfg, self.queue_cfg = (
+            cls(**{f.name: getattr(self, f.name) for f in dataclasses.fields(cls)})
+            for cls in (RadioConfig, QueueConfig))
+        n_slices = len(_SLICE_KEYS)
+        self.specs = []
+        for slice_id, (kind, keys) in enumerate(_SLICE_KEYS):
+            with _naming(dict(zip(("sla_target", "weight", "shape_a", "shape_b"), keys))):
+                self.specs.append(SliceSpec(slice_id, kind, *(getattr(self, k) for k in keys)))
+        with _naming("ue_sinr"):
+            self.channels = [UeChannelState(ue_id=k, slice_id=k, sinr=self.ue_sinr)
+                             for k in range(n_slices)]
+        check_pool(self.total_rbs, n_slices)
         if not self.scenario2_grid:
             raise ValueError("scenario2_grid must hold at least one rate")
-        for rate in self.scenario2_grid:
-            check_range("scenario2_grid", rate, "nonnegative")
-        for rate in (r for steps in self.scenario1_steps for _, r in steps):
-            check_range("scenario1_steps", rate, "nonnegative")
-        try:
-            self.initial_shares = AllocationRatio(self.initial_shares).shares
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"initial_shares: {exc}") from None
-        self.scenario2_grid = tuple(map(float, self.scenario2_grid))
-        self.scenario1_steps = tuple(tuple((int(s), float(r)) for s, r in steps)
-                                     for steps in self.scenario1_steps)
-        n_slices = len(self.specs())
+        with _naming("scenario2_grid"):
+            for rate in self.scenario2_grid:
+                check_range("rate", rate, "nonnegative")
+            self.scenario2_grid = tuple(map(float, self.scenario2_grid))
+        with _naming("scenario1_steps"):
+            StepProfile(self.scenario1_steps)  # checks each rate before float() could take it
+            self.scenario1_steps = tuple(tuple((int(s), float(r)) for s, r in steps)
+                                         for steps in self.scenario1_steps)
+            self.scenario1_profile = StepProfile(self.scenario1_steps)
+        with _naming("initial_shares"):
+            self.initial_allocation = AllocationRatio(self.initial_shares)
+        self.initial_shares = self.initial_allocation.shares
         for name in ("initial_shares", "scenario1_steps"):
             count = len(getattr(self, name))
             if count != n_slices:
@@ -108,45 +149,21 @@ class HarnessConfig:
                     f"{name} must have one entry per slice ({n_slices}), got {count}"
                 )
 
-    def _build(self, cls):
-        """cls built from this config's fields of the same names."""
-        return cls(**{f.name: getattr(self, f.name) for f in dataclasses.fields(cls)})
-
-    def radio_cfg(self) -> RadioConfig:
-        return self._build(RadioConfig)
-
-    def queue_cfg(self) -> QueueConfig:
-        return self._build(QueueConfig)
-
-    def specs(self) -> list[SliceSpec]:
-        return [
-            SliceSpec(0, SliceKind.LATENCY, self.s1_sla_ms, self.s1_weight,
-                      self.s1_shape_a, self.s1_shape_b),
-            SliceSpec(1, SliceKind.THROUGHPUT, self.s2_target_mbps, self.s2_weight,
-                      self.s2_shape_a, self.s2_shape_b),
-        ]
-
-    def channels(self) -> list[UeChannelState]:
-        return [
-            UeChannelState(ue_id=0, slice_id=0, sinr=self.ue_sinr),
-            UeChannelState(ue_id=1, slice_id=1, sinr=self.ue_sinr),
-        ]
-
-    def env(self, profile) -> Environment:
-        return Environment(
-            radio_cfg=self.radio_cfg(),
-            queue_cfg=self.queue_cfg(),
-            specs=self.specs(),
-            channels=self.channels(),
-            profile=profile,
-            retrieve_k=self.retrieve_k,
-        )
+    def env(self, profile: StepProfile) -> Environment:
+        return Environment(self.radio_cfg, self.queue_cfg, self.specs, self.channels, profile,
+                           self.retrieve_k)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "HarnessConfig":
+        """The config a JSON object's keys set; every key it leaves out keeps its default."""
+        if not isinstance(data, dict):
+            raise ValueError(f"config is not a JSON object: got {type(data).__name__}")
+        unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {unknown}")
         return cls(**data)
 
 
@@ -179,13 +196,12 @@ def run_scenario1(
     gate_enabled: bool = True,
 ) -> tuple[ExperimentLog, dict]:
     """Single continuous run over the bundled step timeline."""
-    profile = StepProfile(steps=config.scenario1_steps)
     backend = make_backend(backend_name, config)
     log = run_experiment(
-        config.env(profile),
+        config.env(config.scenario1_profile),
         config.scenario1_cycles,
         backend,
-        initial_allocation=AllocationRatio(config.initial_shares),
+        initial_allocation=config.initial_allocation,
         gate_enabled=gate_enabled,
     )
 
@@ -269,7 +285,7 @@ def run_scenario2(
         for name in policies:
             if name == "adaptive":
                 backend = make_backend(backend_name, config)
-                initial = AllocationRatio(config.initial_shares)
+                initial = config.initial_allocation
             else:
                 backend = None
                 initial = AllocationRatio(FIXED_BASELINES[name])

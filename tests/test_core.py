@@ -32,7 +32,8 @@ class TestSliceSpec:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
                                        pytest.param(10 ** 400, id="int-beyond-float"),
-                                       pytest.param(-10 ** 400, id="negative-int-beyond-float")])
+                                       pytest.param(-10 ** 400, id="negative-int-beyond-float"),
+                                       pytest.param(10 ** 5000, id="int-beyond-repr")])
     @pytest.mark.parametrize("field", ["sla_target", "weight", "shape_a", "shape_b"])
     def test_rejects_non_finite_field(self, field, value):
         fields = dict(sla_target=10.0, weight=1.0, shape_a=10.0, shape_b=0.2)
@@ -82,7 +83,8 @@ class TestAllocationRatio:
             AllocationRatio([])
 
     @pytest.mark.parametrize("share", [1.2, -0.2, math.nan, math.inf, "0.5",
-                                       pytest.param(10 ** 400, id="int-beyond-float")])
+                                       pytest.param(10 ** 400, id="int-beyond-float"),
+                                       pytest.param(10 ** 5000, id="int-beyond-repr")])
     def test_share_outside_unit_interval_named(self, share):
         with pytest.raises(ValueError, match="shares"):
             AllocationRatio([share, 0.5])

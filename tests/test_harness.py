@@ -104,7 +104,7 @@ class TestHarnessConfig:
         assert HarnessConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     # 10**400 is an int beyond float range, which compares with inf as finite.
-    @pytest.mark.parametrize("field, value", [
+    @pytest.mark.parametrize("key, value", [
         ("scenario2_grid", (80.0, -5.0)),
         ("scenario2_grid", (80.0, float("inf"))),
         ("scenario2_grid", (80.0, 10 ** 400)),
@@ -113,13 +113,41 @@ class TestHarnessConfig:
         ("initial_shares", (10 ** 400, 0.0)),
         ("scenario2_grid", (80.0, "90")),
         ("initial_shares", (0.5, 0.7)),
+        # Not a list, or steps out of order.
+        ("scenario2_grid", 5),
+        ("scenario1_steps", (5, 6)),
+        ("scenario1_steps", (((0, 5.0), (3, 6.0), (3, 7.0)), ((0, 4.0),))),
+        # Keys whose types name their own fields: sla_target, weight, shape_a, sinr.
+        ("s1_sla_ms", -1.0),
+        ("s2_weight", -1.0),
+        ("s1_shape_a", 0.0),
+        ("ue_sinr", -1.0),
+        # Radio and queue keys, checked when the config is built, not when a run starts.
+        ("wait_period_s", float("nan")),
+        ("packet_size_bytes", 0),
+        ("total_rbs", 1),
     ])
-    def test_bad_rate_names_the_field(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            HarnessConfig(**{field: value})
+    def test_bad_rate_names_the_field(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            HarnessConfig(**{key: value})
         # A config file's lists, which from_dict checks before any float().
-        with pytest.raises(ValueError, match=field):
-            HarnessConfig.from_dict(json.loads(json.dumps({field: value})))
+        with pytest.raises(ValueError, match=key):
+            HarnessConfig.from_dict(json.loads(json.dumps({key: value})))
+
+    def test_from_dict_names_unknown_keys(self):
+        with pytest.raises(ValueError, match=r"unknown config keys: \['bogus', 'zz'\]"):
+            HarnessConfig.from_dict({"zz": 1, "total_rbs": 10, "bogus": 2})
+
+    @pytest.mark.parametrize("data", ["abc", 5, None, [["total_rbs", 10]]])
+    def test_from_dict_rejects_a_non_object(self, data):
+        with pytest.raises(ValueError, match="not a JSON object"):
+            HarnessConfig.from_dict(data)
+
+    def test_env_hands_out_the_objects_built_at_construction(self):
+        cfg = small_config()
+        env = cfg.env(cfg.scenario1_profile)
+        assert env.specs is cfg.specs
+        assert env.radio_cfg is cfg.radio_cfg and env.channels is cfg.channels
 
     def test_default_capacity_calibration(self):
         cfg = HarnessConfig()
