@@ -244,7 +244,10 @@ class Predictor:
     slice's RB counts at once.  From each table, one ``sla.slice_risk``
     call gives the rho of every entry, and with it the excess and the
     throughput that score a split.  The tables are computed on first
-    use; ``predict`` builds the ``SliceKpm``s of its one split, and
+    use, through ``memo`` when one is given (a sweep's
+    ``SweepMemo.tables``: a slice input an earlier decision met keeps
+    its table, and only the other slices are stepped); ``predict``
+    builds the ``SliceKpm``s of its one split, and
     ``score_splits`` scores a whole array of splits by numpy gathers from
     the tables and sums slice by slice.  The carried state is never
     mutated.
@@ -258,6 +261,7 @@ class Predictor:
         queue_cfg: QueueConfig,
         specs: Sequence[SliceSpec],
         state: SimState,
+        memo: Optional[dict] = None,
     ) -> None:
         self.offered_mbps = list(offered_mbps)
         self.channels = list(channels)
@@ -265,6 +269,7 @@ class Predictor:
         self.queue_cfg = queue_cfg
         self.specs = list(specs)
         self._state = state
+        self._memo = memo
         self._weights = [spec.weight for spec in self.specs]
         self._throughput_slices = [
             k for k, spec in enumerate(self.specs) if spec.kind is SliceKind.THROUGHPUT
@@ -295,7 +300,7 @@ class Predictor:
             check_pool(self.radio_cfg.total_rbs, n)
             max_rbs = self.radio_cfg.total_rbs - n + 1
             tables = slice_kpm_tables(self.offered_mbps, self.channels, self.radio_cfg,
-                                      self.queue_cfg, self._state, max_rbs)
+                                      self.queue_cfg, self._state, max_rbs, self._memo)
             self._rhos, self._excess, self._thr = np.empty((3, n, max_rbs))
             for k, (spec, table) in enumerate(zip(self.specs, tables)):
                 risk = slice_risk(spec, table)

@@ -14,8 +14,9 @@ stays in memory and the store writes its line ahead of the next one.
 Each interval's index is stored once, on its ``CycleReport``.
 
 A sweep of many short runs can share one ``SweepMemo`` across them: each
-distinct slice-interval is then simulated once and each distinct cycle's
-KPMs assessed once, with byte-identical reports.  ``harness.run_scenario2``
+distinct slice-interval is then simulated once, each distinct slice's
+response table for a decision built once and each distinct cycle's KPMs
+assessed once, with byte-identical reports.  ``harness.run_scenario2``
 does so; ``run_experiment`` alone keeps no memo.
 """
 from __future__ import annotations
@@ -107,13 +108,16 @@ class SweepMemo:
     """What the runs of one sweep have computed, for its later runs to reuse.
 
     ``intervals`` is ``simulate_interval``'s memo of single-slice
-    intervals.  ``cycles`` keeps one assessment, and one copy of the
-    report's KPM, accounting and RB-count tuples, per distinct cycle.
-    Both grow with every distinct input: the sweep that creates a memo
-    drops it when it returns.
+    intervals, and ``tables`` is ``slice_kpm_tables``' memo of
+    single-slice response tables, which ``run_cycle`` hands to each
+    decision's ``Predictor``.  ``cycles`` keeps one assessment, and one
+    copy of the report's KPM, accounting and RB-count tuples, per
+    distinct cycle.  All grow with every distinct input: the sweep that
+    creates a memo drops it when it returns.
     """
 
     intervals: dict = field(default_factory=dict)
+    tables: dict = field(default_factory=dict)
     cycles: dict = field(default_factory=dict)
     # id of each KPM object seen -> (the object, kept alive, and the exact bits of its fields).
     _kpm_bits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -180,7 +184,8 @@ def run_cycle(
     gate disabled the backend is consulted every cycle regardless of the
     assessment (and no cooldown applies), which is the costly variant the
     token comparison measures against.  With a ``memo`` the interval and
-    its assessment are taken from it when they were computed before.
+    its assessment are taken from it when they were computed before, and
+    so is each slice's response table for a decision.
     """
     idx = state.interval_index
     offered = generate_traffic(env.profile, idx)
@@ -223,9 +228,8 @@ def run_cycle(
             env.specs,
             env.radio_cfg,
         )
-        predictor = Predictor(
-            offered, env.channels, env.radio_cfg, env.queue_cfg, env.specs, result.state
-        )
+        predictor = Predictor(offered, env.channels, env.radio_cfg, env.queue_cfg, env.specs,
+                              result.state, None if memo is None else memo.tables)
         try:
             decision = backend.propose(prompt, state.current_allocation, predictor)
             _check_outcome(decision, len(env.specs))

@@ -29,10 +29,15 @@ repeat the float operations in sequence.  Given the path, the
 buffer-capped queue is a min-plus formula, one cumulative sum and one
 running minimum, up to the first tick that empties it; that tick resets
 the credit to 0.0 and a new stretch starts.  A queue that keeps
-emptying is finished by the per-tick loop.  Once the queue is empty and
-no later tick brings more packets than one tick serves (a drained
-stretch of this discrete Lindley recursion), every later tick serves
-exactly its own arrivals, so the rest is filled in at once.
+emptying goes to the per-tick loop, where a tick that starts with
+q = 0 and credit 0.0 depends on the arrivals ahead alone: once such an
+empty tick recurs at the phase t mod P of an earlier one, for an arrival
+period P checked exactly, the ticks between them repeat, so every whole
+cycle left is filled in at once and the last partial one stepped.  Once
+the queue is empty and no later tick brings more packets than one tick
+serves (a drained stretch of this discrete Lindley recursion), every
+later tick serves exactly its own arrivals, so the rest is filled in at
+once.
 Slices share nothing but the RB total, so one slice's interval depends
 on its own inputs alone: with a memo that a sweep owns,
 ``simulate_interval`` runs the tick loop once per distinct
@@ -45,7 +50,9 @@ columns of one stacked tick loop (``_advance_slice_batch``),
 bit-identical to the scalar loop, so the KPMs of any candidate split
 are a lookup into one table per slice.  Each table holds arrays over the
 RB counts (``SliceKpmTable``), every entry from ``_slice_kpm``'s float
-operations, and no per-entry object is built.  The stacked loop serves
+operations, and no per-entry object is built.  A column steps alike
+beside any others, so with a sweep's memo, keyed as ``simulate_interval``'s,
+each distinct slice input's table is built once.  The stacked loop serves
 with the identity m = min(credit, q), served = trunc(m),
 credit <- m - served, for the queue q after admissions: where the queue
 empties m = q and the credit is 0.0; elsewhere q is whole and above the
@@ -117,7 +124,7 @@ class StepProfile:
     """Per-slice piecewise-constant offered load.
 
     ``steps[k]`` is a tuple of ``(start_interval, rate_mbps)`` pairs for
-    slice ``k``, with strictly increasing start intervals.
+    slice ``k``, with strictly increasing, whole start intervals.
     """
 
     steps: Tuple[Tuple[Tuple[int, float], ...], ...]
@@ -127,6 +134,9 @@ class StepProfile:
             if not slice_steps:
                 raise ValueError("each slice needs at least one step")
             starts = [s for s, _ in slice_steps]
+            for start in starts:
+                if isinstance(start, float) and not start.is_integer():
+                    raise ValueError(f"step intervals must be whole numbers, got {start!r}")
             if starts != sorted(set(starts)):
                 raise ValueError("step intervals must be strictly increasing")
             for _, rate in slice_steps:
@@ -348,6 +358,14 @@ def _stretch(
     return t + ticks, q_end, credit_end, int(queue[:ticks].sum())
 
 
+def _arrival_period(arrivals: np.ndarray, t: int, rate: float) -> int:
+    """The P <= 64 whose multiple of the per-tick ``rate`` lies nearest a whole
+    number, if ``arrivals`` repeat with period P from tick ``t`` on, else -1."""
+    multiples = rate * np.arange(1, 65)
+    p = int(np.abs(multiples - np.rint(multiples)).argmin()) + 1
+    return p if np.array_equal(arrivals[t + p:], arrivals[t:-p]) else -1
+
+
 def _advance_slice(
     qs: SliceQueueState,
     offered_bps: float,
@@ -369,7 +387,8 @@ def _advance_slice(
     packets than one tick serves, every later tick serves exactly its
     own arrivals: nothing is dropped, nothing is carried and the credit
     stays 0.0, so the rest of the interval is filled in at once.  A
-    queue that keeps emptying is finished by the per-tick loop.
+    queue that keeps emptying is finished by the per-tick loop, which
+    tiles the whole cycles left once an empty tick repeats its phase.
     """
     queued_before = len(qs.arrival_ticks)
     if queued_before > buffer_cap:
@@ -398,26 +417,48 @@ def _advance_slice(
             queue_sum += stretch_sum
             if t - t0 < _MIN_STRETCH_TICKS:
                 break
-    t0, tail = t, []  # the per-tick loop's admissions
-    for t, a in enumerate(arrivals[t0:].tolist(), t0):
-        if q == 0 and t >= drained_from:
-            admitted[t:] = arrivals[t:]
-            credit = 0.0
-            break
-        room = buffer_cap - q
-        adm = a if a <= room else room
-        q += adm
-        credit += c
-        s = int(credit)
-        if s > q:
-            s = q
-        q -= s
-        credit -= s
-        if q == 0:
-            credit = 0.0
-        tail.append(adm)
-        queue_sum += q
-    admitted[t0:t0 + len(tail)] = tail
+    # The per-tick loop.  From its second empty tick on, `phases` maps t mod
+    # P, for an arrival period P, to the first empty tick and queue sum at
+    # that phase; `period` is 0 before the look, -1 after a failed look or a jump.
+    empties, period, phases = 0, 0, {}
+    while t < n_ticks:
+        t0, tail = t, []  # this pass's admissions
+        for t, a in enumerate(arrivals[t0:].tolist(), t0):
+            if q == 0:
+                if t >= drained_from:
+                    admitted[t:] = arrivals[t:]
+                    t, credit = n_ticks, 0.0
+                    break
+                if credit == 0.0 and period >= 0:
+                    empties += 1
+                    if empties == 2:
+                        period = _arrival_period(arrivals, t, offered_bps * tick_s / packet_bits)
+                    if period > 0:
+                        first = phases.setdefault(t % period, (t, queue_sum))
+                        if first[0] < t:
+                            break
+            room = buffer_cap - q
+            adm = a if a <= room else room
+            q += adm
+            credit += c
+            s = int(credit)
+            if s > q:
+                s = q
+            q -= s
+            credit -= s
+            if q == 0:
+                credit = 0.0
+            tail.append(adm)
+            queue_sum += q
+        else:
+            t = n_ticks
+        admitted[t0:t0 + len(tail)] = tail
+        if t < n_ticks:  # ticks first[0] .. t - 1 repeat: tile every whole cycle left
+            (t1, sum1), length = first, t - first[0]
+            cycles = (n_ticks - t) // length
+            admitted[t:t + cycles * length].reshape(cycles, length)[:] = admitted[t1:t]
+            queue_sum += cycles * (queue_sum - sum1)
+            t, period = t + cycles * length, -1
 
     delivered, latency, carried = _column_latency(qs, admitted, queue_sum, q)
     acct = SliceAccounting(
@@ -628,6 +669,22 @@ def _slice_kpm(
     )
 
 
+def _slice_key(offered_mbps: float, service: object, qs: SliceQueueState,
+               interval: tuple) -> tuple:
+    """A memo key: the exact bits (``core.exact_key``) of a slice's offered rate, its
+    ``service`` (the bits of its service rate or rates), its carried queue and the
+    ``_interval_key``.  Carried state is position-free, so no clock is among them."""
+    fifo = qs.arrival_ticks
+    return (exact_key(offered_mbps), service, fifo.dtype.str, fifo.tobytes(),
+            exact_key(qs.arrival_carry), exact_key(qs.service_credit), interval)
+
+
+def _interval_key(n_ticks: int, queue_cfg: QueueConfig) -> tuple:
+    """The interval's tick count, tick length, packet size and buffer, as exact bits."""
+    return (n_ticks, exact_key(queue_cfg.tick_duration_ms), queue_cfg.packet_bits,
+            queue_cfg.buffer_capacity_packets)
+
+
 def simulate_interval(
     offered_mbps: Sequence[float],
     rb_counts: Sequence[int],
@@ -647,13 +704,9 @@ def simulate_interval(
 
     ``memo``, a dict that the caller owns, maps each slice-interval
     simulated with it to its (``SliceKpm``, ``SliceAccounting``, carried
-    ``SliceQueueState``).  The key is the exact bits (``core.exact_key``)
-    of every value a slice's step and KPMs are computed from: its offered
-    rate, its service rate, its carried FIFO, its arrival carry and
-    service credit, and the interval's tick count, tick length, packet
-    size and buffer.  Carried state is position-free, so ``state.tick``
-    is not among them.  A slice found in the memo is not simulated again:
-    it gets the stored objects themselves, whose FIFO is read-only.
+    ``SliceQueueState``), keyed by ``_slice_key`` with the slice's
+    service rate.  A slice found in the memo is not simulated again: it
+    gets the stored objects themselves, whose FIFO is read-only.
     """
     n_slices = len(rb_counts)
     if len(offered_mbps) != n_slices or len(state.queues) != n_slices:
@@ -663,7 +716,7 @@ def simulate_interval(
 
     tick_s, n_ticks, interval_s = _interval_ticks(radio_cfg, queue_cfg)
     packet_bits, buffer_cap = queue_cfg.packet_bits, queue_cfg.buffer_capacity_packets
-    interval_key = (n_ticks, exact_key(queue_cfg.tick_duration_ms), packet_bits, buffer_cap)
+    interval_key = _interval_key(n_ticks, queue_cfg)
     results = []  # (KPMs, accounting, carried queue) per slice
     for k in range(n_slices):
         ue = _slice_ue(channels, k)
@@ -671,10 +724,7 @@ def simulate_interval(
         qs = state.queues[k]
         key = result = None
         if memo is not None:
-            fifo = qs.arrival_ticks
-            key = (exact_key(offered_mbps[k]), exact_key(service_bps), fifo.dtype.str,
-                   fifo.tobytes(), exact_key(qs.arrival_carry), exact_key(qs.service_credit),
-                   interval_key)
+            key = _slice_key(offered_mbps[k], exact_key(service_bps), qs, interval_key)
             result = memo.get(key)
         if result is None:
             new_qs, acct, lat_ticks = _advance_slice(
@@ -695,13 +745,17 @@ class SliceKpmTable:
     """One slice's KPMs over one interval, one entry per RB count 1..M.
 
     The fields of ``core.SliceKpm``: latency (ms), throughput and drop
-    ratio as float64 arrays, the offered load as the one rate offered.
+    ratio as read-only float64 arrays, the offered load as the one rate.
     """
 
     mean_latency_ms: np.ndarray
     mean_throughput_mbps: np.ndarray
     drop_ratio: np.ndarray
     offered_load_mbps: float
+
+    def __post_init__(self) -> None:
+        for values in (self.mean_latency_ms, self.mean_throughput_mbps, self.drop_ratio):
+            values.setflags(write=False)
 
     def kpm(self, rbs: int) -> SliceKpm:
         """The ``SliceKpm`` of ``rbs`` RBs, its fields Python floats."""
@@ -717,6 +771,7 @@ def slice_kpm_tables(
     queue_cfg: QueueConfig,
     state: SimState,
     max_rbs: int,
+    memo: dict | None = None,
 ) -> list[SliceKpmTable]:
     """Every slice's KPMs over the next interval for 1..max_rbs RBs.
 
@@ -725,23 +780,37 @@ def slice_kpm_tables(
     the other slices hold, since slices share nothing but the RB total:
     all slices and RB counts run in one stacked queue recursion, and each
     field takes ``_slice_kpm``'s float operations entry by entry.
+    ``memo``, a dict that the caller owns, maps ``_slice_key`` of a slice
+    and its row of ``max_rbs`` service rates to its table: only slices not
+    found there are stacked, and each gets the stored table itself.
     Raises ``InternalStateError`` unless there is one offered rate per
     carried queue.
     """
+    if len(offered_mbps) != len(state.queues):
+        raise InternalStateError("slice counts disagree across inputs")
     tick_s, n_ticks, interval_s = _interval_ticks(radio_cfg, queue_cfg)
     rbs = np.arange(1, max_rbs + 1)
     service_bps = np.array([
         channel_capacity(_slice_ue(channels, k), rbs, radio_cfg.rb_bandwidth_hz)
         for k in range(len(state.queues))
     ])
-    offered, delivered, dropped, _, latency_ticks = _advance_slice_batch(
-        state.queues, [mbps * 1e6 for mbps in offered_mbps], service_bps, n_ticks, tick_s,
-        queue_cfg.packet_bits, queue_cfg.buffer_capacity_packets)
-    delivered_mbps = delivered * queue_cfg.packet_bits / interval_s / 1e6
-    # min(delivered_mbps, mbps): np.minimum gives its second argument on ties.
-    throughput = np.minimum(np.array(offered_mbps, dtype=np.float64)[:, None], delivered_mbps)
-    drop_ratio = np.zeros(dropped.shape)
-    np.divide(dropped, offered[:, None], out=drop_ratio, where=offered[:, None] > 0)
-    latency_ms = latency_ticks * queue_cfg.tick_duration_ms
-    return [SliceKpmTable(latency_ms[k], throughput[k], drop_ratio[k], mbps)
-            for k, mbps in enumerate(offered_mbps)]
+    if memo is None:  # one table per slice, shared with no other
+        memo, keys = {}, range(len(state.queues))
+    else:
+        keys = [_slice_key(mbps, row.tobytes(), qs, _interval_key(n_ticks, queue_cfg))
+                for mbps, row, qs in zip(offered_mbps, service_bps, state.queues)]
+    missed = [k for k, key in enumerate(keys) if key not in memo]
+    if missed:
+        mbps = [offered_mbps[k] for k in missed]
+        offered, delivered, dropped, _, latency_ticks = _advance_slice_batch(
+            [state.queues[k] for k in missed], [x * 1e6 for x in mbps], service_bps[missed],
+            n_ticks, tick_s, queue_cfg.packet_bits, queue_cfg.buffer_capacity_packets)
+        delivered_mbps = delivered * queue_cfg.packet_bits / interval_s / 1e6
+        # min(delivered_mbps, mbps): np.minimum gives its second argument on ties.
+        throughput = np.minimum(np.array(mbps, dtype=np.float64)[:, None], delivered_mbps)
+        drop_ratio = np.zeros(dropped.shape)
+        np.divide(dropped, offered[:, None], out=drop_ratio, where=offered[:, None] > 0)
+        latency_ms = latency_ticks * queue_cfg.tick_duration_ms
+        for i, k in enumerate(missed):
+            memo[keys[k]] = SliceKpmTable(latency_ms[i], throughput[i], drop_ratio[i], mbps[i])
+    return [memo[key] for key in keys]

@@ -117,6 +117,8 @@ class TestHarnessConfig:
         ("scenario2_grid", 5),
         ("scenario1_steps", (5, 6)),
         ("scenario1_steps", (((0, 5.0), (3, 6.0), (3, 7.0)), ((0, 4.0),))),
+        # A start that is not a whole number, which int() would truncate.
+        ("scenario1_steps", (((0, 80.0), (2.9, 120.0)), ((0, 80.0),))),
         # Keys whose types name their own fields: sla_target, weight, shape_a, sinr.
         ("s1_sla_ms", -1.0),
         ("s2_weight", -1.0),

@@ -220,3 +220,63 @@ class TestSweepMemo:
         slice_intervals = 6 * 4 * config.scenario2_cycles * 2
         assert counts[0] == counts[1] < slice_intervals
         assert counts[2] == 5 * 2
+
+
+def table_bits(table):
+    """A ``SliceKpmTable``'s arrays and offered load, floats as float.hex."""
+    return ([hexes(*values.tolist()) for values in
+             (table.mean_latency_ms, table.mean_throughput_mbps, table.drop_ratio)],
+            float.hex(table.offered_load_mbps))
+
+
+class TestTableMemo:
+    """``slice_kpm_tables`` with a memo builds one table per distinct slice input."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(carried=st.tuples(queues, queues, queues),
+           rates=st.tuples(st.sampled_from(RATES), st.sampled_from(RATES),
+                           st.sampled_from(RATES)))
+    @example(carried=(HALF, EMPTY, HALF), rates=(30.0, 8.0, 16.0))
+    def test_served_table_equals_a_fresh_one_beside_another_partner(self, carried, rates):
+        env = make_env(rates[:2])
+        args = (env.channels, env.radio_cfg, env.queue_cfg)
+        memo = {}
+        first = radio.slice_kpm_tables(
+            rates[:2], *args, SimState(0, [carried_queue(q) for q in carried[:2]]), 9, memo)
+        # Slice 0's input again, as new objects, now beside a third slice input.
+        state = SimState(0, [carried_queue(carried[0]), carried_queue(carried[2])])
+        stepped = []
+        batch = radio._advance_slice_batch
+
+        def recording(queues, *rest):
+            stepped.append(len(queues))
+            return batch(queues, *rest)
+
+        with mock.patch.object(radio, "_advance_slice_batch", recording):
+            served = radio.slice_kpm_tables([rates[0], rates[2]], *args, state, 9, memo)
+        fresh = radio.slice_kpm_tables([rates[0], rates[2]], *args, state, 9)
+        assert served[0] is first[0]
+        assert [table_bits(t) for t in served] == [table_bits(t) for t in fresh]
+        # Both slices have the same channel, so the third input is stored
+        # already when it equals either earlier one, bit for bit.
+        seen = {(float.hex(r), q) for r, q in zip(rates[:2], carried[:2])}
+        assert stepped == ([] if (float.hex(rates[2]), carried[2]) in seen else [1])
+        for table in memo.values():
+            for values in (table.mean_latency_ms, table.mean_throughput_mbps, table.drop_ratio):
+                assert not values.flags.writeable
+                with pytest.raises(ValueError):
+                    values[:] = 0.0
+
+    def test_a_repeated_decision_steps_no_column(self):
+        # 30 Mbps on slice 0's 5 RBs (11 Mbps) breaks its latency SLA: the gate opens.
+        env = make_env((30.0, 4.0))
+        memo = SweepMemo()
+        state = LoopState(AllocationRatio((0.5, 0.5)), 0, SimState.fresh(2))
+        _, first = run_cycle(state, env, ExperienceStore(2), HeuristicOracleBackend(), memo=memo)
+        assert first.gate_open and first.decision is not None
+        assert len(memo.tables) == 2
+        with mock.patch.object(radio, "_advance_slice_batch",
+                               side_effect=AssertionError("stepped")):
+            _, again = run_cycle(state, env, ExperienceStore(2), HeuristicOracleBackend(),
+                                 memo=memo)
+        assert report_bits(again) == report_bits(first)

@@ -94,6 +94,14 @@ class TestGenerateTraffic:
         with pytest.raises(ValueError):
             StepProfile(steps=(((5, 80.0), (5, 90.0)),))
 
+    @pytest.mark.parametrize("start", [2.9, 0.5, math.inf, math.nan])
+    def test_start_that_is_not_a_whole_number_rejected(self, start):
+        with pytest.raises(ValueError, match="whole numbers"):
+            StepProfile(steps=(((0, 80.0), (start, 120.0)), ((0, 80.0),)))
+        # A whole float start is the interval it names.
+        profile = StepProfile(steps=(((0, 80.0), (2.0, 120.0)), ((0, 80.0),)))
+        assert generate_traffic(profile, 2) == [120.0, 80.0]
+
     @pytest.mark.parametrize("rate", [-5.0, math.inf, math.nan, 10 ** 400])
     def test_bad_rate_names_the_field(self, rate):
         with pytest.raises(ValueError, match="steps rates"):
@@ -666,6 +674,25 @@ def live_slices(draw):
     return qs, offered_bps, service_bps, n_ticks, tick_s, packet_bits, cap
 
 
+@st.composite
+def periodic_live_slices(draw):
+    """``_advance_slice`` arguments whose queue keeps emptying on periodic
+    arrivals: p/P packets a tick, P <= 16 and p/P not whole, served at c in
+    (p/P, ceil(p/P)], over 500 to 3,000 ticks, from a carried backlog,
+    carry and credit, with a buffer that often binds."""
+    period = draw(st.integers(2, 16))
+    rate = draw(st.integers(1, 16 * period).filter(lambda p: p % period)) / period
+    c = draw(st.floats(rate, math.ceil(rate), exclude_min=True))
+    cap = draw(st.integers(1, 2 * math.ceil(rate) + 2))
+    ages = draw(st.lists(st.integers(0, 400), max_size=cap))
+    qs = SliceQueueState(np.array(sorted(-1 - a for a in ages), dtype=np.int64),
+                         draw(st.floats(0.0, 1.0, exclude_max=True)),
+                         draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0, exclude_max=True)))
+    per_s = EXACT_PACKET_BITS / EXACT_TICK_S
+    return (qs, rate * per_s, c * per_s, draw(st.integers(500, 3000)), EXACT_TICK_S,
+            EXACT_PACKET_BITS, cap)
+
+
 def sequential_credit_path(x, c, k):
     """The credit and potential service of each tick, as the tick loop computes them."""
     credits, potentials = [], []
@@ -688,6 +715,29 @@ def assert_matches_reference(args):
     assert got_state.arrival_carry.hex() == ref_state.arrival_carry.hex()
     assert got_state.service_credit.hex() == ref_state.service_credit.hex()
     return got_acct
+
+
+def stepped_ticks(args):
+    """Check the live step against the reference loop; return how many
+    ticks its per-tick loop took from the arrivals, counted by handing it
+    arrivals whose ``tolist`` counts the items drawn from it."""
+    drawn = []
+
+    class CountedArrivals(np.ndarray):
+        def tolist(self):
+            for a in np.ndarray.tolist(self):
+                drawn.append(a)
+                yield a
+
+    arrivals = radio._arrivals
+
+    def counted(*rest):
+        per_tick, *others = arrivals(*rest)
+        return (per_tick.view(CountedArrivals), *others)
+
+    with mock.patch.object(radio, "_arrivals", counted):
+        assert_matches_reference(args)
+    return len(drawn)
 
 
 def exact_args(c, offered_per_tick, n_ticks, cap=256, backlog=0, credit=0.0):
@@ -803,6 +853,33 @@ class TestLiveQueue:
             calls = self.stretches(args)
         assert len(calls) == radio._MAX_STRETCHES
         assert calls[-1][1] < 1000
+
+    @settings(max_examples=300, deadline=None)
+    @given(args=periodic_live_slices())
+    def test_periodic_queue_that_keeps_emptying_matches_reference(self, args):
+        assert_matches_reference(args)
+
+    def test_queue_that_keeps_emptying_jumps_over_its_cycles(self):
+        # 8.3 packets a tick repeat every 10 ticks.  Once an empty tick
+        # recurs at the phase of an earlier one, every whole cycle left of
+        # the 3,000 ticks is filled in at once and the last partial one
+        # stepped.
+        args = exact_args(8.4, 8.3, 3000)
+        assert stepped_ticks(args) < 100
+        # Without a period the per-tick loop takes every tick after the stretch.
+        [(_, end)] = self.stretches(args)
+        with mock.patch.object(radio, "_arrival_period", return_value=-1):
+            assert stepped_ticks(args) == 3000 - end
+
+    def test_arrivals_that_do_not_repeat_step_every_tick(self):
+        # 3e packets a tick, a float rate: the arrivals repeat no period,
+        # so after the first short stretch the per-tick loop steps every
+        # tick, having looked for a period once.
+        args = (SliceQueueState(), 3 * math.e * 12e6, 8.2 * 12e6, 3000, 0.001, 12_000, 256)
+        [(_, end)] = self.stretches(args)
+        with mock.patch.object(radio, "_arrival_period", wraps=radio._arrival_period) as look:
+            assert stepped_ticks(args) == 3000 - end
+        assert look.call_count == 1
 
     def test_queue_pinned_at_the_cap(self):
         # A full buffer that arrivals keep full: one stretch, every tick
