@@ -32,7 +32,6 @@ package or by ``perfbench``.
 from __future__ import annotations
 
 import argparse
-import glob
 import hashlib
 import json
 import os
@@ -43,12 +42,12 @@ import subprocess
 import sys
 import tempfile
 import time
-import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+from source_lines import source_lines  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 CLI_COMMANDS = {
@@ -163,26 +162,6 @@ def _tests() -> dict:
             "errors": counts.get("error", 0) + counts.get("errors", 0), "summary": last}
 
 
-def _source_lines() -> dict:
-    """Lines of ``src/sliceloop``: all, and those left without blank, comment and
-    docstring lines (a string that starts a statement), by tokenize."""
-    ends = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
-    skip = ends | {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING, tokenize.ENDMARKER}
-    total = net = 0
-    for path in sorted(glob.glob(str(ROOT / "src" / "sliceloop" / "*.py"))):
-        lines, starts = set(), True
-        with open(path, "rb") as fh:
-            total += len(fh.readlines())
-            fh.seek(0)
-            for tok in tokenize.tokenize(fh.readline):
-                if tok.type not in skip and not (starts and tok.type == tokenize.STRING):
-                    lines.update(range(tok.start[0], tok.end[0] + 1))
-                if tok.type not in skip - ends:
-                    starts = tok.type in ends
-        net += len(lines)
-    return {"total": total, "net": net}
-
-
 def _source_sha256() -> str:
     """SHA-256 over the relative path and bytes of every ``.py`` and ``.json``
     file under ``src/`` and ``perfbench/``, in sorted order: it names the
@@ -225,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
         "traced": _traced(),
         "cli_s": _cli_seconds(),
         "tests": _tests(),
-        "source_lines": _source_lines(),
+        "source_lines": source_lines(),
         "mismeasured": MISMEASURED,
     }
     path = ROOT / f"BENCH_{args.pr}.json"

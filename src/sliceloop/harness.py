@@ -26,7 +26,7 @@ from .core import (AllocationRatio, RadioConfig, SliceKind, SliceSpec, check_cou
                    check_pool, check_range)
 from .agents import HeuristicOracleBackend, RemoteBackend, ScriptedBackend
 from .loop import TIMELINE_FIELDS, Environment, ExperimentLog, SweepMemo, run_experiment
-from .radio import QueueConfig, StepProfile, UeChannelState
+from .radio import QueueConfig, StepProfile, UeChannelState, _interval_ticks
 from .stats import compute_distribution_stats, write_csv
 
 # Uniform SINR giving each RB exactly 2.2 Mbps at 180 kHz, so the default
@@ -119,6 +119,7 @@ class HarnessConfig:
         self.radio_cfg, self.queue_cfg = (
             cls(**{f.name: getattr(self, f.name) for f in dataclasses.fields(cls)})
             for cls in (RadioConfig, QueueConfig))
+        _interval_ticks(self.radio_cfg, self.queue_cfg)  # a whole number of ticks
         n_slices = len(_SLICE_KEYS)
         self.specs = []
         for slice_id, (kind, keys) in enumerate(_SLICE_KEYS):

@@ -16,9 +16,10 @@ from the start of the interval that the state carries into, so it is
 negative, and nothing a slice-interval reads says when it runs.
 ``simulate_interval`` advances the live queues with ``_advance_slice``,
 which also returns the carried FIFO, its ticks shifted once to the next
-interval's start.  It steps an interval a stretch at a time,
-bit-identical to the per-tick loop.  While the queue stays non-empty,
-the service credit follows a free path (``_credit_path``):
+interval's start.  It steps an interval in one closed-form stretch,
+then the per-tick loop, each bit-identical to stepping every tick, so
+any split of the interval between them is exact.  While the queue stays
+non-empty, the service credit follows a free path (``_credit_path``):
 each tick adds the service rate c and serves the whole part.  Each sum
 ``credit + c`` is below c + 1, so when c and the credit are multiples of
 w, the ulp of the binade that sum can reach, every sum is exact and the
@@ -27,13 +28,13 @@ units of w.  For c >= 1 that holds after one tick whenever
 c + 1 <= 2**(e+1), with 2**e <= c, where w = ulp(c); other paths
 repeat the float operations in sequence.  Given the path, the
 buffer-capped queue is a min-plus formula, one cumulative sum and one
-running minimum, up to the first tick that empties it; that tick resets
-the credit to 0.0 and a new stretch starts.  A queue that keeps
-emptying goes to the per-tick loop, where a tick that starts with
-q = 0 and credit 0.0 depends on the arrivals ahead alone: once such an
-empty tick recurs at the phase t mod P of an earlier one, for an arrival
-period P checked exactly, the ticks between them repeat, so every whole
-cycle left is filled in at once and the last partial one stepped.  Once
+running minimum, up to the first tick that empties it, which resets
+the credit to 0.0: that is the stretch.  The per-tick loop finishes the
+interval.  In it, a tick that starts with q = 0 and credit 0.0 depends
+on the arrivals ahead alone: once such an empty tick recurs at the
+phase t mod P of an earlier one, for an arrival period P checked
+exactly, the ticks between them repeat, so every whole cycle left is
+filled in at once and the last partial one stepped.  Once
 the queue is empty and no later tick brings more packets than one tick
 serves (a drained stretch of this discrete Lindley recursion), every
 later tick serves exactly its own arrivals, so the rest is filled in at
@@ -249,13 +250,6 @@ def _arrivals(
 # Bound on the int64 sums of a stretch: offered packets plus a buffer's
 # worth per tick, with room to spare for the differences taken of them.
 _INT64_SUMS = 1 << 62
-# A queue that keeps emptying starts a new stretch after every empty
-# tick, and each stretch costs a dozen numpy calls over the rest of the
-# interval, worth it only while stretches are long: after this many
-# stretches, or after one shorter than _MIN_STRETCH_TICKS, the per-tick
-# loop finishes the interval.
-_MAX_STRETCHES = 8
-_MIN_STRETCH_TICKS = 32
 
 
 def _credit_path(x: float, c: float, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -317,15 +311,14 @@ def _credit_step(x: float, c: float) -> float:
 def _stretch(
     arrivals: np.ndarray,
     admitted: np.ndarray,
-    t: int,
     q: int,
     credit: float,
     c: float,
     buffer_cap: int,
 ) -> tuple[int, int, float, int]:
-    """Step the queue from tick ``t`` through the first tick that empties it.
+    """Step the queue from the interval's start through the first tick that empties it.
 
-    Fills ``admitted`` over those ticks and returns (next tick, queue
+    Fills ``admitted`` over those ticks and returns (ticks stepped, queue
     length, credit, queue length after service summed over the ticks).
     While the queue stays non-empty no service is capped and the credit
     follows ``_credit_path``, so with sigma the potentials the queue
@@ -334,9 +327,8 @@ def _stretch(
     sum of a_i - sigma_i over i <= t.  The first tick where that is not
     positive serves its whole queue and resets the credit to 0.0.
     """
-    a = arrivals[t:]
-    credits, sigma = _credit_path(credit, c, len(a))
-    s = np.cumsum(a - sigma)
+    credits, sigma = _credit_path(credit, c, len(arrivals))
+    s = np.cumsum(arrivals - sigma)
     bound = buffer_cap - sigma - s
     np.minimum.accumulate(bound, out=bound)
     np.minimum(bound, q, out=bound)
@@ -347,15 +339,15 @@ def _stretch(
         queue[ticks - 1] = 0
         q_end, credit_end = 0, 0.0
     else:
-        ticks = len(a)
+        ticks = len(arrivals)
         q_end, credit_end = int(queue[-1]), float(credits[-1])
     # Each tick admits min(a_t, cap - q_{t-1}).
     room = np.empty(ticks, dtype=np.int64)
     room[0] = q
     room[1:] = queue[:ticks - 1]
     np.subtract(buffer_cap, room, out=room)
-    np.minimum(a[:ticks], room, out=admitted[t:t + ticks])
-    return t + ticks, q_end, credit_end, int(queue[:ticks].sum())
+    np.minimum(arrivals[:ticks], room, out=admitted[:ticks])
+    return ticks, q_end, credit_end, int(queue[:ticks].sum())
 
 
 def _arrival_period(arrivals: np.ndarray, t: int, rate: float) -> int:
@@ -381,14 +373,16 @@ def _advance_slice(
     Within a tick, arrivals join the queue first and service follows, so
     a packet served in its arrival tick experiences one tick of latency.
 
-    The interval is stepped a stretch at a time (``_stretch``): from a
-    tick through the first one that empties the queue, in a few numpy
-    calls.  Once the queue is empty and no later tick brings more
-    packets than one tick serves, every later tick serves exactly its
-    own arrivals: nothing is dropped, nothing is carried and the credit
-    stays 0.0, so the rest of the interval is filled in at once.  A
-    queue that keeps emptying is finished by the per-tick loop, which
-    tiles the whole cycles left once an empty tick repeats its phase.
+    The interval is stepped in one closed-form stretch (``_stretch``),
+    from the carried queue through the first tick that empties it, in a
+    few numpy calls, taken when the queue starts non-empty or some tick
+    brings more packets than one tick serves.  The per-tick loop
+    finishes the interval.  Once the queue is empty and no later tick
+    brings more packets than one tick serves, every later tick serves
+    exactly its own arrivals: nothing is dropped, nothing is carried and
+    the credit stays 0.0, so the rest of the interval is filled in at
+    once.  A queue that keeps emptying is stepped tick by tick, and the
+    whole cycles left are tiled once an empty tick repeats its phase.
     """
     queued_before = len(qs.arrival_ticks)
     if queued_before > buffer_cap:
@@ -408,15 +402,9 @@ def _advance_slice(
     t = 0
     # With int(c) >= buffer_cap every tick empties the queue; the int64
     # sums of a stretch must hold every tick's arrivals and service.
-    if c < buffer_cap and offered + (n_ticks + 2) * buffer_cap < _INT64_SUMS:
-        for _ in range(_MAX_STRETCHES):
-            if t == n_ticks or (q == 0 and t >= drained_from):
-                break
-            t0 = t
-            t, q, credit, stretch_sum = _stretch(arrivals, admitted, t, q, credit, c, buffer_cap)
-            queue_sum += stretch_sum
-            if t - t0 < _MIN_STRETCH_TICKS:
-                break
+    if ((q or drained_from) and c < buffer_cap
+            and offered + (n_ticks + 2) * buffer_cap < _INT64_SUMS):
+        t, q, credit, queue_sum = _stretch(arrivals, admitted, q, credit, c, buffer_cap)
     # The per-tick loop.  From its second empty tick on, `phases` maps t mod
     # P, for an arrival period P, to the first empty tick and queue sum at
     # that phase; `period` is 0 before the look, -1 after a failed look or a jump.
@@ -720,7 +708,8 @@ def simulate_interval(
     results = []  # (KPMs, accounting, carried queue) per slice
     for k in range(n_slices):
         ue = _slice_ue(channels, k)
-        service_bps = channel_capacity(ue, rb_counts[k], radio_cfg.rb_bandwidth_hz)
+        # A Python float for any integer type of RB count: the same bits and memo key.
+        service_bps = float(channel_capacity(ue, rb_counts[k], radio_cfg.rb_bandwidth_hz))
         qs = state.queues[k]
         key = result = None
         if memo is not None:

@@ -10,6 +10,10 @@ cuts the file back to it before every write and after one that fails.
 A failed write's lines are written ahead of the next record's line, so
 each id stays its line's position, and a partial line that a failed
 cut left behind is cut off by the next write, not buried mid-file.
+The pending lines are thus bounded by the records themselves: one line
+per record whose write failed since the last write that succeeded,
+which clears them all.  While the file refuses every write, each
+record keeps its line in memory beside its columns.
 In memory the store keeps only the columns that retrieval and the
 prompt read: one row of arrival rates and one of shares per slice and
 one array of sigmas, record ``i`` in column ``i``.  The KPM summary

@@ -128,6 +128,8 @@ class TestHarnessConfig:
         ("wait_period_s", float("nan")),
         ("packet_size_bytes", 0),
         ("total_rbs", 1),
+        # An interval that is not a whole number of ticks.
+        ("monitoring_interval_s", 1.0005),
     ])
     def test_bad_rate_names_the_field(self, key, value):
         with pytest.raises(ValueError, match=key):

@@ -10,7 +10,7 @@ from sliceloop.agents import (
     HeuristicOracleBackend,
 )
 from sliceloop.core import RadioConfig, SliceKind, SliceSpec
-from sliceloop.loop import Environment, run_experiment
+from sliceloop.loop import Environment, SweepMemo, run_experiment
 from sliceloop.radio import QueueConfig, StepProfile, UeChannelState
 from sliceloop.store import ExperienceStore
 
@@ -166,6 +166,22 @@ class TestFailStatic:
         assert len(store) == 6
         assert all(c.storage_error for c in log.cycles)
         assert log.reallocation_count >= 1
+
+    def test_thousand_failed_writes_then_one_lands_every_line(self, tmp_path):
+        # The pending lines are the failed records' own: 1,000 failed
+        # writes change no decision, and the next write lands them all.
+        store = ExperienceStore(2, path=tmp_path)
+        memo = SweepMemo()
+        log = run_experiment(make_env(), 1000, HeuristicOracleBackend(), store=store, memo=memo)
+        assert all(c.storage_error for c in log.cycles)
+        in_memory = run_experiment(make_env(), 1000, HeuristicOracleBackend(), memo=memo)
+        assert [c.rb_counts for c in log.cycles] == [c.rb_counts for c in in_memory.cycles]
+        assert log.reallocation_count >= 1
+        store.path = tmp_path / "store.jsonl"
+        last = run_experiment(make_env(), 1, None, store=store)
+        assert last.cycles[0].storage_error is None
+        ids = [json.loads(line)["id"] for line in store.path.read_text().splitlines()]
+        assert ids == list(range(1001))
 
     def test_errors_cost_no_tokens(self):
         log = run_experiment(make_env(), 12, backend=AlwaysErrorBackend())
