@@ -37,9 +37,12 @@ def _shown(value) -> str:
 
 
 def check_count(name: str, value) -> None:
-    """Raise ValueError, naming the field, unless value is an int >= 1 (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be an integer of at least 1, got {_shown(value)}")
+    """Raise ValueError, naming the field, unless value is an int (not a bool) from 1 to
+    the largest float, the upper bound ``check_range`` puts on every number."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or not 1 <= value <= sys.float_info.max):
+        raise ValueError(f"{name} must be an integer from 1 to the largest float, "
+                         f"got {_shown(value)}")
 
 
 def check_pool(total_rbs: int, n_slices: int) -> None:

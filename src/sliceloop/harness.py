@@ -26,7 +26,7 @@ from .core import (AllocationRatio, RadioConfig, SliceKind, SliceSpec, check_cou
                    check_pool, check_range)
 from .agents import HeuristicOracleBackend, RemoteBackend, ScriptedBackend
 from .loop import TIMELINE_FIELDS, Environment, ExperimentLog, SweepMemo, run_experiment
-from .radio import QueueConfig, StepProfile, UeChannelState, _interval_ticks
+from .radio import QueueConfig, StepProfile, UeChannelState, _interval_ticks, arrival_rate
 from .stats import compute_distribution_stats, write_csv
 
 # Uniform SINR giving each RB exactly 2.2 Mbps at 180 kHz, so the default
@@ -119,7 +119,7 @@ class HarnessConfig:
         self.radio_cfg, self.queue_cfg = (
             cls(**{f.name: getattr(self, f.name) for f in dataclasses.fields(cls)})
             for cls in (RadioConfig, QueueConfig))
-        _interval_ticks(self.radio_cfg, self.queue_cfg)  # a whole number of ticks
+        tick_s, n_ticks, _ = _interval_ticks(self.radio_cfg, self.queue_cfg)  # whole ticks
         n_slices = len(_SLICE_KEYS)
         self.specs = []
         for slice_id, (kind, keys) in enumerate(_SLICE_KEYS):
@@ -131,15 +131,21 @@ class HarnessConfig:
         check_pool(self.total_rbs, n_slices)
         if not self.scenario2_grid:
             raise ValueError("scenario2_grid must hold at least one rate")
+        # arrival_rate refuses a rate that offers too many packets an interval.
+        packet_bits = self.queue_cfg.packet_bits
         with _naming("scenario2_grid"):
             for rate in self.scenario2_grid:
                 check_range("rate", rate, "nonnegative")
+                arrival_rate(float(rate) * 1e6, n_ticks, tick_s, packet_bits)
             self.scenario2_grid = tuple(map(float, self.scenario2_grid))
         with _naming("scenario1_steps"):
             StepProfile(self.scenario1_steps)  # checks each rate before float() could take it
             self.scenario1_steps = tuple(tuple((int(s), float(r)) for s, r in steps)
                                          for steps in self.scenario1_steps)
             self.scenario1_profile = StepProfile(self.scenario1_steps)
+            for steps in self.scenario1_steps:
+                for _, rate in steps:
+                    arrival_rate(rate * 1e6, n_ticks, tick_s, packet_bits)
         with _naming("initial_shares"):
             self.initial_allocation = AllocationRatio(self.initial_shares)
         self.initial_shares = self.initial_allocation.shares

@@ -23,18 +23,20 @@ non-empty, the service credit follows a free path (``_credit_path``):
 each tick adds the service rate c and serves the whole part.  Each sum
 ``credit + c`` is below c + 1, so when c and the credit are multiples of
 w, the ulp of the binade that sum can reach, every sum is exact and the
-credit after j ticks is exactly frac(x + j*c), integer arithmetic in
-units of w.  For c >= 1 that holds after one tick whenever
-c + 1 <= 2**(e+1), with 2**e <= c, where w = ulp(c); other paths
-repeat the float operations in sequence.  Given the path, the
-buffer-capped queue is a min-plus formula, one cumulative sum and one
-running minimum, up to the first tick that empties it, which resets
-the credit to 0.0: that is the stretch.  The per-tick loop finishes the
-interval.  In it, a tick that starts with q = 0 and credit 0.0 depends
-on the arrivals ahead alone: once such an empty tick recurs at the
-phase t mod P of an earlier one, for an arrival period P checked
-exactly, the ticks between them repeat, so every whole cycle left is
-filled in at once and the last partial one stepped.  Once
+credit after j ticks is exactly frac(x + j*c): in units of w, the low
+bits of one uint64 pass over j, exact modulo 2**64, and a tick serves
+one packet more exactly where those bits wrap.  For c >= 1 that holds
+after one tick whenever c + 1 <= 2**(e+1), with 2**e <= c, where
+w = ulp(c); other paths repeat the float operations in sequence.  Only
+each tick's potential service and the last credit are kept.  Given the
+potentials, the buffer-capped queue is a min-plus formula, one
+cumulative sum and one running minimum, up to the first tick that
+empties it, which resets the credit to 0.0: that is the stretch.  The
+per-tick loop finishes the interval.  In it, a tick that starts with
+q = 0 and credit 0.0 depends on the arrivals ahead alone: once such an
+empty tick recurs at the phase t mod P of an earlier one, for an arrival
+period P checked exactly, the ticks between them repeat, so every whole
+cycle left is filled in at once and the last partial one stepped.  Once
 the queue is empty and no later tick brings more packets than one tick
 serves (a drained stretch of this discrete Lindley recursion), every
 later tick serves exactly its own arrivals, so the rest is filled in at
@@ -233,74 +235,81 @@ class IntervalResult:
     accounting: Tuple[SliceAccounting, ...]
 
 
+# Bound on an interval's offered packets, and on the int64 sums of a
+# stretch: offered packets plus a buffer's worth per tick, with room to
+# spare for the differences taken of them.
+_INT64_SUMS = 1 << 62
+
+
+def arrival_rate(offered_bps: float, n_ticks: int, tick_s: float, packet_bits: int,
+                 carry: float = 1.0) -> tuple[float, float]:
+    """Packets a tick at ``offered_bps``, and ``carry`` plus ``n_ticks`` of them.
+
+    The sum is an interval's cumulative arrivals before rounding down; the
+    default carry is above any that a queue carries, so it bounds every
+    interval at this rate.  Raises ValueError, naming the rate, unless the
+    sum is below ``_INT64_SUMS``, as the int64 arrival counts need.
+    """
+    r = offered_bps * tick_s / packet_bits
+    total = carry + r * n_ticks
+    if not total < _INT64_SUMS:
+        raise ValueError(f"offered_mbps {offered_bps / 1e6:g} brings {total:.4g} packets in "
+                         f"an interval of {n_ticks} ticks; it must bring fewer than 2**62")
+    return r, total
+
+
 def _arrivals(
     qs: SliceQueueState, offered_bps: float, n_ticks: int, tick_s: float, packet_bits: int
 ) -> tuple[np.ndarray, int, float]:
     """Deterministic arrivals per tick, their total and the carry out."""
-    r = offered_bps * tick_s / packet_bits  # arrival, packets per tick
+    r, total = arrival_rate(offered_bps, n_ticks, tick_s, packet_bits, qs.arrival_carry)
     ticks = np.arange(1, n_ticks + 1, dtype=np.float64)
     cum_offered = np.floor(qs.arrival_carry + r * ticks).astype(np.int64)
     offered = int(cum_offered[-1])
-    carry_out = qs.arrival_carry + r * n_ticks - offered
+    carry_out = total - offered
     arrivals = cum_offered.copy()
     arrivals[1:] -= cum_offered[:-1]
     return arrivals, offered, carry_out
 
 
-# Bound on the int64 sums of a stretch: offered packets plus a buffer's
-# worth per tick, with room to spare for the differences taken of them.
-_INT64_SUMS = 1 << 62
-
-
-def _credit_path(x: float, c: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The service credit after each of ``k`` ticks from credit ``x``, and each tick's potential.
+def _credit_path(x: float, c: float, k: int) -> tuple[np.ndarray, float]:
+    """Each of ``k`` ticks' potential service from credit ``x``, and the credit after the last.
 
     Tick j's potential service is ``sigma_j = int(x_{j-1} + c)`` and its
     credit ``x_j = x_{j-1} + c - sigma_j``, with the tick loop's float
-    operations: the path of a queue that never empties.  Returns
-    (credits, potentials), float64 and int64 arrays of length ``k``;
-    ``c`` is below 2**62.
+    operations: the path of a queue that never empties.  Returns the
+    potentials, an int64 array of length ``k``, and ``x_k``; ``c`` is
+    below 2**62.
 
     Closed form: write 2**e <= c < 2**(e+1) and u = ulp(c).  Each sum
-    ``x + c`` lies below c + 1, so its ulp is at most w: u when
-    c + 1 <= 2**(e+1), 2u when c >= 1 and c + 1 is more, and ulp(1.0)
-    when c < 1, where every sum is below 2.  The first sum is at least
-    c, so for c >= 1 it and the credit it leaves are multiples of u.
-    When c and that credit x_1 are multiples of w and w <= 1, every
+    ``x + c`` lies below c + 1, so its ulp is at most w = 2**-shift: u
+    when c + 1 <= 2**(e+1), 2u when c >= 1 and c + 1 is more, and
+    ulp(1.0) when c < 1, where every sum is below 2.  The first sum is at
+    least c, so for c >= 1 it and the credit it leaves are multiples of
+    u.  When c and that credit x_1 are multiples of w and w <= 1, every
     later sum is a multiple of w below the next power of two up, so it
-    is exact, and the credit after j more ticks is exactly
-    frac(x_1 + j*c): integer arithmetic in units of w, where c is N
-    ones plus F units.  Otherwise the float operations run in sequence.
+    is exact, and x_{j+1} is exactly frac(x_1 + j*c): with c = N + F*w,
+    the low ``shift`` bits of x_1/w + j*F, units of w that uint64
+    arithmetic keeps exact modulo 2**64 however large j*F grows.  Tick
+    j + 1 carries a whole packet out of those bits, and so serves N + 1,
+    exactly where they fall below F.  Otherwise the float operations run
+    in sequence.
     """
-    credits = np.empty(k)
-    sigma = np.empty(k, dtype=np.int64)
     first = x + c
-    sigma[0] = served = int(first)
-    credits[0] = x = first - served
+    x = first - int(first)
     top = math.frexp(c)[1]  # c < 2**top
     shift = 52 if c < 1.0 else 53 - top - (c > 2.0 ** top - 1.0)  # w is 2**-shift
     units_c, units_x = math.ldexp(c, shift), math.ldexp(x, shift)
     if shift < 0 or not (units_c.is_integer() and units_x.is_integer()):
         path = np.fromiter(accumulate(repeat(c, k - 1), _credit_step, initial=x),
                            dtype=np.float64, count=k)
-        credits[1:] = path[1:]
-        np.add(path[:-1], c, out=path[:-1])
-        sigma[1:] = path[:-1]  # truncation: int() of a nonnegative float
-        return credits, sigma
+        # Truncation: int() of each nonnegative sum.
+        return np.concatenate(([first], path[:-1] + c)).astype(np.int64), path.item(-1)
     n, f = divmod(int(units_c), 1 << shift)
-    units = int(units_x)
-    # Chunks keep units + j*f below 2**63.
-    chunk = k if f == 0 else max(1, ((1 << 63) - (1 << shift)) // f)
-    for lo in range(1, k, chunk):
-        ticks = min(chunk, k - lo)
-        total = units + f * np.arange(ticks + 1, dtype=np.int64)
-        whole = total >> shift
-        np.subtract(whole[1:], whole[:-1], out=sigma[lo:lo + ticks])
-        sigma[lo:lo + ticks] += n
-        total &= (1 << shift) - 1
-        credits[lo:lo + ticks] = np.ldexp(total[1:].astype(np.float64), -shift)
-        units = int(total[-1])
-    return credits, sigma
+    units = (np.arange(k, dtype=np.uint64) * f + int(units_x)) & ((1 << shift) - 1)
+    sigma = np.add(units < f, n, dtype=np.int64)
+    sigma[0] = int(first)
+    return sigma, math.ldexp(int(units[-1]), -shift)
 
 
 def _credit_step(x: float, c: float) -> float:
@@ -327,7 +336,7 @@ def _stretch(
     sum of a_i - sigma_i over i <= t.  The first tick where that is not
     positive serves its whole queue and resets the credit to 0.0.
     """
-    credits, sigma = _credit_path(credit, c, len(arrivals))
+    sigma, credit_end = _credit_path(credit, c, len(arrivals))
     s = np.cumsum(arrivals - sigma)
     bound = buffer_cap - sigma - s
     np.minimum.accumulate(bound, out=bound)
@@ -340,7 +349,7 @@ def _stretch(
         q_end, credit_end = 0, 0.0
     else:
         ticks = len(arrivals)
-        q_end, credit_end = int(queue[-1]), float(credits[-1])
+        q_end = int(queue[-1])
     # Each tick admits min(a_t, cap - q_{t-1}).
     room = np.empty(ticks, dtype=np.int64)
     room[0] = q

@@ -174,8 +174,9 @@ class ExperienceStore:
         # Rate bytes -> the group's last record; built by the first
         # retrieve that has records to group.
         self._tails: Optional[dict[bytes, int]] = None
-        # Lines of records whose durable write failed, oldest first.
-        self._pending: list[str] = []
+        # Lines of records whose durable write failed, oldest first, each
+        # encoded once when it is recorded.
+        self._pending = bytearray()
         # The history file's size up to its last complete line; None
         # until a load or the first write notes it.
         self._size: Optional[int] = None
@@ -275,7 +276,7 @@ class ExperienceStore:
         }
         self._append(obj["rates"], obj["shares"], obj["sigma"], len(obj["kpm"]))
         if self.path is not None:
-            self._pending.append(json.dumps(obj) + "\n")
+            self._pending += (json.dumps(obj) + "\n").encode()
             try:
                 self._write_pending()
             except OSError as exc:
@@ -287,14 +288,13 @@ class ExperienceStore:
 
     def _write_pending(self) -> None:
         """Append the pending lines after the durable size, unbuffered; on failure, cut off what was written."""
-        data = "".join(self._pending).encode()
         with open(self.path, "ab", buffering=0) as fh:
             if self._size is None:
                 self._size = fh.tell()
             # Whatever lies past the durable size is a partial line that an
             # earlier failed write could not cut off.
             fh.truncate(self._size)
-            rest = memoryview(data)
+            rest = memoryview(bytes(self._pending))  # a copy: no view pins the buffer's size
             try:
                 while rest:
                     rest = rest[fh.write(rest):]
@@ -302,7 +302,7 @@ class ExperienceStore:
                 # A partial line would sit ahead of the pending lines.
                 fh.truncate(self._size)
                 raise
-        self._size += len(data)
+        self._size += len(self._pending)
 
     def _append(self, rates: Sequence[float], shares: Sequence[float], sigma: float, n_kpm: int) -> None:
         """Check one record against the slice count and add it as the next column."""

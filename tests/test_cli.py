@@ -249,6 +249,29 @@ class TestErrors:
         assert field in err["message"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command, config, field", [
+        # Rates whose interval offers 8.3e19 packets, beyond int64 counts.
+        (["scenario1"], {"scenario1_steps": [[[0, 5.0], [3, 1e18]], [[0, 4.0]]]},
+         "scenario1_steps"),
+        (["scenario2", "--trials", "2"], {"scenario2_grid": [4.0, 1e18]}, "scenario2_grid"),
+        (["oracle-table", "--rates", "1e18", "80"], {}, "offered_mbps 1e+18"),
+        # Counts beyond float range.
+        (["scenario1"], {"packet_size_bytes": 10 ** 400}, "packet_size_bytes"),
+        (["scenario1"], {"total_rbs": 10 ** 400}, "total_rbs"),
+        (["scenario1"], {"buffer_capacity_packets": 10 ** 400}, "buffer_capacity_packets"),
+    ], ids=["steps-rate", "grid-rate", "oracle-rate", "packet-size", "pool", "buffer"])
+    def test_value_beyond_the_simulators_counts_names_the_field(self, tmp_path, capsys,
+                                                                command, config, field):
+        cfg = tmp_path / "beyond.json"
+        cfg.write_text(json.dumps({**SMALL, **config}))
+        rc = main(command + ["--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert field in err["message"]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_trials_below_one_names_the_option(self, tmp_path, capsys, small_cfg,
                                                trials):

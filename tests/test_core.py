@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from sliceloop.core import (
     SliceKind,
     SliceKpm,
     SliceSpec,
+    check_count,
     ratio_to_rb_counts,
     rb_splits,
 )
@@ -59,6 +61,18 @@ class TestRadioConfig:
     def test_rejects_non_finite_field(self, field, value):
         with pytest.raises(ValueError, match=field):
             RadioConfig(**{field: value})
+
+
+class TestCheckCount:
+    def test_counts_up_to_the_largest_float(self):
+        for value in (1, 106, int(sys.float_info.max)):
+            check_count("total_rbs", value)
+
+    @pytest.mark.parametrize("value", [pytest.param(int(sys.float_info.max) + 1, id="above-float"),
+                                       pytest.param(10 ** 400, id="int-beyond-float")])
+    def test_rejects_ints_beyond_float_range(self, value):
+        with pytest.raises(ValueError, match="^total_rbs must be an integer from 1 to the largest float"):
+            check_count("total_rbs", value)
 
 
 def test_rb_splits_rows_are_the_recursive_enumeration_in_order():

@@ -153,6 +153,28 @@ class TestIntervalTicks:
             )
 
 
+class TestOfferedBound:
+    """An interval's offered packets stay below 2**62, or the rate is refused."""
+
+    def test_bound_is_2_62_packets(self):
+        # One 1 s tick of 1-bit packets: the rate in bps is the interval's packets.
+        arrivals, offered, carry = _arrivals(SliceQueueState(), float(2 ** 62 - 512), 1, 1.0, 1)
+        assert (arrivals.tolist(), offered, carry) == ([2 ** 62 - 512], 2 ** 62 - 512, 0.0)
+        with pytest.raises(ValueError, match=r"fewer than 2\*\*62"):
+            _arrivals(SliceQueueState(), float(2 ** 62), 1, 1.0, 1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_every_path_that_builds_arrivals_names_the_rate(self):
+        # 1e18 Mbps offers 8.3e19 packets of 12,000 bits a second.
+        radio_cfg, queue_cfg, channels = make_env()
+        message = r"^offered_mbps 1e\+18 brings 8.333e\+19 packets in an interval of 1000 ticks"
+        with pytest.raises(ValueError, match=message):
+            simulate_interval([80.0, 1e18], [5, 5], channels, radio_cfg, queue_cfg,
+                              SimState.fresh(2))
+        with pytest.raises(ValueError, match=message):
+            slice_kpm_tables([80.0, 1e18], channels, radio_cfg, queue_cfg, SimState.fresh(2), 9)
+
+
 class TestSimulateInterval:
     def test_empty_system(self):
         radio, queue, channels = make_env()
@@ -773,6 +795,17 @@ def exact_args(c, offered_per_tick, n_ticks, cap=256, backlog=0, credit=0.0):
 class TestCreditPath:
     """``radio._credit_path`` against the tick loop's float operations."""
 
+    @staticmethod
+    def assert_matches_sequential(x, c, k):
+        """The potentials, and the last credit by its bits, of ``sequential_credit_path``."""
+        potentials, credit = _credit_path(x, c, k)
+        want_credits, want_potentials = sequential_credit_path(x, c, k)
+        assert potentials.dtype == np.int64
+        assert potentials.tolist() == want_potentials
+        assert type(credit) is float
+        assert credit.hex() == want_credits[-1].hex()
+        return potentials
+
     @settings(max_examples=500, deadline=None)
     @given(
         x=st.floats(0.0, 1.0, exclude_max=True),
@@ -783,19 +816,13 @@ class TestCreditPath:
     def test_matches_sequential_floats(self, x, c, k, warm):
         if warm:  # a credit on c's grid, as a run at the same rate leaves it
             x = sequential_credit_path(x, c, 7)[0][-1]
-        credits, potentials = _credit_path(x, c, k)
-        want_credits, want_potentials = sequential_credit_path(x, c, k)
-        assert [v.hex() for v in credits.tolist()] == [v.hex() for v in want_credits]
-        assert potentials.tolist() == want_potentials
+        self.assert_matches_sequential(x, c, k)
 
     @pytest.mark.parametrize("c", [1.0, 2.5, 3.0, 9.717, 15.0, 2.0 ** 40 + 0.25, 15.5])
     def test_closed_form_runs_no_float_ticks(self, c):
         # Credit 0.25 lies on every one of these rates' grids.
         with mock.patch.object(radio, "_credit_step", side_effect=AssertionError("float")):
-            credits, potentials = _credit_path(0.25, c, 300)
-        want_credits, want_potentials = sequential_credit_path(0.25, c, 300)
-        assert [v.hex() for v in credits.tolist()] == [v.hex() for v in want_credits]
-        assert potentials.tolist() == want_potentials
+            self.assert_matches_sequential(0.25, c, 300)
 
     @pytest.mark.parametrize("c", [0.0, 0.3, math.nextafter(15.0, math.inf)])
     def test_other_rates_repeat_the_float_ticks(self, c):
@@ -808,20 +835,20 @@ class TestCreditPath:
             return step(x, c)
 
         with mock.patch.object(radio, "_credit_step", counting):
-            credits, potentials = _credit_path(0.1, c, 50)
+            self.assert_matches_sequential(0.1, c, 50)
         assert len(steps) == 49
-        want_credits, want_potentials = sequential_credit_path(0.1, c, 50)
-        assert [v.hex() for v in credits.tolist()] == [v.hex() for v in want_credits]
-        assert potentials.tolist() == want_potentials
 
-    def test_int64_chunks(self):
-        # c = 2.5 is 2 plus 2**50 units of 2**-51: one chunk holds 8,190
-        # ticks, so 20,000 ticks take three.
-        credits, potentials = _credit_path(0.0, 2.5, 20_000)
-        want_credits, want_potentials = sequential_credit_path(0.0, 2.5, 20_000)
-        assert credits.tolist() == want_credits
-        assert potentials.tolist() == want_potentials
-        assert set(potentials.tolist()) == {2, 3}
+    def test_units_wrap_modulo_2_64(self):
+        # c = 2.5 is 2 plus F = 2**50 units of 2**-51, so j*F passes 2**64
+        # once over 20,000 ticks and 12 times over 200,000.  2 - 2**-51 is
+        # the rate just below 2 on its grid: with F = 2**51 - 1, j*F first
+        # passes 2**64 at j = 8,193.  k = 1 takes only the float first tick.
+        with mock.patch.object(radio, "_credit_step", side_effect=AssertionError("float")):
+            for x, c, k in [(0.0, 2.5, 20_000), (0.5, 2.5, 200_000),
+                            (0.0, 2.0 - 2.0 ** -51, 20_000), (0.25, 2.5, 1)]:
+                potentials = self.assert_matches_sequential(x, c, k)
+                assert set(potentials.tolist()) <= {int(c), int(c) + 1}
+        assert self.assert_matches_sequential(0.0, 2.5, 20_000).sum() == 50_000
 
 
 class TestLiveQueue:

@@ -549,6 +549,32 @@ class TestRecord:
         assert [r.record_id for r in every_record(reloaded)] == list(range(failures + 2))
         assert every_record(reloaded) == every_record(store)
 
+    def test_failed_writes_encode_each_pending_line_once(self, tmp_path):
+        # A record whose file cannot be opened adds its own line to the
+        # pending bytes and builds nothing from the lines already there: the
+        # memory it takes does not grow with them.
+        path = tmp_path / "store.jsonl"
+        store = ExperienceStore(2, path=tmp_path)  # a directory cannot be opened for appending
+        for i in range(1_500):
+            with pytest.raises(StorageError):
+                store.record(**make_record_args([80.0 + i, 95.0], -0.25))
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            with pytest.raises(StorageError):
+                store.record(**make_record_args([70.0, 95.0], -0.5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        store.path = path
+        store.record(**make_record_args([60.0, 95.0], -0.75))
+        pending = path.stat().st_size  # every line, written at last
+        assert pending > 300_000
+        assert peak - before < pending // 4
+        reloaded = ExperienceStore.load(path, 2)
+        assert [r.record_id for r in every_record(reloaded)] == list(range(1_502))
+        assert every_record(reloaded) == every_record(store)
+
     @settings(max_examples=150, deadline=None)
     @given(records=st.lists(st.tuples(
                st.lists(st.floats(0.0, 200.0), min_size=2, max_size=2),
