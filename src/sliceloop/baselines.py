@@ -13,14 +13,16 @@ The table is built in one vectorised pass: the splits are the ``(S, n)``
 array of ``core.rb_splits``, ``Predictor.score_splits`` scores all of
 them, the same call the oracle in ``agents`` makes, and each row's
 KPMs and latency feasibility are gathered from each slice's KPM arrays
-over its RB counts.  The optimum is picked in two linear passes, the best value
-first, then the tie-break among the rows that reach it exactly.
+over its RB counts, one float object per RB count.  The rows are
+``EnumerationRow`` NamedTuples, built from those columns in one pass.
+The optimum is picked in two linear passes, the best value first, then
+the tie-break among the rows that reach it exactly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,8 +46,7 @@ class OptimizerResult:
     sigma: float
 
 
-@dataclass(frozen=True)
-class EnumerationRow:
+class EnumerationRow(NamedTuple):
     rb_counts: Tuple[int, ...]
     latencies_ms: Tuple[float, ...]
     throughputs_mbps: Tuple[float, ...]
@@ -81,26 +82,24 @@ def enumerate_splits(
     feasible = np.ones(len(splits), dtype=bool)
     latencies, throughputs, drops = [], [], []
     for spec, table, i in zip(specs, predictor.kpm_tables(), splits.T - 1):
-        # Gathered as objects, every row with the same RB count shares one
-        # float: a float per row and field costs 1.2 MB at 5,460 splits.
+        # Gathered as objects, so the rows that give this slice the same RB
+        # count share one float object per field, which the one-pass row
+        # build keeps: a float per row and field costs 1.2 MB at 5,460 splits.
         latencies.append(table.mean_latency_ms.astype(object)[i].tolist())
         throughputs.append(table.mean_throughput_mbps.astype(object)[i].tolist())
         drops.append(table.drop_ratio.astype(object)[i].tolist())
         if spec.kind is SliceKind.LATENCY:
             # A starved slice reports 0 ms: it delivered nothing.
             feasible &= (~starved(table) & (table.mean_latency_ms < spec.sla_target))[i]
-    return [
-        EnumerationRow(*fields)
-        for fields in zip(
-            zip(*splits.T.tolist()),
-            zip(*latencies),
-            zip(*throughputs),
-            zip(*drops),
-            sigma.tolist(),
-            objective.tolist(),
-            feasible.tolist(),
-        )
-    ]
+    return list(map(EnumerationRow._make, zip(
+        zip(*splits.T.tolist()),
+        zip(*latencies),
+        zip(*throughputs),
+        zip(*drops),
+        sigma.tolist(),
+        objective.tolist(),
+        feasible.tolist(),
+    )))
 
 
 def _latency_rb_total(counts: Sequence[int], specs: Sequence[SliceSpec]) -> int:

@@ -11,6 +11,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Sequence, Tuple
 
@@ -215,6 +216,7 @@ def ratio_to_rb_counts(ratio: AllocationRatio, total_rbs: int) -> list[int]:
     return counts
 
 
+@cache
 def rb_splits(total_rbs: int, parts: int) -> np.ndarray:
     """Every split of ``total_rbs`` into ``parts`` integer counts >= 1.
 
@@ -222,8 +224,12 @@ def rb_splits(total_rbs: int, parts: int) -> np.ndarray:
     lexicographic order, so slice 0's count ascends.  A split is fixed by
     its running totals, ``parts - 1`` cut points strictly between 0 and
     ``total_rbs``, and ``combinations`` yields those in the same order.
+    The array is computed once per argument pair and shared by every
+    caller, so it is read-only: a caller that writes copies it first.
     """
     cuts = np.array(list(combinations(range(1, total_rbs), parts - 1)), dtype=np.intp)
     edges = np.pad(cuts.reshape(len(cuts), parts - 1), ((0, 0), (1, 1)),
                    constant_values=(0, total_rbs))
-    return np.diff(edges, axis=1)
+    splits = np.diff(edges, axis=1)
+    splits.flags.writeable = False
+    return splits

@@ -314,6 +314,26 @@ class TestBatchEqualsScalarWalk:
         assert all(repr(r.objective) == "0.0" for r in rows)
         assert "objective=0.0," in repr(brute_force_optimal(*args))
 
+    @pytest.mark.parametrize("n_slices", [2, 3])
+    def test_pool_of_one_rb_per_slice_has_one_row(self, n_slices):
+        specs = [LAT, THR, replace(THR, slice_id=2)][:n_slices]
+        args = optimizer_args(specs, [SINR] * n_slices, [4.0] * n_slices, n_slices)
+        (row,) = assert_matches_reference(args)
+        assert row.rb_counts == (1,) * n_slices
+        got = brute_force_optimal(*args)
+        assert (got.rb_counts, got.objective, got.sigma) == (row.rb_counts, row.objective,
+                                                              row.sigma)
+
+    def test_rows_with_one_rb_count_share_its_kpm_floats(self):
+        # One float object per slice, RB count and field, not one per row.
+        specs = [LAT, THR, replace(THR, slice_id=2)]
+        rows = enumerate_splits(*optimizer_args(specs, [SINR] * 3, [4.0, 9.0, 6.0], 20))
+        three = [r for r in rows if r.rb_counts[0] == 3]
+        assert len(three) == 16
+        for field in ("latencies_ms", "throughputs_mbps", "drop_ratios"):
+            first = getattr(three[0], field)[0]
+            assert all(getattr(r, field)[0] is first for r in three)
+
     def test_optimizer_reads_rows_through_the_module_level_enumerate_splits(
             self, monkeypatch):
         # Callers that wrap baselines.enumerate_splits see every row scored.
@@ -323,7 +343,7 @@ class TestBatchEqualsScalarWalk:
             calls.append(args)
             row = EnumerationRow((2, 8), (1.0, 0.0), (4.0, 5.0), (0.0, 0.0),
                                  -0.5, 5.0, True)
-            return [replace(row, rb_counts=(3, 7), objective=4.0), row]
+            return [row._replace(rb_counts=(3, 7), objective=4.0), row]
 
         monkeypatch.setattr(baselines, "enumerate_splits", fake)
         radio, queue, channels = make_env()

@@ -82,6 +82,15 @@ def test_rb_splits_rows_are_the_recursive_enumeration_in_order():
         assert [tuple(row) for row in got.tolist()] == list(reference_splits(total, n))
 
 
+def test_rb_splits_is_built_once_per_pool_and_read_only():
+    splits = rb_splits(20, 3)
+    assert rb_splits(20, 3) is splits
+    assert not splits.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        splits[0, 0] = 5
+    assert splits[0].tolist() == [1, 1, 18]
+
+
 class TestAllocationRatio:
     def test_sum_tolerance(self):
         AllocationRatio([0.5, 0.5 + 5e-10])
