@@ -7,15 +7,17 @@ Run it from anywhere; it measures the checkout it lives in and writes
 ``BENCH_<pr>.json`` at that checkout's root.  It records:
 
 * ``workloads``: every workload of ``perfbench/run.py`` at seeds 1 and 2,
-  ``--runs`` untraced runs of 5 s each, interleaved round by
-  round so that a slow spell of the host lands on every workload; per
-  end-to-end metric the median, the quartiles and every value, and the
-  ``correct`` flag of every run.  stderr goes to /dev/null on every run,
-  because ``peak_rss_mb`` moves with where it goes.
+  ``--runs`` untraced runs of 5 s each; per end-to-end metric the
+  median, the quartiles and every value, and the ``correct`` flag of
+  every run.  stderr goes to /dev/null on every run, because
+  ``peak_rss_mb`` moves with where it goes.
+* ``cli_s``: wall time of five commands, interpreter start included,
+  the minimum over the rounds, and ``cli_s_values``, every time.
+  Each of the ``--runs`` rounds runs every workload at both seeds and
+  then each command once, so that a slow spell of the host lands on
+  every workload and command alike.
 * ``traced``: one ``--trace 1`` run per workload at seed 1, with
   its per-layer metrics and ``correct`` flag.
-* ``cli_s``: wall time of five commands, interpreter start included,
-  the minimum of five runs each.
 * ``tests`` (the Tier-1 suite's counts), ``source_lines`` (``src/sliceloop``
   in total and without blank, comment and docstring lines), the
   commit, ``source_sha256`` (a digest of the files under ``src/`` and
@@ -57,7 +59,6 @@ CLI_COMMANDS = {
     "tokens": ["tokens"],
     "oracle_table_2slice": ["oracle-table", "--rates", "120", "80"],
 }
-CLI_REPEATS = 5
 SEEDS = (1, 2)
 RUN_SECONDS = 5.0
 
@@ -99,12 +100,26 @@ def _perfbench(workload: str, seed: int, trace: int) -> dict:
         return {"correct": False, "error": f"exit {out.returncode}, no result line"}
 
 
-def _workloads(runs: int) -> dict:
+def _cli_seconds(argv: list[str], out: str) -> float:
+    """Wall time of one ``sliceloop`` command, interpreter start included."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-m", "sliceloop", *argv, "--out", out],
+                   env=env, stdout=subprocess.DEVNULL, check=True)
+    return time.perf_counter() - start
+
+
+def _rounds(runs: int) -> tuple[dict, dict]:
+    """The ``workloads`` summary and every command's times, over interleaved rounds."""
     results = {w: {str(s): [] for s in SEEDS} for w in WORKLOADS}
-    for _ in range(runs):
-        for seed in SEEDS:
-            for workload in WORKLOADS:
-                results[workload][str(seed)].append(_perfbench(workload, seed, 0))
+    cli = {name: [] for name in CLI_COMMANDS}
+    with tempfile.TemporaryDirectory() as tmp:
+        for i in range(runs):
+            for seed in SEEDS:
+                for workload in WORKLOADS:
+                    results[workload][str(seed)].append(_perfbench(workload, seed, 0))
+            for name, argv in CLI_COMMANDS.items():
+                cli[name].append(_cli_seconds(argv, os.path.join(tmp, f"{name}-{i}")))
     summary = {}
     for workload, by_seed in results.items():
         summary[workload] = {}
@@ -120,7 +135,7 @@ def _workloads(runs: int) -> dict:
                     for name in names
                 },
             }
-    return summary
+    return summary, cli
 
 
 def _traced() -> dict:
@@ -130,22 +145,6 @@ def _traced() -> dict:
         traced[workload] = {"seed": SEEDS[0], "correct": bool(row.get("correct")),
                             "metrics": {k: v["value"] for k, v in row.get("metrics", {}).items()}}
     return traced
-
-
-def _cli_seconds() -> dict:
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    times = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, argv in CLI_COMMANDS.items():
-            best = float("inf")
-            for i in range(CLI_REPEATS):
-                start = time.perf_counter()
-                subprocess.run([sys.executable, "-m", "sliceloop", *argv, "--out",
-                                os.path.join(tmp, f"{name}-{i}")],
-                               env=env, stdout=subprocess.DEVNULL, check=True)
-                best = min(best, time.perf_counter() - start)
-            times[name] = best
-    return times
 
 
 def _tests() -> dict:
@@ -192,6 +191,7 @@ def main(argv: list[str] | None = None) -> int:
     import numpy
 
     status = _git("status", "--porcelain", "--", "src", "perfbench")
+    workloads, cli = _rounds(args.runs)
     report = {
         "commit": _git("rev-parse", "HEAD"),
         "uncommitted_changes": None if status is None else bool(status),
@@ -200,9 +200,10 @@ def main(argv: list[str] | None = None) -> int:
         "numpy": numpy.__version__,
         "cpu_count": os.cpu_count(),
         "settings": {"runs": args.runs, "seconds": RUN_SECONDS, "seeds": list(SEEDS)},
-        "workloads": _workloads(args.runs),
+        "workloads": workloads,
         "traced": _traced(),
-        "cli_s": _cli_seconds(),
+        "cli_s": {name: min(times) for name, times in cli.items()},
+        "cli_s_values": cli,
         "tests": _tests(),
         "source_lines": source_lines(),
         "mismeasured": MISMEASURED,

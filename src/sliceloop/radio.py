@@ -52,8 +52,10 @@ the same recursion for every RB count of every slice at once, as the
 columns of one stacked tick loop (``_advance_slice_batch``),
 bit-identical to the scalar loop, so the KPMs of any candidate split
 are a lookup into one table per slice.  Each table holds arrays over the
-RB counts (``SliceKpmTable``), every entry from ``_slice_kpm``'s float
-operations, and no per-entry object is built.  A column steps alike
+RB counts (``SliceKpmTable``), and no per-entry object is built.  One
+function, ``_kpm_fields``, turns packet books into KPMs for both loops:
+the live step's one book as Python numbers and a table's as arrays,
+with the same float operations entry by entry.  A column steps alike
 beside any others, so with a sweep's memo, keyed as ``simulate_interval``'s,
 each distinct slice input's table is built once.  The stacked loop serves
 with the identity m = min(credit, q), served = trunc(m),
@@ -642,28 +644,24 @@ def _interval_ticks(radio_cfg: RadioConfig, queue_cfg: QueueConfig) -> tuple[flo
     return tick_s, n_ticks, n_ticks * tick_s
 
 
-def _slice_kpm(
-    offered_mbps: float,
-    offered_packets: int,
-    delivered: int,
-    dropped: int,
-    latency_ticks: float,
-    queue_cfg: QueueConfig,
-    interval_s: float,
-) -> SliceKpm:
-    """One slice's KPMs from its packet books over one interval."""
-    delivered_mbps = delivered * queue_cfg.packet_bits / interval_s / 1e6
+def _kpm_fields(offered_mbps, offered_packets, delivered, dropped, latency_ticks,
+                queue_cfg: QueueConfig, interval_s: float) -> tuple:
+    """Latency (ms), throughput and drop ratio from one interval's packet books.
+
+    Python numbers for one book, or numpy arrays for a table, entry by
+    entry with the same float operations: each count meets a float
+    before any other operation, so a Python int and an int64 entry
+    round alike and no product wraps.  The throughput is an ``np.float64``
+    for one book.
+    """
+    delivered_mbps = delivered * float(queue_cfg.packet_bits) / interval_s / 1e6
     # Backlog drain can push delivered bits past this interval's offered
-    # bits; the KPM reports at most the offered rate, as a float even for
-    # an int rate, and the accounting keeps the exact counts.
-    throughput = float(min(delivered_mbps, offered_mbps))
-    drop_ratio = dropped / offered_packets if offered_packets else 0.0
-    return SliceKpm(
-        mean_latency_ms=latency_ticks * queue_cfg.tick_duration_ms,
-        mean_throughput_mbps=throughput,
-        drop_ratio=drop_ratio,
-        offered_load_mbps=offered_mbps,
-    )
+    # bits; the KPM reports at most the offered rate, and the accounting
+    # keeps the exact counts.  np.minimum gives its second argument on ties.
+    throughput = np.minimum(offered_mbps, delivered_mbps)
+    # Nothing is dropped where nothing is offered.
+    drop_ratio = dropped * 1.0 / (offered_packets + (offered_packets == 0))
+    return latency_ticks * queue_cfg.tick_duration_ms, throughput, drop_ratio
 
 
 def _slice_key(offered_mbps: float, service: object, qs: SliceQueueState,
@@ -727,8 +725,10 @@ def simulate_interval(
         if result is None:
             new_qs, acct, lat_ticks = _advance_slice(
                 qs, offered_mbps[k] * 1e6, service_bps, n_ticks, tick_s, packet_bits, buffer_cap)
-            kpm = _slice_kpm(offered_mbps[k], acct.offered_packets, acct.delivered_packets,
-                             acct.dropped_packets, lat_ticks, queue_cfg, interval_s)
+            latency, throughput, drop_ratio = _kpm_fields(
+                offered_mbps[k], acct.offered_packets, acct.delivered_packets,
+                acct.dropped_packets, lat_ticks, queue_cfg, interval_s)
+            kpm = SliceKpm(latency, float(throughput), drop_ratio, offered_mbps[k])
             result = kpm, acct, new_qs
             if key is not None:
                 memo[key] = result
@@ -776,8 +776,9 @@ def slice_kpm_tables(
     Entry ``i`` of table ``k`` equals the KPMs ``simulate_interval``
     reports for slice ``k`` from ``state`` with ``i + 1`` RBs, whatever
     the other slices hold, since slices share nothing but the RB total:
-    all slices and RB counts run in one stacked queue recursion, and each
-    field takes ``_slice_kpm``'s float operations entry by entry.
+    all slices and RB counts run in one stacked queue recursion, and
+    ``_kpm_fields``, the one formula that also serves the live step's
+    book, turns its packet books into every field at once.
     ``memo``, a dict that the caller owns, maps ``_slice_key`` of a slice
     and its row of ``max_rbs`` service rates to its table: only slices not
     found there are stacked, and each gets the stored table itself.
@@ -803,12 +804,8 @@ def slice_kpm_tables(
         offered, delivered, dropped, _, latency_ticks = _advance_slice_batch(
             [state.queues[k] for k in missed], [x * 1e6 for x in mbps], service_bps[missed],
             n_ticks, tick_s, queue_cfg.packet_bits, queue_cfg.buffer_capacity_packets)
-        delivered_mbps = delivered * queue_cfg.packet_bits / interval_s / 1e6
-        # min(delivered_mbps, mbps): np.minimum gives its second argument on ties.
-        throughput = np.minimum(np.array(mbps, dtype=np.float64)[:, None], delivered_mbps)
-        drop_ratio = np.zeros(dropped.shape)
-        np.divide(dropped, offered[:, None], out=drop_ratio, where=offered[:, None] > 0)
-        latency_ms = latency_ticks * queue_cfg.tick_duration_ms
+        fields = _kpm_fields(np.array(mbps, dtype=np.float64)[:, None], offered[:, None],
+                             delivered, dropped, latency_ticks, queue_cfg, interval_s)
         for i, k in enumerate(missed):
-            memo[keys[k]] = SliceKpmTable(latency_ms[i], throughput[i], drop_ratio[i], mbps[i])
+            memo[keys[k]] = SliceKpmTable(*(x[i] for x in fields), mbps[i])
     return [memo[key] for key in keys]

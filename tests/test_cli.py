@@ -3,6 +3,8 @@ import json
 import pytest
 
 from sliceloop.cli import main
+from sliceloop.harness import HarnessConfig
+from sliceloop.radio import SimState, simulate_interval
 
 from csv_rows import read_csv
 
@@ -93,6 +95,26 @@ class TestOracleTableCommand:
         rows = read_csv(out / "oracle_table.csv")
         assert len(rows) == 9
         assert {"rb_counts", "sigma", "objective", "feasible"} <= set(rows[0])
+
+    def test_throughput_past_int64_bits_is_the_live_steps(self, tmp_path):
+        # Slice 1 delivers 1e19 bits an interval, past 2**63.
+        config = {"rb_bandwidth_hz": 1e24, "buffer_capacity_packets": 10 ** 17,
+                  "monitoring_interval_s": 0.01}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "table"
+        assert main(["oracle-table", "--rates", "1e15", "80", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        rows = read_csv(out / "oracle_table.csv")
+        h = HarnessConfig.from_dict(config)
+        assert len(rows) == h.total_rbs - 1
+        for row in rows:
+            counts = [int(c) for c in row["rb_counts"].split("-")]
+            live = simulate_interval([1e15, 80.0], counts, h.channels, h.radio_cfg,
+                                     h.queue_cfg, SimState.fresh(2)).kpm
+            assert [row["s1_throughput_mbps"], row["s2_throughput_mbps"]] \
+                == [kpm.mean_throughput_mbps for kpm in live]
+        assert rows[0]["s1_throughput_mbps"] == 999999999999999.6
 
 
 class TestErrors:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sliceloop import radio
-from sliceloop.core import RadioConfig
+from sliceloop.core import RadioConfig, SliceKpm
 from sliceloop.sla import starved
 from sliceloop.radio import (
     InternalStateError,
@@ -26,7 +26,6 @@ from sliceloop.radio import (
     _credit_path,
     _fifo_latency,
     _interval_ticks,
-    _slice_kpm,
     channel_capacity,
     generate_traffic,
     simulate_interval,
@@ -586,9 +585,19 @@ class TestStarvation:
                     acct.delivered_packets == 0 and offered[k] > 0)
 
 
+def reference_slice_kpm(offered_mbps, offered_packets, delivered, dropped, latency_ticks,
+                        queue_cfg, interval_s):
+    """One slice's KPMs from its packet books, written with Python ints,
+    separately from the simulator for cross-checking."""
+    delivered_mbps = delivered * queue_cfg.packet_bits / interval_s / 1e6
+    drop_ratio = dropped / offered_packets if offered_packets else 0.0
+    return SliceKpm(latency_ticks * queue_cfg.tick_duration_ms,
+                    float(min(delivered_mbps, offered_mbps)), drop_ratio, offered_mbps)
+
+
 class TestKpmTables:
     """``slice_kpm_tables`` gives each slice's KPMs as arrays over its RB
-    counts, every entry ``_slice_kpm`` of that RB count's packet books."""
+    counts, every entry the KPMs of that RB count's packet books."""
 
     @settings(max_examples=150, deadline=None)
     @given(stacked=stacked_slices(),
@@ -611,10 +620,26 @@ class TestKpmTables:
             assert table.offered_load_mbps is mbps
             books = zip(delivered[k].tolist(), dropped[k].tolist(), latency[k].tolist())
             for count, book in enumerate(books, 1):
-                want = _slice_kpm(mbps, int(offered_packets[k]), *book, queue, interval_s)
+                want = reference_slice_kpm(mbps, int(offered_packets[k]), *book, queue,
+                                           interval_s)
                 got = table.kpm(count)
                 assert all(type(x) is float for x in astuple(got)[:3])
                 assert [x.hex() for x in astuple(got)] == [x.hex() for x in astuple(want)]
+
+    def test_entries_equal_the_live_step_where_delivered_bits_pass_int64(self):
+        # 8.3e14 packets of 12,000 bits delivered in 10 ticks: 1e19 bits,
+        # past 2**63, which an int64 product of the books would wrap.
+        radio_cfg = RadioConfig(total_rbs=10, rb_bandwidth_hz=1e24, monitoring_interval_s=0.01)
+        queue_cfg = QueueConfig(buffer_capacity_packets=10 ** 17)
+        _, _, channels = make_env()
+        offered = [1e15, 80.0]
+        tables = slice_kpm_tables(offered, channels, radio_cfg, queue_cfg, SimState.fresh(2), 9)
+        for count in range(1, 10):
+            live = simulate_interval(offered, [count, 10 - count], channels, radio_cfg,
+                                     queue_cfg, SimState.fresh(2)).kpm
+            got = (tables[0].kpm(count), tables[1].kpm(10 - count))
+            assert [astuple(x) for x in got] == [astuple(x) for x in live]
+        assert live[0].mean_throughput_mbps == 999999999999999.6
 
     def test_light_load_entries_repeat(self):
         # At 2 Mbps, 3 to 5 RBs deliver at 2 ticks and 6 to 9 RBs in the
